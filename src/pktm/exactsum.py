@@ -8,10 +8,24 @@ serial and distributed runs of the same job agree bit for bit.
 
 Two representations are used:
 
-* a rounded total (``math.fsum``), for final per-key results;
+* a rounded total, for final per-key results;
 * an *expansion*, a short list of floats whose real-number sum equals the
   exact sum, for partial results that still have to be added to other
   partials without losing information (the map-side combiner emits these).
+
+Three routes produce them:
+
+* :func:`exact_sums` is the engine's reduce.  It takes an unsorted key
+  stream and never sorts it: values are split by error-free extraction
+  (Rump, Ogita and Oishi, "Accurate Floating-Point Summation" I-II, SIAM J.
+  Sci. Comput. 2008/2009) into parts that ``np.bincount`` adds exactly in
+  any order, and a few parts per key are then rounded the way ``math.fsum``
+  rounds its partials.
+* :func:`grouped_fsum` calls ``math.fsum`` once per key on a key-sorted
+  stream.  The serial reference migration uses it, which makes it the
+  independent oracle the engine is checked against.
+* :func:`grouped_expansions` is the map-side combiner.  Its groups hold only
+  a few values each, where a padded two-sum fold beats extraction.
 """
 
 from __future__ import annotations
@@ -26,11 +40,20 @@ __all__ = [
     "exact_expansion",
     "grouped_fsum",
     "grouped_expansions",
+    "exact_sums",
 ]
 
 # Above this padded-matrix size the vectorized path falls back to a
 # per-group loop to bound memory on pathologically skewed group sizes.
 _MATRIX_CELL_LIMIT = 8_000_000
+
+# exact_sums numbers keys as ``key - min(keys)`` while the key span is at most
+# this multiple of the record count, and with np.unique beyond it.
+_DENSE_SPAN_FACTOR = 4
+
+# The level schedule of exact_sums needs 2**c >= (largest group) + 2 with
+# c <= 26; larger groups go to grouped_fsum.
+_MAX_COUNT_BITS = 26
 
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -178,3 +201,150 @@ def grouped_expansions(
     comps_out = matrix[mask]
     # Row-major extraction keeps components of one key contiguous.
     return keys_out, comps_out
+
+
+def _group_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct keys of an unsorted stream without sorting it.
+
+    Returns (ascending unique keys, per-record group id, per-group count).
+    """
+    n = keys.shape[0]
+    kmin = keys.min()
+    span = int(keys.max()) - int(kmin)
+    if span >= _DENSE_SPAN_FACTOR * n:
+        unique, g = np.unique(keys, return_inverse=True)
+        g = g.astype(np.intp, copy=False)
+        return unique, g, np.bincount(g)
+    # key - kmin in intp: keys >= 2**63 wrap, but each difference (at most
+    # span) comes out right
+    g = np.subtract(keys, kmin, dtype=np.intp, casting="unsafe")
+    counts = np.bincount(g, minlength=span + 1)
+    present = counts > 0
+    slots = np.flatnonzero(present)
+    if slots.shape[0] <= span:
+        g = (np.cumsum(present) - 1)[g]
+        counts = counts[slots]
+    return slots.astype(np.uint64) + kmin, g, counts
+
+
+def _round_levels(digits: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Correctly rounded column sums of the (levels, groups) ``digits``.
+
+    Level j of a group holds a multiple of u_j = ulp(sigma_j)/2 below
+    sigma_j in magnitude, with sigma_{j+1} = sigma_j * 2**-D.  A bottom-up
+    carry turns the levels into a top word plus balanced digits
+    |L_j| <= u_{j-1}/2, each larger than everything below it.  Those are
+    math.fsum's nonoverlapping partials, so its final loop and half-even
+    correction round them, vectorized over groups.
+    """
+    n_levels, n_groups = digits.shape
+    low = np.empty_like(digits)
+    carry = np.zeros(n_groups)
+    for j in range(n_levels - 1, 0, -1):
+        t = digits[j] + carry
+        # 1.5 * 2**k keeps sigma + t in one binade, so the extracted part is
+        # a multiple of u_{j-1} for either sign of t
+        pivot = 0.75 * sigma[j - 1]
+        carry = (pivot + t) - pivot
+        low[j] = t - carry
+    hi = digits[0] + carry
+    lo = np.zeros(n_groups)
+    below = np.zeros(n_groups)
+    done = np.zeros(n_groups, dtype=bool)
+    for j in range(1, n_levels):
+        y = low[j]
+        below = np.where(done & (below == 0.0), y, below)
+        h = hi + y
+        err = y - (h - hi)
+        hi = np.where(done, hi, h)
+        lo = np.where(done, lo, err)
+        done |= err != 0.0
+    fix = np.flatnonzero(((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0)))
+    if fix.size:
+        y = 2.0 * lo[fix]
+        x = hi[fix] + y
+        exact = (x - hi[fix]) == y
+        hi[fix[exact]] = x[exact]
+    return hi
+
+
+def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key correctly rounded exact sums over an unsorted record stream.
+
+    Returns (unique_keys, totals): keys strictly ascending, each total
+    bit-identical to ``math.fsum`` over that key's values.  A key whose
+    values cancel is kept with +0.0.  Keys whose sums could overflow, or
+    that hold an inf or nan, are summed by :func:`grouped_fsum` in stream
+    order, which also raises ``math.fsum``'s errors.  So is the whole input
+    when a group exceeds 2**26 - 2 values or the level table would outgrow
+    twice the record count (many small keys spanning ~2000 binades).
+
+    Method: with c = ceil(log2(n_max + 2)) for the largest group and
+    D = 53 - c, group g sums at levels sigma_j = 2**(c + e_g - j*D), where
+    2**e_g bounds its largest magnitude.  A value enters at the smallest
+    sigma_j for which sigma_j/2**c still bounds it and is extracted three
+    times at most (q = (sigma + r) - sigma, r -= q, next level).  Each level
+    collects at most n_g parts of size <= sigma/2**c on the grid
+    ulp(sigma)/2, so ``np.bincount`` adds them exactly in any order.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if keys.shape != values.shape or keys.ndim != 1:
+        raise ValueError("keys and values must be 1-D and equally long")
+    n = keys.shape[0]
+    if n == 0:
+        return keys.copy(), np.empty(0, dtype=np.float64)
+    unique, g, counts = _group_ids(keys)
+    n_groups = unique.shape[0]
+    c = (int(counts.max()) + 1).bit_length()
+    d = 53 - c
+    # biased exponent e + 1022 with |v| < 2**e; inf and nan read 2047
+    biased = (values.view(np.uint64) >> np.uint64(52)).astype(np.uint16)
+    biased &= np.uint16(0x7FF)
+    top = np.zeros(n_groups, dtype=np.uint16)
+    np.maximum.at(top, g, biased)
+    level = top[g] - biased
+    level //= np.uint16(d)
+    n_levels = int(level.max()) + 3
+    # sigma_0 = 2**(c + e_g) must stay finite
+    direct = top <= 2045 - c
+    if c > _MAX_COUNT_BITS or n_groups * n_levels > max(2 * n, 1 << 16):
+        direct[:] = False
+    totals = np.empty(n_groups, dtype=np.float64)
+    if not direct.all():
+        on = direct[g]
+        off = np.flatnonzero(~on)
+        order = np.argsort(g[off], kind="stable")
+        totals[~direct] = grouped_fsum(g[off][order], values[off][order])[1]
+        if not direct.any():
+            return unique, totals
+        g, values, level = g[on], values[on], level[on]
+        top[~direct] = 0
+    exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
+    sigma = np.ldexp(1.0, exps)
+    flat_sigma = sigma.ravel()
+    slot = np.multiply(level, n_groups, dtype=np.intp)
+    slot += g
+    del g, level
+    digits = np.zeros(n_levels * n_groups)
+    r = values
+    for _ in range(3):
+        s = np.take(flat_sigma, slot)
+        q = s + r
+        q -= s
+        digits += np.bincount(slot, weights=q, minlength=digits.shape[0])
+        r = np.subtract(r, q, out=s)
+        keep = r != 0.0
+        live = np.count_nonzero(keep)
+        if not live:
+            break
+        # a value whose residual is 0 only adds exact zeros from here on
+        if live < r.shape[0] // 2:
+            idx = np.flatnonzero(keep)
+            slot, r = slot[idx], r[idx]
+        slot += n_groups
+    else:
+        raise RuntimeError("exact_sums: residual left after three levels")
+    hi = _round_levels(digits.reshape(n_levels, n_groups), sigma)
+    totals[direct] = hi[direct]
+    return unique, totals

@@ -13,6 +13,14 @@ any worker count because nothing about scheduling reaches the arithmetic:
 * the optional map-side combiner folds each task's duplicate keys into an
   error-free expansion whose exact sum is unchanged, so reduced totals do
   not depend on whether it ran.
+
+A map task groups its output by partition with one stable sort of the
+partition ids.  A reduce task never sorts: :func:`~pktm.exactsum.exact_sums`
+sums its unsorted partition by error-free extraction and returns the keys
+ascending.  The serial reference path sums with
+:func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
+engine is checked against an independent oracle.  The combiner keeps
+:func:`~pktm.exactsum.grouped_expansions`.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..exactsum import grouped_expansions, grouped_fsum
+from ..exactsum import exact_sums, grouped_expansions
 from ..model import GridSpec, ImageGrid
 from . import protocol
 from .partition import partitions_of
@@ -149,9 +157,9 @@ def execute_map_task(
 ) -> None:
     """Run ``map_fn`` over one chunk of records and spill R partition files.
 
-    Emission index is the position in the task's overall emission sequence;
-    with the combiner enabled the sequence is re-keyed to the combined
-    expansion components instead.
+    One stable sort by partition id groups the output; each partition's
+    records keep their emission order (with the combiner enabled, the order
+    of the combined expansion components).
     """
     key_parts = [np.empty(0, dtype=np.uint64)]
     val_parts = [np.empty(0, dtype=np.float64)]
@@ -168,31 +176,26 @@ def execute_map_task(
     if combiner_enabled and keys.size:
         order = np.argsort(keys, kind="stable")
         keys, values = grouped_expansions(keys[order], values[order])
-    emissions = np.arange(keys.shape[0], dtype=np.uint32)
-    parts = partitions_of(keys, n_partitions)
+    # narrow ids (uint8 for R <= 256) let numpy radix-sort them
+    parts = partitions_of(keys, n_partitions).astype(
+        np.min_scalar_type(n_partitions - 1))
+    order = np.argsort(parts, kind="stable")
+    spilled = make_records(keys[order], values[order])
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(parts, minlength=n_partitions))))
     for p in range(n_partitions):
-        mask = parts == p
-        write_partition_file(
-            _map_file(spill, task_id, p),
-            make_records(keys[mask], values[mask], task_id, emissions[mask]),
-        )
+        write_partition_file(_map_file(spill, task_id, p),
+                             spilled[bounds[p]:bounds[p + 1]])
 
 
 def execute_reduce_task(p: int, n_map_tasks: int, spill: Path) -> None:
     """Fold partition ``p``: one correctly rounded exact sum per key."""
     chunks = [read_partition_file(_map_file(spill, t, p)) for t in range(n_map_tasks)]
-    if chunks:
-        records = np.concatenate(chunks)
-    else:
-        records = np.empty(0, dtype=make_records(
-            np.empty(0, np.uint64), np.empty(0, np.float64), 0,
-            np.empty(0, np.uint32)).dtype)
-    order = np.argsort(records["key"], kind="stable")
-    keys, totals = grouped_fsum(records["key"][order], records["value"][order])
-    write_partition_file(
-        _reduce_file(spill, p),
-        make_records(keys, totals, p, np.arange(keys.shape[0], dtype=np.uint32)),
-    )
+    keys = np.concatenate([np.empty(0, np.uint64)] + [c["key"] for c in chunks])
+    values = np.concatenate([np.empty(0, np.float64)] + [c["value"] for c in chunks])
+    del chunks  # free the file buffers before the sum allocates its own
+    write_partition_file(_reduce_file(spill, p),
+                         make_records(*exact_sums(keys, values)))
 
 
 def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:

@@ -1,8 +1,9 @@
 """On-disk spill files holding hash-partitioned map output.
 
-Layout: magic ``KVP1``, u32 little-endian record count, then fixed 24-byte
-records ``(u64 key, f64 value, u32 map_task_id, u32 emission_index)``.
-Files are written to a temporary name and atomically renamed, so re-executed
+Layout: magic ``KVP2``, u32 little-endian record count, then fixed 16-byte
+records ``(u64 key, f64 value)``, little-endian.  Map files keep each
+partition's records in emission order; reduced files hold strictly ascending
+keys.  Files are written to a temporary name and atomically renamed, so re-executed
 tasks (at-least-once scheduling) can only ever replace a file with identical
 bytes, never expose a partial one.
 """
@@ -16,28 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"KVP1"
+MAGIC = b"KVP2"
 HEADER = struct.Struct("<4sI")
-RECORD_DTYPE = np.dtype([
-    ("key", "<u8"),
-    ("value", "<f8"),
-    ("task", "<u4"),
-    ("emission", "<u4"),
-])
+RECORD_DTYPE = np.dtype([("key", "<u8"), ("value", "<f8")])
 
 
 class SpillFormatError(RuntimeError):
     """A spill file failed structural validation."""
 
 
-def make_records(
-    keys: np.ndarray, values: np.ndarray, task_id: int, emissions: np.ndarray
-) -> np.ndarray:
+def make_records(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Pack equal-length key and value arrays into one record array."""
     out = np.empty(keys.shape[0], dtype=RECORD_DTYPE)
     out["key"] = keys
     out["value"] = values
-    out["task"] = task_id
-    out["emission"] = emissions
     return out
 
 

@@ -40,6 +40,7 @@ from pktm import (
     stack_offsets,
     synth_survey,
 )
+from pktm.exactsum import exact_sums
 from pktm.mapreduce import combine, reassemble_image, run_job
 from pktm.storage import (
     StorageError,
@@ -359,6 +360,35 @@ def _combine_sweep(n=10_000) -> int:
     return n
 
 
+def _exact_sums_sweep(n=10_000) -> int:
+    """The engine's reduce primitive against per-key math.fsum, bit for bit,
+    on unsorted streams: wide magnitudes, ties, cancellation, sparse keys."""
+    rng = np.random.default_rng(8003)
+    magnitudes = np.array([1e-300, 1e-33, 1e-12, 0.5, 1.0, 1e8, 1e16, 1e300])
+    sparse = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    for i in range(n):
+        size = int(rng.integers(0, 24))
+        if i % 4 == 3:
+            keys = rng.choice(sparse, size)
+        else:
+            keys = rng.integers(0, 12, size).astype(np.uint64)
+        if i % 2:
+            vals = rng.standard_normal(size) * rng.choice(magnitudes, size)
+        else:
+            vals = rng.integers(-8, 9, size) * 2.0 ** rng.integers(-80, 80, size)
+        if size > 2 and i % 3 == 0:
+            vals[size // 2:] = -vals[:size - size // 2]
+        acc = {}
+        for k, v in zip(keys.tolist(), vals.tolist()):
+            acc.setdefault(k, []).append(v)
+        expected = sorted(acc)
+        uk, totals = exact_sums(keys, vals)
+        assert uk.tolist() == expected
+        assert totals.tobytes() == np.array(
+            [math.fsum(acc[k]) for k in expected]).tobytes()
+    return n
+
+
 def _format_fuzz(tmp_path) -> tuple[int, int]:
     """Round-trips plus exhaustive single-byte mutation of the detectable
     header regions; returns (round-trips, rejected mutations)."""
@@ -451,13 +481,15 @@ def test_criterion_8_property_suites(tmp_path):
     n_traveltime = _traveltime_sweep()
     _linearity_check()
     n_combine = _combine_sweep()
+    n_exact = _exact_sums_sweep()
     n_roundtrips, n_rejected = _format_fuzz(tmp_path)
     elapsed = time.monotonic() - t0
 
     ok = (n_traveltime >= 10_000 and n_combine >= 10_000
-          and n_rejected >= 1_000)
+          and n_exact >= 10_000 and n_rejected >= 1_000)
     assert record(
         8, ok,
         f"traveltime invariants x{n_traveltime}, operator linearity, "
-        f"combine-vs-brute x{n_combine}, {n_roundtrips} file round-trips, "
+        f"combine-vs-brute x{n_combine}, exact_sums-vs-fsum x{n_exact}, "
+        f"{n_roundtrips} file round-trips, "
         f"{n_rejected} detectable header mutations rejected [{elapsed:.1f}s]")

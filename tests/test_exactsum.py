@@ -1,20 +1,24 @@
 """Properties of the error-free accumulation helpers.
 
-The reduction layer leans on two facts:
+The reduction layer leans on three facts:
 
 * every per-key total is the correctly rounded sum of that key's values,
-  independent of input order, and
+  independent of input order;
 * a combiner may replace a key's values with an exact expansion of their
-  sum without changing the final total by even one ulp.
+  sum without changing the final total by even one ulp;
+* the engine's sort-free reduce, ``exact_sums``, returns for every key the
+  same bits as ``math.fsum`` over that key's values.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktm.exactsum import (
     exact_expansion,
+    exact_sums,
     expansion_add,
     grouped_expansions,
     grouped_fsum,
@@ -203,3 +207,172 @@ class TestGroupedExpansions:
         ks, cs = grouped_expansions(np.array([], dtype=np.uint64),
                                     np.array([], dtype=np.float64))
         assert len(ks) == 0 and len(cs) == 0
+
+
+# ---------------------------------------------------------------------------
+# exact_sums: bit for bit against math.fsum per key, in stream order
+# ---------------------------------------------------------------------------
+
+def fsum_per_key(keys, values):
+    """The oracle: math.fsum over each key's values, keys ascending."""
+    acc = {}
+    for k, v in zip(np.asarray(keys, dtype=np.uint64).tolist(),
+                    np.asarray(values, dtype=np.float64).tolist()):
+        acc.setdefault(k, []).append(v)
+    ordered = sorted(acc)
+    return ordered, [math.fsum(acc[k]) for k in ordered]
+
+
+def assert_matches_fsum(keys, values):
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.float64)
+    uk, totals = exact_sums(keys, values)
+    ek, ev = fsum_per_key(keys, values)
+    assert uk.dtype == np.uint64 and totals.dtype == np.float64
+    assert uk.tolist() == ek
+    # tobytes tells -0.0 from +0.0
+    assert totals.tobytes() == np.array(ev, dtype=np.float64).tobytes()
+
+
+def keyed(values_strategy, max_key=6, max_size=60):
+    return st.lists(st.tuples(st.integers(0, max_key), values_strategy),
+                    min_size=0, max_size=max_size)
+
+
+def unzip(pairs):
+    return [k for k, _ in pairs], [v for _, v in pairs]
+
+
+# m * 2**k with small m: exact halves, quarters and ties at every scale
+dyadic = st.builds(lambda m, k: m * 2.0 ** k,
+                   st.integers(-9, 9), st.integers(-120, 120))
+# a key holding values near 0.5 and near 1e-33 needs three or more levels
+mixed_scale = st.sampled_from(
+    [0.5, -0.5, 0.25 + 2.0 ** -54, -(0.5 + 2.0 ** -53), 1e-33, -1e-33,
+     3e-33, 1e-33 * (1 + 2.0 ** -52), 2.0 ** -110, -2.0 ** -163])
+subnormal = st.floats(min_value=-2.2250738585072014e-308,
+                      max_value=2.2250738585072014e-308,
+                      allow_nan=False, allow_infinity=False)
+
+
+class TestExactSums:
+    def test_small_example(self):
+        uk, totals = exact_sums(np.array([9, 2, 5, 2, 5, 5], dtype=np.uint64),
+                                np.array([-1.0, 1.0, 0.5, 2.0, 0.25, 0.125]))
+        assert uk.tolist() == [2, 5, 9]
+        assert totals.tolist() == [3.0, 0.875, -1.0]
+
+    def test_empty(self):
+        uk, totals = exact_sums(np.array([], dtype=np.uint64),
+                                np.array([], dtype=np.float64))
+        assert uk.shape == (0,) and totals.shape == (0,)
+        assert uk.dtype == np.uint64 and totals.dtype == np.float64
+
+    def test_cancelled_key_is_kept_as_positive_zero(self):
+        uk, totals = exact_sums(np.array([4, 4, 4, 1], dtype=np.uint64),
+                                np.array([1e16, -1e16, -0.0, 2.0]))
+        assert uk.tolist() == [1, 4]
+        assert totals.tobytes() == np.array([2.0, 0.0]).tobytes()
+
+    def test_catastrophic_cancellation_is_exact(self):
+        assert_matches_fsum([7, 7, 7], [1e16, 1.0, -1e16])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            exact_sums(np.array([1, 2], dtype=np.uint64), np.array([1.0]))
+
+    @given(keyed(finite))
+    @settings(max_examples=300)
+    def test_matches_fsum_wide_range(self, pairs):
+        assert_matches_fsum(*unzip(pairs))
+
+    @given(st.lists(finite, max_size=30), st.lists(st.integers(0, 3), max_size=30),
+           st.lists(dyadic, max_size=10))
+    @settings(max_examples=200)
+    def test_heavy_cancellation(self, vals, key_choice, noise):
+        """Every value appears with its negation; only the noise survives."""
+        n = min(len(vals), len(key_choice))
+        keys = key_choice[:n] * 2 + [0] * len(noise)
+        values = vals[:n] + [-v for v in vals[:n]] + noise
+        assert_matches_fsum(keys, values)
+
+    @given(keyed(dyadic, max_key=3))
+    @settings(max_examples=300)
+    def test_ties_and_half_ulps(self, pairs):
+        assert_matches_fsum(*unzip(pairs))
+
+    @given(keyed(st.one_of(subnormal, st.sampled_from(
+        [5e-324, -5e-324, 2.0 ** -1022, -0.0, 1e300, -1e300, 1.0]))))
+    @settings(max_examples=200)
+    def test_subnormals_and_extremes(self, pairs):
+        assert_matches_fsum(*unzip(pairs))
+
+    @given(keyed(mixed_scale, max_key=2, max_size=80))
+    @settings(max_examples=300)
+    def test_three_level_residuals(self, pairs):
+        assert_matches_fsum(*unzip(pairs))
+
+    def test_three_level_residuals_fixed(self):
+        values = [0.5, 1e-33, -0.5, 1e-33 * (1 + 2.0 ** -52), 0.25 + 2.0 ** -54,
+                  2.0 ** -110, -2.0 ** -163]
+        assert_matches_fsum([0] * len(values), values)
+
+    def test_one_key_with_many_values(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-40, 40, 20_000)
+        keys = np.zeros(20_000, dtype=np.uint64)
+        keys[:50] = 3
+        assert_matches_fsum(keys, values)
+
+    @given(keyed(finite, max_key=8), st.randoms())
+    @settings(max_examples=150)
+    def test_unsorted_and_shuffled_input(self, pairs, rnd):
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        for variant in (pairs, shuffled):
+            assert_matches_fsum(*unzip(variant))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]), finite),
+        min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_sparse_keys_at_the_u64_ends(self, pairs):
+        """Keys spread over the whole u64 range take the np.unique route."""
+        assert_matches_fsum(*unzip(pairs))
+
+    def test_dense_keys_with_gaps(self):
+        rng = np.random.default_rng(5)
+        keys = rng.choice(np.arange(1000, 1400, 3, dtype=np.uint64), 500)
+        values = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
+        assert_matches_fsum(keys, values)
+
+    def test_many_sparse_wide_range_keys(self):
+        """Many small keys spread over ~2000 binades outgrow the level
+        table; they are summed by math.fsum instead, with the same bits."""
+        rng = np.random.default_rng(6)
+        n = 100_000
+        keys = rng.integers(0, 2 ** 40, n, dtype=np.uint64) * 3
+        keys[n // 2:] = keys[:n // 2]
+        values = np.concatenate([np.full(n // 2, 1e300),
+                                 rng.uniform(1e-300, 2e-300, n // 2)])
+        assert_matches_fsum(keys, values)
+
+    @given(keyed(st.sampled_from(
+        [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
+         math.inf, -math.inf, math.nan]), max_key=2, max_size=8))
+    @settings(max_examples=300)
+    def test_overflow_and_nonfinite_follow_fsum(self, pairs):
+        """Keys that could overflow go to math.fsum, which raises where it
+        raises; the others keep their bits."""
+        keys, values = unzip(pairs)
+        try:
+            expected = fsum_per_key(keys, values)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                exact_sums(np.asarray(keys, dtype=np.uint64),
+                           np.asarray(values, dtype=np.float64))
+            return
+        uk, totals = exact_sums(np.asarray(keys, dtype=np.uint64),
+                                np.asarray(values, dtype=np.float64))
+        assert uk.tolist() == expected[0]
+        assert totals.tobytes() == np.array(expected[1], dtype=np.float64).tobytes()

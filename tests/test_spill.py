@@ -12,12 +12,10 @@ from pktm.mapreduce.spill import (
 )
 
 
-def records(keys, values, task=0):
+def records(keys, values):
     return make_records(
         np.asarray(keys, dtype=np.uint64),
         np.asarray(values, dtype=np.float64),
-        task,
-        np.arange(len(keys), dtype=np.uint32),
     )
 
 
@@ -29,8 +27,7 @@ class TestRoundtrip:
         back = read_partition_file(path)
         assert back["key"].tolist() == [3, 1, 4, 1, 5]
         assert back["value"].tobytes() == recs["value"].tobytes()
-        assert back["task"].tolist() == [0] * 5
-        assert back["emission"].tolist() == [0, 1, 2, 3, 4]
+        assert back.dtype.names == ("key", "value")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.kvp"
@@ -46,7 +43,7 @@ class TestRoundtrip:
 
     def test_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.kvp", tmp_path / "b.kvp"
-        recs = records([9, 9, 2], [1.5, 2.5, 3.5], task=7)
+        recs = records([9, 9, 2], [1.5, 2.5, 3.5])
         write_partition_file(a, recs)
         write_partition_file(b, recs)
         assert a.read_bytes() == b.read_bytes()
@@ -64,20 +61,25 @@ class TestHeaderLayout:
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         assert struct.unpack_from("<I", raw, 4)[0] == 2
-        assert len(raw) == 8 + 2 * 24
+        assert len(raw) == 8 + 2 * 16
 
-    def test_record_is_24_bytes(self, tmp_path):
+    def test_record_is_16_bytes(self, tmp_path):
         path = tmp_path / "r.kvp"
-        write_partition_file(path, records([7], [1.25], task=3))
+        write_partition_file(path, records([7], [1.25]))
         raw = path.read_bytes()[8:]
-        key, value, task, emission = struct.unpack("<Qd I I", raw)
-        assert (key, value, task, emission) == (7, 1.25, 3, 0)
+        assert struct.unpack("<Qd", raw) == (7, 1.25)
 
 
 class TestCorruptInputs:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.kvp"
         path.write_bytes(b"NOPE" + struct.pack("<I", 0))
+        with pytest.raises(SpillFormatError):
+            read_partition_file(path)
+
+    def test_previous_format_rejected(self, tmp_path):
+        path = tmp_path / "old.kvp"
+        path.write_bytes(b"KVP1" + struct.pack("<I", 1) + bytes(24))
         with pytest.raises(SpillFormatError):
             read_partition_file(path)
 
@@ -113,6 +115,4 @@ class TestMakeRecords:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             make_records(np.array([1], dtype=np.uint64),
-                         np.array([1.0, 2.0]),
-                         0,
-                         np.array([0], dtype=np.uint32))
+                         np.array([1.0, 2.0]))
