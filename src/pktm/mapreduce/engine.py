@@ -21,11 +21,20 @@ ascending.  The serial reference path sums with
 :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
 engine is checked against an independent oracle.  The combiner keeps
 :func:`~pktm.exactsum.grouped_expansions`.
+
+In multiprocess mode the coordinator forks its local workers, so each one
+starts with numpy and pktm already imported.  Forking a process that runs
+other threads can deadlock the child, so when another Python thread is
+alive, or the platform has no ``os.fork``, each local worker is a fresh
+``python -m pktm worker --connect`` interpreter instead.  Either way the
+coordinator reaps its own children.  Workers started elsewhere against
+``listen`` use that same entry point.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import pickle
 import selectors
@@ -34,6 +43,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -307,6 +317,31 @@ class _WorkerState:
         self.buf = protocol.FrameBuffer()
 
 
+class _SpawnedWorker:
+    """A ``pktm worker`` in a fresh interpreter, behind the subset of the
+    :class:`multiprocessing.Process` interface the coordinator uses."""
+
+    def __init__(self, connect: str):
+        self._popen = subprocess.Popen(
+            [sys.executable, "-m", "pktm", "worker", "--connect", connect],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        self.pid = self._popen.pid
+
+    def is_alive(self) -> bool:
+        return self._popen.poll() is None
+
+    def join(self, timeout: float | None = None) -> None:
+        try:
+            self._popen.wait(timeout)
+        except subprocess.TimeoutExpired:
+            pass
+
+    def kill(self) -> None:
+        self._popen.kill()
+
+
 class _Coordinator:
     """Single-threaded socket event loop driving remote workers."""
 
@@ -330,7 +365,7 @@ class _Coordinator:
         self.sel = selectors.DefaultSelector()
         self.sel.register(self.listener, selectors.EVENT_READ, None)
         self.workers: dict[socket.socket, _WorkerState] = {}
-        self.procs: list[subprocess.Popen] = []
+        self.procs: list = []   # multiprocessing.Process | _SpawnedWorker
         self.next_worker_id = 0
         self.attempts: dict[tuple[str, int], int] = {}
         self.phase = "map" if n_map_tasks else "reduce"
@@ -341,13 +376,28 @@ class _Coordinator:
         self.ever_registered = False
         self.started = time.monotonic()
         n_spawn = config.n_workers if spawn_workers is None else spawn_workers
-        for _ in range(n_spawn):
-            self.procs.append(subprocess.Popen(
-                [sys.executable, "-m", "pktm", "worker",
-                 "--connect", f"{self.addr[0]}:{self.addr[1]}"],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            ))
+        connect = f"{self.addr[0]}:{self.addr[1]}"
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            fork = multiprocessing.get_context("fork")
+            for _ in range(n_spawn):
+                proc = fork.Process(target=self._forked_worker, args=(connect,))
+                proc.start()
+                self.procs.append(proc)
+        else:
+            self.procs.extend(_SpawnedWorker(connect) for _ in range(n_spawn))
+
+    def _forked_worker(self, connect: str) -> None:
+        """Body of a forked local worker: drop the coordinator's sockets,
+        silence stdout/stderr like the spawned interpreter, then serve."""
+        from .worker import worker_main
+
+        self.sel.close()
+        self.listener.close()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        os.close(devnull)
+        sys.exit(worker_main(connect))
 
     # -- event helpers ----------------------------------------------------
 
@@ -517,8 +567,7 @@ class _Coordinator:
     def _check_liveness(self, now: float) -> None:
         if self.workers:
             return
-        procs_alive = any(p.poll() is None for p in self.procs)
-        if procs_alive:
+        if any(p.is_alive() for p in self.procs):
             return
         if self.procs or self.ever_registered:
             raise JobError("all workers exited with tasks still outstanding")
@@ -542,11 +591,10 @@ class _Coordinator:
         self.sel.close()
         self.listener.close()
         for proc in self.procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
                 proc.kill()
-                proc.wait()
+                proc.join()
 
 
 def _parse_listen(listen: str | None) -> tuple[str, int]:

@@ -35,11 +35,12 @@ def partitions_of(ordinals: np.ndarray, n_partitions: int) -> np.ndarray:
     """Vectorized :func:`partition_of` over a uint64 key array."""
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
-    h = np.full(ordinals.shape, _FNV_OFFSET_BASIS, dtype=np.uint64)
+    keys = np.ascontiguousarray(ordinals.astype("<u8", copy=False).reshape(-1))
+    key_bytes = keys.view(np.uint8).reshape(-1, 8)   # little-endian byte order
+    h = np.full(keys.shape, _FNV_OFFSET_BASIS, dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
-    keys = ordinals.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        for shift in range(0, 64, 8):
-            byte = (keys >> np.uint64(shift)) & np.uint64(0xFF)
-            h = (h ^ byte) * prime
-    return (h % np.uint64(n_partitions)).astype(np.int64)
+    for i in range(8):
+        h ^= key_bytes[:, i]
+        h *= prime
+    h %= np.uint64(n_partitions)
+    return h.astype(np.int64).reshape(ordinals.shape)

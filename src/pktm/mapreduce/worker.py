@@ -4,6 +4,11 @@ A worker connects to the coordinator, registers with its pid, loads the job
 manifest named in the registration reply, then executes map and reduce
 assignments until told to shut down.  A daemon thread sends heartbeats so
 the coordinator can tell an idle worker from a dead one.
+
+:func:`worker_main` is the body of every worker: the coordinator calls it in
+the workers it forks, and ``pktm worker --connect`` calls it in fresh
+interpreters (the coordinator's fallback when it cannot fork, and external
+workers of a ``--listen`` job).
 """
 
 from __future__ import annotations

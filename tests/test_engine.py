@@ -1,6 +1,11 @@
+import contextlib
 import math
 import os
 import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -318,6 +323,173 @@ class TestMultiprocessFaults:
                         spill_dir=spill_dir)
         with pytest.raises(JobError):
             run_job(RECORDS[:8], AlwaysFailMap(), cfg)
+
+
+# --------------------------------------------------------------------------
+# how workers start: forked locally, spawned as a fallback, or external
+# --------------------------------------------------------------------------
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+TESTS_DIR = str(Path(__file__).resolve().parent)
+
+
+@contextlib.contextmanager
+def second_thread(active: bool):
+    """Keep a second Python thread alive while the block runs; the engine
+    then starts fresh ``pktm worker`` interpreters instead of forking."""
+    if not active:
+        yield
+        return
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def mp_config(spill_dir, **kw):
+    return JobConfig(n_partitions=5, n_workers=2, mode="multiprocess",
+                     chunk_size=7, spill_dir=spill_dir, **kw)
+
+
+START_PATHS = pytest.mark.parametrize("threads", [False, True],
+                                      ids=["forked", "spawned"])
+
+
+class TestLocalWorkerStart:
+    @START_PATHS
+    def test_start_path_and_identity(self, threads, spill_dir,
+                                     worker_import_path):
+        if not os.path.exists("/proc/self/cmdline"):
+            pytest.skip("needs /proc to read worker command lines")
+        if not threads and not hasattr(os, "fork"):
+            pytest.skip("platform cannot fork")
+        cmdlines = {}
+
+        def observe(event):
+            if event.kind == "worker_registered":
+                cmdlines[event.pid] = Path(
+                    f"/proc/{event.pid}/cmdline").read_bytes()
+
+        base = run(spill=spill_dir)
+        with second_thread(threads):
+            got = run_job(RECORDS, toy_map, mp_config(spill_dir),
+                          observer=observe)
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+        assert len(cmdlines) == 2
+        own = Path(f"/proc/{os.getpid()}/cmdline").read_bytes()
+        for pid, cmdline in cmdlines.items():
+            assert pid != os.getpid()
+            if threads:
+                assert b"\0-m\0pktm\0worker\0--connect\0" in cmdline
+            else:
+                assert cmdline == own
+        assert_reaped(cmdlines)
+
+    @START_PATHS
+    def test_sigkill_recovery(self, threads, spill_dir, worker_import_path):
+        killed, kinds, pids = [], [], set()
+
+        def observe(event):
+            kinds.append(event.kind)
+            if event.kind == "worker_registered":
+                pids.add(event.pid)
+            if event.kind == "map_task_done" and not killed and event.pid:
+                os.kill(event.pid, signal.SIGKILL)
+                killed.append(event.pid)
+
+        base = run(spill=spill_dir)
+        with second_thread(threads):
+            got = run_job(RECORDS, toy_map, mp_config(spill_dir),
+                          observer=observe)
+        assert killed and "worker_lost" in kinds
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+        assert_reaped(pids)
+
+
+BUFFERED_OUTPUT_SCRIPT = """
+import os, sys
+from pktm.mapreduce import JobConfig, run_job
+from test_engine import RECORDS, toy_map
+
+sys.stdout.write("unflushed-marker\\n")   # a pipe is block-buffered
+pids = []
+run_job(RECORDS, toy_map,
+        JobConfig(n_partitions=3, n_workers=2, mode="multiprocess",
+                  chunk_size=7, spill_dir=sys.argv[1]),
+        observer=lambda e: e.kind == "worker_registered" and pids.append(e.pid))
+alive = []
+for pid in pids:
+    try:
+        os.kill(pid, 0)
+        alive.append(pid)
+    except ProcessLookupError:
+        pass
+sys.stderr.write(f"registered={len(pids)} alive={len(alive)}\\n")
+"""
+
+
+def test_forked_workers_do_not_repeat_buffered_output(spill_dir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, TESTS_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", BUFFERED_OUTPUT_SCRIPT, spill_dir],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("unflushed-marker") == 1
+    assert "registered=2 alive=0" in proc.stderr
+
+
+class TestExternalWorker:
+    def test_connect_worker_matches_serial(self, spill_dir,
+                                           worker_import_path):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        codes = []
+
+        def launch_worker():
+            # retry while the coordinator is not listening yet (exit code 4)
+            deadline = time.monotonic() + 30.0
+            while True:
+                rc = subprocess.run(
+                    [sys.executable, "-m", "pktm", "worker",
+                     "--connect", f"127.0.0.1:{port}"],
+                    capture_output=True, timeout=120).returncode
+                if rc != 4 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            codes.append(rc)
+
+        base = run(spill=spill_dir)
+        launcher = threading.Thread(target=launch_worker)
+        launcher.start()
+        try:
+            events = []
+            got = run_job(RECORDS, toy_map,
+                          mp_config(spill_dir),
+                          listen=f"127.0.0.1:{port}", spawn_workers=0,
+                          observer=events.append)
+        finally:
+            launcher.join(timeout=60.0)
+        assert not launcher.is_alive()
+        assert codes == [0]
+        assert [e.kind for e in events].count("worker_registered") == 1
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
 
 
 # --------------------------------------------------------------------------
