@@ -21,7 +21,6 @@ from .mapreduce import (
     JobConfig,
     JobError,
     KeyedTotals,
-    combine,
     partition_of,
     reassemble_image,
     run_job,
@@ -92,7 +91,6 @@ __all__ = [
     "VelocityModel",
     "WeightMode",
     "cell_key_ordinal",
-    "combine",
     "constant_velocity_scan",
     "dsr_total_time",
     "estimate_flops",

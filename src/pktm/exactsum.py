@@ -13,19 +13,18 @@ Two representations are used:
   exact sum, for partial results that still have to be added to other
   partials without losing information (the map-side combiner emits these).
 
-Three routes produce them:
+Two routes produce them:
 
-* :func:`exact_sums` is the engine's reduce.  It takes an unsorted key
-  stream and never sorts it: values are split by error-free extraction
-  (Rump, Ogita and Oishi, "Accurate Floating-Point Summation" I-II, SIAM J.
-  Sci. Comput. 2008/2009) into parts that ``np.bincount`` adds exactly in
-  any order, and a few parts per key are then rounded the way ``math.fsum``
-  rounds its partials.
+* one error-free extraction (Rump, Ogita and Oishi, "Accurate
+  Floating-Point Summation" I-II, SIAM J. Sci. Comput. 2008/2009) splits an
+  unsorted key stream's values into parts that ``np.bincount`` adds exactly
+  in any order, leaving a few exact digits per key.  :func:`exact_sums`, the
+  engine's reduce, rounds the digits the way ``math.fsum`` rounds its
+  partials; :func:`grouped_expansions`, the map-side combiner, emits them
+  unrounded.  Neither sorts its input.
 * :func:`grouped_fsum` calls ``math.fsum`` once per key on a key-sorted
   stream.  The serial reference migration uses it, which makes it the
   independent oracle the engine is checked against.
-* :func:`grouped_expansions` is the map-side combiner.  Its groups hold only
-  a few values each, where a padded two-sum fold beats extraction.
 """
 
 from __future__ import annotations
@@ -35,17 +34,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "two_sum",
-    "expansion_add",
-    "exact_expansion",
     "grouped_fsum",
     "grouped_expansions",
     "exact_sums",
 ]
-
-# Above this padded-matrix size the vectorized path falls back to a
-# per-group loop to bound memory on pathologically skewed group sizes.
-_MATRIX_CELL_LIMIT = 8_000_000
 
 # exact_sums numbers keys as ``key - min(keys)`` while the key span is at most
 # this multiple of the record count, and with np.unique beyond it.
@@ -54,60 +46,6 @@ _DENSE_SPAN_FACTOR = 4
 # The level schedule of exact_sums needs 2**c >= (largest group) + 2 with
 # c <= 26; larger groups go to grouped_fsum.
 _MAX_COUNT_BITS = 26
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Knuth's error-free transform: returns (s, e) with s = fl(a+b), s+e = a+b exactly."""
-    s = a + b
-    bv = s - a
-    av = s - bv
-    return s, (a - av) + (b - bv)
-
-
-def expansion_add(components: list[float], x: float) -> list[float]:
-    """Add one float to an expansion (Shewchuk grow-expansion, zeros eliminated).
-
-    The returned list sums, as real numbers, to exactly sum(components) + x.
-    """
-    out: list[float] = []
-    q = x
-    for c in components:
-        q, err = two_sum(q, c)
-        if err != 0.0:
-            out.append(err)
-    if q != 0.0:
-        out.append(q)
-    return out
-
-
-def exact_expansion(values) -> list[float]:
-    """Exact expansion of the sum of ``values`` (possibly empty)."""
-    comps: list[float] = []
-    for v in values:
-        comps = expansion_add(comps, float(v))
-    return comps
-
-
-def _fsum_residual_expansion(values: list[float]) -> list[float]:
-    """Expansion of sum(values) extracted high-to-low with iterated fsum.
-
-    Each pass appends the correctly rounded residual; the residual of a sum
-    of doubles is an integer multiple of the smallest subnormal, so a zero
-    residual certifies exactness and the loop terminates.
-    """
-    comps: list[float] = []
-    while True:
-        r = math.fsum(values + [-c for c in comps])
-        if r == 0.0:
-            return comps
-        comps.append(r)
-
-
-def _vec_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = a + b
-    bv = s - a
-    av = s - bv
-    return s, (a - av) + (b - bv)
 
 
 def _group_slices(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,70 +75,6 @@ def grouped_fsum(sorted_keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarra
         count=len(starts),
     )
     return unique_keys, totals
-
-
-def grouped_expansions(
-    sorted_keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-key exact expansions over a key-sorted record stream.
-
-    Returns flat (keys_out, components): for each distinct input key, one or
-    more components whose exact sum equals the exact sum of that key's
-    values.  Keys whose values cancel to exactly zero are dropped entirely
-    (absent keys read as zero downstream).  Output keys are nondecreasing.
-    """
-    starts, unique_keys = _group_slices(sorted_keys)
-    n = sorted_keys.shape[0]
-    if n == 0:
-        return sorted_keys[:0], np.empty(0, dtype=np.float64)
-    ends = np.concatenate((starts[1:], [n]))
-    sizes = ends - starts
-    kmax = int(sizes.max())
-    n_groups = len(starts)
-
-    if n_groups * kmax > _MATRIX_CELL_LIMIT:
-        vals = values.tolist()
-        keys_out: list = []
-        comps_out: list[float] = []
-        for key, a, b in zip(unique_keys.tolist(), starts, ends):
-            for c in _fsum_residual_expansion(vals[a:b]):
-                keys_out.append(key)
-                comps_out.append(c)
-        return (
-            np.asarray(keys_out, dtype=unique_keys.dtype),
-            np.asarray(comps_out, dtype=np.float64),
-        )
-
-    # Pad each group's values into one row; trailing zeros are exact no-ops.
-    matrix = np.zeros((n_groups, kmax), dtype=np.float64)
-    row = np.repeat(np.arange(n_groups), sizes)
-    col = np.arange(n) - np.repeat(starts, sizes)
-    matrix[row, col] = values
-
-    # Iterated error-free folds (VecSum): each pass preserves the exact row
-    # sum while concentrating it into fewer nonzero components.
-    for _ in range(3):
-        if kmax == 1:
-            break
-        acc = matrix[:, 0]
-        errs = []
-        for j in range(1, kmax):
-            acc, err = _vec_two_sum(acc, matrix[:, j])
-            errs.append(err)
-        matrix = np.column_stack(errs + [acc])
-        nonzero_cols = np.flatnonzero(np.any(matrix != 0.0, axis=0))
-        if nonzero_cols.size == 0:
-            matrix = matrix[:, :1]
-            break
-        matrix = matrix[:, nonzero_cols]
-        kmax = matrix.shape[1]
-
-    mask = matrix != 0.0
-    counts = mask.sum(axis=1)
-    keys_out = np.repeat(unique_keys, counts)
-    comps_out = matrix[mask]
-    # Row-major extraction keeps components of one key contiguous.
-    return keys_out, comps_out
 
 
 def _group_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,16 +142,28 @@ def _round_levels(digits: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return hi
 
 
-def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-key correctly rounded exact sums over an unsorted record stream.
+def _stream(keys, values) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if keys.shape != values.shape or keys.ndim != 1:
+        raise ValueError("keys and values must be 1-D and equally long")
+    return keys, values
 
-    Returns (unique_keys, totals): keys strictly ascending, each total
-    bit-identical to ``math.fsum`` over that key's values.  A key whose
-    values cancel is kept with +0.0.  Keys whose sums could overflow, or
-    that hold an inf or nan, are summed by :func:`grouped_fsum` in stream
-    order, which also raises ``math.fsum``'s errors.  So is the whole input
-    when a group exceeds 2**26 - 2 values or the level table would outgrow
-    twice the record count (many small keys spanning ~2000 binades).
+
+def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
+    """Exact per-key digits of a nonempty unsorted stream, without sorting.
+
+    Returns (unique, g, counts, direct, digits, sigma): the ascending unique
+    keys, each record's group id, each group's record count, the mask of
+    groups summed by extraction, the (levels, groups) digit table and its
+    level schedule.  Unless ``keep_ids``, g is None when every group is
+    direct: the ids are then freed before the extraction allocates its own
+    per-record arrays.  The digits of a direct group are floats whose exact
+    sum is the group's exact sum; other columns are zero.  A group is not
+    direct when it holds an inf or nan or its sum could overflow.  No group
+    is when one exceeds 2**26 - 2 values or the level table would outgrow
+    twice the record count (many small keys spanning ~2000 binades); the
+    table then has no levels.
 
     Method: with c = ceil(log2(n_max + 2)) for the largest group and
     D = 53 - c, group g sums at levels sigma_j = 2**(c + e_g - j*D), where
@@ -287,13 +173,7 @@ def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     collects at most n_g parts of size <= sigma/2**c on the grid
     ulp(sigma)/2, so ``np.bincount`` adds them exactly in any order.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if keys.shape != values.shape or keys.ndim != 1:
-        raise ValueError("keys and values must be 1-D and equally long")
     n = keys.shape[0]
-    if n == 0:
-        return keys.copy(), np.empty(0, dtype=np.float64)
     unique, g, counts = _group_ids(keys)
     n_groups = unique.shape[0]
     c = (int(counts.max()) + 1).bit_length()
@@ -310,24 +190,22 @@ def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     direct = top <= 2045 - c
     if c > _MAX_COUNT_BITS or n_groups * n_levels > max(2 * n, 1 << 16):
         direct[:] = False
-    totals = np.empty(n_groups, dtype=np.float64)
+    if not direct.any():
+        return unique, g, counts, direct, np.zeros((0, n_groups)), np.zeros((0, 1))
+    r, group = values, g
     if not direct.all():
         on = direct[g]
-        off = np.flatnonzero(~on)
-        order = np.argsort(g[off], kind="stable")
-        totals[~direct] = grouped_fsum(g[off][order], values[off][order])[1]
-        if not direct.any():
-            return unique, totals
-        g, values, level = g[on], values[on], level[on]
+        r, group, level = values[on], g[on], level[on]
         top[~direct] = 0
     exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
     sigma = np.ldexp(1.0, exps)
     flat_sigma = sigma.ravel()
     slot = np.multiply(level, n_groups, dtype=np.intp)
-    slot += g
-    del g, level
+    slot += group
+    del group, level
+    if not keep_ids and direct.all():
+        g = None
     digits = np.zeros(n_levels * n_groups)
-    r = values
     for _ in range(3):
         s = np.take(flat_sigma, slot)
         q = s + r
@@ -345,6 +223,56 @@ def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
         slot += n_groups
     else:
         raise RuntimeError("exact_sums: residual left after three levels")
-    hi = _round_levels(digits.reshape(n_levels, n_groups), sigma)
-    totals[direct] = hi[direct]
+    return unique, g, counts, direct, digits.reshape(n_levels, n_groups), sigma
+
+
+def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key correctly rounded exact sums over an unsorted record stream.
+
+    Returns (unique_keys, totals): keys strictly ascending, each total
+    bit-identical to ``math.fsum`` over that key's values.  A key whose
+    values cancel is kept with +0.0.  Keys the extraction does not take
+    (see :func:`_digit_table`: inf, nan, overflow risk, or a whole-input
+    fallback) are summed by :func:`grouped_fsum` in stream order, which also
+    raises ``math.fsum``'s errors.
+    """
+    keys, values = _stream(keys, values)
+    if keys.shape[0] == 0:
+        return keys.copy(), np.empty(0, dtype=np.float64)
+    unique, g, _, direct, digits, sigma = _digit_table(keys, values, keep_ids=False)
+    if direct.all():
+        return unique, _round_levels(digits, sigma)
+    totals = np.empty(unique.shape[0], dtype=np.float64)
+    off = np.flatnonzero(~direct[g])
+    order = np.argsort(g[off], kind="stable")
+    totals[~direct] = grouped_fsum(g[off][order], values[off][order])[1]
+    if direct.any():
+        totals[direct] = _round_levels(digits, sigma)[direct]
     return unique, totals
+
+
+def grouped_expansions(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map-side combiner: per-key exact expansions of an unsorted stream.
+
+    Returns flat (keys_out, components) with the same exact sum per key as
+    the input.  A key folds into its nonzero extraction digits when they are
+    fewer than its values.  Every other key keeps its values unchanged,
+    including every key :func:`exact_sums` hands to ``math.fsum``, so the
+    reduce returns or raises what it would without the combiner.  One
+    exception: ``math.fsum``'s intermediate-overflow error depends on term
+    order, so a key whose magnitudes, added over all map tasks, pass the
+    float64 range may raise on one stream and not the other.  A key whose
+    values cancel exactly drops out (absent keys read as zero downstream).
+    The output is never longer than the input, and its keys come in no
+    particular order.
+    """
+    keys, values = _stream(keys, values)
+    if keys.shape[0] == 0:
+        return keys.copy(), values.copy()
+    unique, g, counts, direct, digits, _ = _digit_table(keys, values, keep_ids=True)
+    nonzero = digits != 0.0
+    fold = direct & (np.count_nonzero(nonzero, axis=0) < counts)
+    raw = ~fold[g]
+    level, group = np.nonzero(nonzero & fold)
+    return (np.concatenate((keys[raw], unique[group])),
+            np.concatenate((values[raw], digits[level, group])))

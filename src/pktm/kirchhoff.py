@@ -101,18 +101,23 @@ def interp_sample(trace: Trace, t: float) -> float:
     return (1.0 - frac) * float(s[i]) + frac * float(s[i + 1])
 
 
-def _interp_grid(samples: np.ndarray, t0: float, dt: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`interp_sample` over an array of times."""
-    n = samples.shape[0]
+def _stencil(
+    t: np.ndarray, t0: float, dt: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Linear-interpolation stencil of times ``t`` on an ``n``-sample trace.
+
+    Returns (i, j, frac, valid): the amplitude at t is
+    ``(1 - frac) * s[i] + frac * s[j]`` where ``valid`` and zero elsewhere,
+    as :func:`interp_sample` computes it for one time.  A one-sample trace
+    is valid only at t0 exactly, where i = j = 0 and frac = 0.  Migration
+    reads through the stencil and modeling scatters through it, so the pair
+    is an exact transpose.
+    """
     u = (t - t0) / dt
     valid = (u >= 0.0) & (u <= n - 1)
-    if n == 1:
-        return np.where(valid, samples[0], 0.0)
     uc = np.where(valid, u, 0.0)
-    i = np.minimum(np.floor(uc).astype(np.int64), n - 2)
-    frac = uc - i
-    amp = (1.0 - frac) * samples[i] + frac * samples[i + 1]
-    return np.where(valid, amp, 0.0)
+    i = np.minimum(np.floor(uc).astype(np.int64), max(n - 2, 0))
+    return i, np.minimum(i + 1, n - 1), uc - i, valid
 
 
 def _accepted_lateral(header: TraceHeader, job: MigrationJob) -> np.ndarray:
@@ -155,7 +160,9 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
         return Contributions.empty(grid)
     t, w = _kernel_grids(h, job, ix_acc)
     samples = np.asarray(trace.samples, dtype=np.float64)
-    values = w * _interp_grid(samples, h.t0, h.dt, t)
+    i, j, frac, valid = _stencil(t, h.t0, h.dt, samples.shape[0])
+    amp = (1.0 - frac) * samples[i] + frac * samples[j]
+    values = w * np.where(valid, amp, 0.0)
     base = ((np.uint64(b) * np.uint64(grid.nx) + ix_acc.astype(np.uint64))
             * np.uint64(grid.ntau))
     ordinals = base[:, None] + np.arange(grid.ntau, dtype=np.uint64)
@@ -188,16 +195,9 @@ def forward_model(
             if ix_acc.size:
                 t, w = _kernel_grids(h, job, ix_acc)
                 vals = w * image.values[b, ix_acc, :]
-                u = (t - h.t0) / h.dt
-                valid = (u >= 0.0) & (u <= n - 1)
-                if n == 1:
-                    samples[0] = vals[valid & (u == 0.0)].sum()
-                else:
-                    uc = np.where(valid, u, 0.0)
-                    i = np.minimum(np.floor(uc).astype(np.int64), n - 2)
-                    frac = uc - i
-                    np.add.at(samples, i[valid], ((1.0 - frac) * vals)[valid])
-                    np.add.at(samples, (i + 1)[valid], (frac * vals)[valid])
+                i, j, frac, valid = _stencil(t, h.t0, h.dt, n)
+                np.add.at(samples, i[valid], ((1.0 - frac) * vals)[valid])
+                np.add.at(samples, j[valid], (frac * vals)[valid])
         out.append(Trace(h, samples))
     return out
 

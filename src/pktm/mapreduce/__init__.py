@@ -11,7 +11,6 @@ from .engine import (
     JobError,
     ContractViolationError,
     KeyedTotals,
-    combine,
     reassemble_image,
     run_job,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "JobError",
     "ContractViolationError",
     "KeyedTotals",
-    "combine",
     "fnv1a_64",
     "partition_of",
     "reassemble_image",

@@ -11,16 +11,19 @@ any worker count because nothing about scheduling reaches the arithmetic:
 * every per-key total is the correctly rounded exact sum of its
   contributions, which no summation order can change;
 * the optional map-side combiner folds each task's duplicate keys into an
-  error-free expansion whose exact sum is unchanged, so reduced totals do
-  not depend on whether it ran.
+  error-free expansion whose exact sum is unchanged, and passes every key
+  the reduce would hand to ``math.fsum`` (inf, nan, overflow risk) through
+  as it is, so reduced totals do not depend on whether it ran (see
+  :func:`~pktm.exactsum.grouped_expansions` for one overflow caveat).
 
 A map task groups its output by partition with one stable sort of the
 partition ids.  A reduce task never sorts: :func:`~pktm.exactsum.exact_sums`
 sums its unsorted partition by error-free extraction and returns the keys
 ascending.  The serial reference path sums with
 :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
-engine is checked against an independent oracle.  The combiner keeps
-:func:`~pktm.exactsum.grouped_expansions`.
+engine is checked against an independent oracle.  The combiner,
+:func:`~pktm.exactsum.grouped_expansions`, runs the same extraction as the
+reduce on each map task's unsorted output and emits the digits unrounded.
 
 In multiprocess mode the coordinator forks its local workers, so each one
 starts with numpy and pktm already imported.  Forking a process that runs
@@ -33,7 +36,6 @@ coordinator reaps its own children.  Workers started elsewhere against
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -49,7 +51,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,7 +171,7 @@ def execute_map_task(
 
     One stable sort by partition id groups the output; each partition's
     records keep their emission order (with the combiner enabled, the order
-    of the combined expansion components).
+    in which :func:`~pktm.exactsum.grouped_expansions` returns them).
     """
     key_parts = [np.empty(0, dtype=np.uint64)]
     val_parts = [np.empty(0, dtype=np.float64)]
@@ -184,8 +186,7 @@ def execute_map_task(
     keys = np.concatenate(key_parts)
     values = np.concatenate(val_parts)
     if combiner_enabled and keys.size:
-        order = np.argsort(keys, kind="stable")
-        keys, values = grouped_expansions(keys[order], values[order])
+        keys, values = grouped_expansions(keys, values)
     # narrow ids (uint8 for R <= 256) let numpy radix-sort them
     parts = partitions_of(keys, n_partitions).astype(
         np.min_scalar_type(n_partitions - 1))
@@ -224,18 +225,6 @@ def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
     if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
         raise ContractViolationError("merged keys are not strictly ascending")
     return KeyedTotals(keys.copy(), totals.copy())
-
-
-def combine(pairs: Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
-    """Fold duplicate keys: one (key, exact rounded sum) per distinct key.
-
-    Output is sorted by key; applying combine to its own output changes
-    nothing because singleton sums are exact.
-    """
-    groups: dict[int, list[float]] = {}
-    for key, value in pairs:
-        groups.setdefault(int(key), []).append(float(value))
-    return [(k, math.fsum(groups[k])) for k in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +456,6 @@ class _Coordinator:
     # -- message handling --------------------------------------------------
 
     def _handle(self, state: _WorkerState, msg: protocol.Message) -> None:
-        if msg.tag == protocol.HEARTBEAT:
-            return
         if msg.tag == protocol.REGISTER:
             state.pid = msg.ident
             state.registered = True

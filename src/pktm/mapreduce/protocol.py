@@ -13,7 +13,6 @@ Tags::
     3 REDUCE_ASSIGN  u32 partition id
     4 REDUCE_DONE    u32 partition id, u8 status, u16 detail len, detail
     5 SHUTDOWN       (empty)
-    6 HEARTBEAT      (empty)
 
 Status 0 means success; 1 carries a failure description in ``detail``.
 """
@@ -30,7 +29,6 @@ TASK_DONE = 2
 REDUCE_ASSIGN = 3
 REDUCE_DONE = 4
 SHUTDOWN = 5
-HEARTBEAT = 6
 
 _LEN = struct.Struct("<I")
 _U32 = struct.Struct("<I")
@@ -54,7 +52,7 @@ class Message:
     extra: int = field(default=0, repr=False)
 
     def encode(self) -> bytes:
-        if self.tag in (SHUTDOWN, HEARTBEAT):
+        if self.tag == SHUTDOWN:
             payload = bytes([self.tag])
         elif self.tag == REGISTER:
             text = self.detail.encode("utf-8")
@@ -77,7 +75,7 @@ def decode_payload(payload: bytes) -> Message:
     tag = payload[0]
     body = payload[1:]
     try:
-        if tag in (SHUTDOWN, HEARTBEAT):
+        if tag == SHUTDOWN:
             if body:
                 raise ProtocolError(f"tag {tag} carries unexpected body")
             return Message(tag)

@@ -2,8 +2,7 @@
 
 A worker connects to the coordinator, registers with its pid, loads the job
 manifest named in the registration reply, then executes map and reduce
-assignments until told to shut down.  A daemon thread sends heartbeats so
-the coordinator can tell an idle worker from a dead one.
+assignments until told to shut down.
 
 :func:`worker_main` is the body of every worker: the coordinator calls it in
 the workers it forks, and ``pktm worker --connect`` calls it in fresh
@@ -16,13 +15,11 @@ from __future__ import annotations
 import os
 import pickle
 import socket
-import threading
 from pathlib import Path
 
 from . import protocol
 from .engine import execute_map_task, execute_reduce_task
 
-HEARTBEAT_INTERVAL = 0.5
 _DETAIL_LIMIT = 1000
 
 
@@ -33,20 +30,9 @@ def worker_main(connect: str) -> int:
         raise ValueError(f"connect address must be host:port, got {connect!r}")
     sock = socket.create_connection((host, int(port)), timeout=30.0)
     sock.settimeout(None)
-    send_lock = threading.Lock()
 
     def send(msg: protocol.Message) -> None:
-        with send_lock:
-            protocol.send_message(sock, msg)
-
-    stop = threading.Event()
-
-    def heartbeat() -> None:
-        while not stop.wait(HEARTBEAT_INTERVAL):
-            try:
-                send(protocol.Message(protocol.HEARTBEAT))
-            except OSError:
-                return
+        protocol.send_message(sock, msg)
 
     try:
         send(protocol.Message(protocol.REGISTER, ident=os.getpid()))
@@ -63,7 +49,6 @@ def worker_main(connect: str) -> int:
         n_map_tasks = manifest["n_map_tasks"]
         spill = Path(manifest["spill_dir"])
 
-        threading.Thread(target=heartbeat, daemon=True).start()
         while True:
             try:
                 msg = protocol.recv_message(sock)
@@ -93,7 +78,6 @@ def worker_main(connect: str) -> int:
                         protocol.REDUCE_DONE, ident=p,
                         status=protocol.STATUS_FAILED,
                         detail=repr(exc)[:_DETAIL_LIMIT]))
-            # other tags (stray heartbeats) are ignored
+            # other tags are ignored
     finally:
-        stop.set()
         sock.close()

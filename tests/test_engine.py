@@ -20,7 +20,6 @@ from pktm.mapreduce import (
     JobConfig,
     JobError,
     KeyedTotals,
-    combine,
     reassemble_image,
     run_job,
 )
@@ -44,6 +43,13 @@ def toy_map(record):
                      (-1.0) ** r * 1e8],
                     dtype=np.float64)
     return keys, vals
+
+
+def paced_toy_map(record):
+    """toy_map at 10 ms a record: every local worker of a multiprocess job
+    registers before one of them could finish the whole job alone."""
+    time.sleep(0.01)
+    return toy_map(record)
 
 
 def brute_totals(records):
@@ -101,41 +107,6 @@ def worker_import_path(monkeypatch):
     existing = os.environ.get("PYTHONPATH")
     monkeypatch.setenv(
         "PYTHONPATH", here if not existing else here + os.pathsep + existing)
-
-
-# --------------------------------------------------------------------------
-# combine
-# --------------------------------------------------------------------------
-
-class TestCombine:
-    def test_empty(self):
-        assert combine([]) == []
-
-    def test_folds_duplicates(self):
-        assert combine([(5, 1.0), (5, 2.0)]) == [(5, 3.0)]
-
-    def test_sorted_by_key(self):
-        out = combine([(9, 1.0), (2, 1.0), (5, 1.0)])
-        assert [k for k, _ in out] == [2, 5, 9]
-
-    def test_exact_cancellation(self):
-        assert combine([(1, 1e16), (1, 1.0), (1, -1e16)]) == [(1, 1.0)]
-
-    def test_idempotent(self):
-        pairs = [(3, 0.1), (3, 0.2), (1, -7.0), (3, 0.3)]
-        once = combine(pairs)
-        assert combine(once) == once
-
-    @given(st.lists(st.tuples(
-        st.integers(0, 9),
-        st.floats(allow_nan=False, allow_infinity=False,
-                  min_value=-1e12, max_value=1e12))))
-    @settings(max_examples=200)
-    def test_matches_oracle(self, pairs):
-        acc = {}
-        for k, v in pairs:
-            acc.setdefault(k, []).append(v)
-        assert combine(pairs) == [(k, math.fsum(acc[k])) for k in sorted(acc)]
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +216,33 @@ class TestCrossModeBitIdentity:
         got = run(mode="multiprocess", workers=2, combiner=True,
                   spill=spill_dir)
         assert dense(got).tobytes() == dense(base).tobytes()
+
+
+def one_key_map(record):
+    """Every value of a record goes to key 1."""
+    values = np.asarray(record, dtype=np.float64)
+    return np.ones(values.shape[0], dtype=np.uint64), values
+
+
+class TestCombinerEdges:
+    """Keys the reduce sums with math.fsum (inf, nan, overflow risk) must
+    give the same total, or the same error, with the combiner on and off."""
+
+    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
+    def test_inf_survives_the_combiner(self, mode, workers, spill_dir):
+        for combiner in (False, True):
+            cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                            combiner_enabled=combiner, spill_dir=spill_dir)
+            totals = run_job([[math.inf, 1.0]], one_key_map, cfg)
+            assert totals.keys.tolist() == [1]
+            assert totals.totals.tolist() == [math.inf]
+
+    def test_intermediate_overflow_raises_with_the_combiner(self, spill_dir):
+        for combiner in (False, True):
+            cfg = JobConfig(n_partitions=2, combiner_enabled=combiner,
+                            max_task_retries=0, spill_dir=spill_dir)
+            with pytest.raises(JobError, match="overflow"):
+                run_job([[1e308, 1e308, -1e308]], one_key_map, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +381,7 @@ class TestLocalWorkerStart:
 
         base = run(spill=spill_dir)
         with second_thread(threads):
-            got = run_job(RECORDS, toy_map, mp_config(spill_dir),
+            got = run_job(RECORDS, paced_toy_map, mp_config(spill_dir),
                           observer=observe)
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
@@ -422,11 +420,11 @@ class TestLocalWorkerStart:
 BUFFERED_OUTPUT_SCRIPT = """
 import os, sys
 from pktm.mapreduce import JobConfig, run_job
-from test_engine import RECORDS, toy_map
+from test_engine import RECORDS, paced_toy_map
 
 sys.stdout.write("unflushed-marker\\n")   # a pipe is block-buffered
 pids = []
-run_job(RECORDS, toy_map,
+run_job(RECORDS, paced_toy_map,
         JobConfig(n_partitions=3, n_workers=2, mode="multiprocess",
                   chunk_size=7, spill_dir=sys.argv[1]),
         observer=lambda e: e.kind == "worker_registered" and pids.append(e.pid))

@@ -1,13 +1,14 @@
-"""Properties of the error-free accumulation helpers.
+"""Properties of the exact-sum primitives.
 
 The reduction layer leans on three facts:
 
 * every per-key total is the correctly rounded sum of that key's values,
   independent of input order;
-* a combiner may replace a key's values with an exact expansion of their
-  sum without changing the final total by even one ulp;
 * the engine's sort-free reduce, ``exact_sums``, returns for every key the
-  same bits as ``math.fsum`` over that key's values.
+  same bits as ``math.fsum`` over that key's values;
+* the map-side combiner, ``grouped_expansions``, may replace a key's values
+  with exact digits of their sum without changing what ``exact_sums``
+  returns or raises for that key by even one bit.
 """
 import math
 
@@ -17,68 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktm.exactsum import (
-    exact_expansion,
     exact_sums,
-    expansion_add,
     grouped_expansions,
     grouped_fsum,
-    two_sum,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e300, max_value=1e300)
-value_lists = st.lists(finite, min_size=0, max_size=40)
-
-
-class TestTwoSum:
-    @given(finite, finite)
-    def test_exactness(self, a, b):
-        s, e = two_sum(a, b)
-        assert s == a + b
-        # The error term is exact whenever the sum itself did not overflow.
-        if math.isfinite(s) and math.isfinite(s - a):
-            assert s + e == s  # e is below the rounding level of s
-
-    def test_captures_lost_bits(self):
-        s, e = two_sum(1.0, 1e-20)
-        assert s == 1.0
-        assert e == 1e-20
-
-    def test_zero_error_when_representable(self):
-        s, e = two_sum(0.5, 0.25)
-        assert (s, e) == (0.75, 0.0)
-
-
-class TestExpansionAdd:
-    @given(value_lists)
-    def test_sum_preserved(self, values):
-        exp = []
-        for v in values:
-            exp = expansion_add(exp, v)
-        assert math.fsum(exp) == math.fsum(values)
-
-    @given(value_lists)
-    def test_components_are_nonoverlapping_under_fsum(self, values):
-        exp = []
-        for v in values:
-            exp = expansion_add(exp, v)
-        # Rounding the expansion must give the rounded total.
-        assert math.fsum(exp) == math.fsum(values)
-
-
-class TestExactExpansion:
-    @given(value_lists)
-    def test_exact(self, values):
-        exp = exact_expansion(values)
-        assert math.fsum(exp) == math.fsum(values)
-
-    def test_cancellation_survives(self):
-        values = [1e16, 1.0, -1e16]
-        exp = exact_expansion(values)
-        assert math.fsum(exp) == 1.0
-
-    def test_empty(self):
-        assert exact_expansion([]) == []
 
 
 def brute_group(keys, values):
@@ -139,74 +85,6 @@ class TestGroupedFsum:
         r2 = grouped_fsum(k2, v2)
         assert r1[0].tolist() == r2[0].tolist()
         assert r1[1].tolist() == r2[1].tolist()
-
-
-class TestGroupedExpansions:
-    def test_sum_is_preserved_exactly(self):
-        keys = np.array([3, 3, 3, 8, 8], dtype=np.uint64)
-        vals = np.array([1e16, 1.0, -1e16, 0.1, 0.2])
-        out_keys, comps = grouped_expansions(keys, vals)
-        acc = {}
-        for k, v in zip(out_keys.tolist(), comps.tolist()):
-            acc.setdefault(k, []).append(v)
-        assert math.fsum(acc[3]) == 1.0
-        assert math.fsum(acc[8]) == math.fsum([0.1, 0.2])
-
-    def test_output_keys_sorted_and_fewer_or_equal(self):
-        keys = np.repeat(np.arange(5, dtype=np.uint64), 30)
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(150) * 10.0 ** rng.integers(-10, 10, 150)
-        out_keys, comps = grouped_expansions(keys, vals)
-        assert np.all(np.diff(out_keys.astype(np.int64)) >= 0)
-        assert len(out_keys) <= len(keys)
-
-    @given(st.lists(st.tuples(st.integers(0, 3), finite),
-                    min_size=0, max_size=50))
-    @settings(max_examples=200)
-    def test_replacing_values_with_expansion_changes_no_total(self, pairs):
-        """The combiner contract: reducing the combined stream must give the
-        same total for every key as reducing the raw stream.  A key whose
-        values cancel to exactly zero may drop out of the combined stream;
-        its absent total reads as zero."""
-        pairs.sort(key=lambda kv: kv[0])
-        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-        vals = np.array([v for _, v in pairs], dtype=np.float64)
-
-        raw = dict(zip(*[a.tolist() for a in grouped_fsum(keys, vals)]))
-
-        ck, cv = grouped_expansions(keys, vals)
-        combined = dict(zip(*[a.tolist() for a in grouped_fsum(ck, cv)]))
-
-        assert set(combined) <= set(raw)
-        for k, total in raw.items():
-            assert combined.get(k, 0.0) == total
-
-    @given(st.lists(st.tuples(st.integers(0, 3),
-                              finite.filter(lambda v: v != 0.0)),
-                    min_size=0, max_size=50))
-    @settings(max_examples=200)
-    def test_scattered_totals_bitwise_equal(self, pairs):
-        """Scattering totals into a zero image gives identical bytes with and
-        without the combiner pass.  Emission already discards zero values, so
-        only nonzero inputs model the real stream; those can only cancel to
-        +0.0, never -0.0."""
-        pairs.sort(key=lambda kv: kv[0])
-        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-        vals = np.array([v for _, v in pairs], dtype=np.float64)
-
-        def scatter(ks, ts):
-            dense = np.zeros(4)
-            dense[ks.astype(np.int64)] = ts
-            return dense.tobytes()
-
-        ck, cv = grouped_expansions(keys, vals)
-        assert scatter(*grouped_fsum(keys, vals)) == \
-            scatter(*grouped_fsum(ck, cv))
-
-    def test_empty(self):
-        ks, cs = grouped_expansions(np.array([], dtype=np.uint64),
-                                    np.array([], dtype=np.float64))
-        assert len(ks) == 0 and len(cs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +254,158 @@ class TestExactSums:
                                 np.asarray(values, dtype=np.float64))
         assert uk.tolist() == expected[0]
         assert totals.tobytes() == np.array(expected[1], dtype=np.float64).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# grouped_expansions: the combiner, reduced by exact_sums, against the raw
+# stream reduced by exact_sums
+# ---------------------------------------------------------------------------
+
+def assert_combiner_keeps_totals(keys, values):
+    """Reducing the combined stream gives every key the raw stream's bits.
+    A key whose values cancel may drop out; its absent total reads as zero.
+    Returns the number of keys that dropped out."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.float64)
+    ck, cv = grouped_expansions(keys, values)
+    assert ck.dtype == np.uint64 and cv.dtype == np.float64
+    assert ck.shape == cv.shape and ck.shape[0] <= keys.shape[0]
+    raw = dict(zip(*[a.tolist() for a in exact_sums(keys, values)]))
+    combined = dict(zip(*[a.tolist() for a in exact_sums(ck, cv)]))
+    assert set(combined) <= set(raw)
+    for k, total in raw.items():
+        if k in combined:
+            assert np.float64(combined[k]).tobytes() == np.float64(total).tobytes()
+        else:
+            assert total == 0.0
+    return len(raw) - len(combined)
+
+
+def records_of(keys, values, wanted):
+    return [(k, v) for k, v in zip(np.asarray(keys).tolist(),
+                                   np.asarray(values).tolist()) if k in wanted]
+
+
+class TestGroupedExpansions:
+    def test_sum_is_preserved_exactly(self):
+        keys = np.array([8, 3, 3, 8, 3], dtype=np.uint64)
+        vals = np.array([0.1, 1e16, 1.0, 0.2, -1e16])
+        out_keys, comps = grouped_expansions(keys, vals)
+        acc = {}
+        for k, v in zip(out_keys.tolist(), comps.tolist()):
+            acc.setdefault(k, []).append(v)
+        assert math.fsum(acc[3]) == 1.0
+        assert math.fsum(acc[8]) == math.fsum([0.1, 0.2])
+
+    def test_never_more_records_than_given(self):
+        rng = np.random.default_rng(0)
+        keys = rng.permutation(np.repeat(np.arange(5, dtype=np.uint64), 30))
+        vals = rng.standard_normal(150) * 10.0 ** rng.integers(-10, 10, 150)
+        out_keys, comps = grouped_expansions(keys, vals)
+        # 30 values per key fold into a few digits each
+        assert len(out_keys) < len(keys)
+        assert sorted(set(out_keys.tolist())) == list(range(5))
+        assert_combiner_keeps_totals(keys, vals)
+
+    def test_single_values_pass_through(self):
+        keys = np.array([9, 2, 5], dtype=np.uint64)
+        vals = np.array([0.1, -3.0, 1e-300])
+        out_keys, comps = grouped_expansions(keys, vals)
+        assert out_keys.tolist() == keys.tolist()
+        assert comps.tobytes() == vals.tobytes()
+
+    def test_cancelled_key_drops_out(self):
+        keys = np.array([4, 4, 1, 4, 4], dtype=np.uint64)
+        vals = np.array([0.1, 1e16, 2.0, -0.1, -1e16])
+        out_keys, comps = grouped_expansions(keys, vals)
+        assert list(zip(out_keys.tolist(), comps.tolist())) == [(1, 2.0)]
+        assert assert_combiner_keeps_totals(keys, vals) == 1
+
+    def test_keys_the_reduce_sums_with_fsum_pass_through(self):
+        """inf, nan and overflow risk keep their raw values, in stream
+        order, so the reduce raises or returns what it would without the
+        combiner."""
+        keys = np.array([1, 2, 3, 2, 1, 3, 2, 4, 4, 4], dtype=np.uint64)
+        vals = np.array([math.inf, 1e308, math.nan, 1e308, 1.0, 2.0,
+                         -1e308, 0.5, 0.25, 0.125])
+        out_keys, comps = grouped_expansions(keys, vals)
+        got = records_of(out_keys, comps, {1, 2, 3})
+        want = records_of(keys, vals, {1, 2, 3})
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert records_of(out_keys, comps, {4}) == [(4, 0.875)]
+
+    def test_level_table_fallback_passes_everything_through(self):
+        """Many small keys spread over ~2000 binades outgrow the level table;
+        the reduce then sums them all with math.fsum, so the combiner leaves
+        the stream as it is."""
+        rng = np.random.default_rng(6)
+        n = 4000
+        keys = rng.integers(0, 2 ** 40, n, dtype=np.uint64) * 3
+        keys[n // 2:] = keys[:n // 2]
+        values = np.concatenate([np.full(n // 2, 1e300),
+                                 rng.uniform(1e-300, 2e-300, n // 2)])
+        out_keys, comps = grouped_expansions(keys, values)
+        assert out_keys.tobytes() == keys.tobytes()
+        assert comps.tobytes() == values.tobytes()
+
+    def test_empty(self):
+        ks, cs = grouped_expansions(np.array([], dtype=np.uint64),
+                                    np.array([], dtype=np.float64))
+        assert len(ks) == 0 and len(cs) == 0
+
+    @given(keyed(st.one_of(finite, dyadic, mixed_scale, subnormal),
+                 max_key=8, max_size=80))
+    @settings(max_examples=300)
+    def test_replacing_values_with_expansion_changes_no_total(self, pairs):
+        """The combiner contract on unsorted streams: reducing the combined
+        stream gives the same bits for every key as reducing the raw one."""
+        assert_combiner_keeps_totals(*unzip(pairs))
+
+    @given(st.lists(finite, max_size=30), st.lists(st.integers(0, 3), max_size=30),
+           st.randoms())
+    @settings(max_examples=200)
+    def test_cancelling_keys_read_as_zero(self, vals, key_choice, rnd):
+        n = min(len(vals), len(key_choice))
+        pairs = list(zip(key_choice[:n] * 2, vals[:n] + [-v for v in vals[:n]]))
+        rnd.shuffle(pairs)
+        assert_combiner_keeps_totals(*unzip(pairs))
+
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              finite.filter(lambda v: v != 0.0)),
+                    min_size=0, max_size=50))
+    @settings(max_examples=200)
+    def test_scattered_totals_bitwise_equal(self, pairs):
+        """Scattering totals into a zero image gives identical bytes with and
+        without the combiner pass.  Emission already discards zero values, so
+        only nonzero inputs model the real stream; those can only cancel to
+        +0.0, never -0.0."""
+        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+        vals = np.array([v for _, v in pairs], dtype=np.float64)
+
+        def scatter(ks, ts):
+            dense = np.zeros(4)
+            dense[ks.astype(np.int64)] = ts
+            return dense.tobytes()
+
+        ck, cv = grouped_expansions(keys, vals)
+        assert scatter(*exact_sums(keys, vals)) == scatter(*exact_sums(ck, cv))
+
+    @given(keyed(st.sampled_from(
+        [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
+         math.inf, -math.inf, math.nan]), max_key=2, max_size=8))
+    @settings(max_examples=300)
+    def test_overflow_and_nonfinite_follow_the_raw_stream(self, pairs):
+        """The reduce raises on the combined stream exactly where it raises
+        on the raw one, and otherwise returns the same bits."""
+        keys = np.asarray(unzip(pairs)[0], dtype=np.uint64)
+        values = np.asarray(unzip(pairs)[1], dtype=np.float64)
+        ck, cv = grouped_expansions(keys, values)
+        try:
+            raw = exact_sums(keys, values)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                exact_sums(ck, cv)
+            return
+        combined = exact_sums(ck, cv)
+        assert combined[0].tolist() == raw[0].tolist()
+        assert combined[1].tobytes() == raw[1].tobytes()

@@ -171,6 +171,38 @@ class TestAdjointPair:
         rhs = float(np.sum(migrated.values * image.values))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
 
+    @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
+    def test_dot_product_identity_on_one_sample_traces(self, weight):
+        """A one-sample trace is read, and written, only at t0 exactly.  A
+        zero-offset trace over a grid column has DSR time tau there, so a
+        t0 on the tau axis puts exactly one cell on its sample."""
+        rng = np.random.default_rng(11)
+        binning = OffsetBinning((0.0, 500.0))
+        grid = GridSpec(0.0, 40.0, 24, 0.0, 0.004, 40, 1)
+        job = MigrationJob(grid, VelocityModel(((0.0, 1600.0), (1.0, 2600.0))),
+                           KernelParams(350.0, weight), binning)
+        x, tau = grid.x_axis(), grid.tau_axis()
+        cells = [(i % grid.nx, (7 * i + 3) % grid.ntau) for i in range(16)]
+        headers = [TraceHeader(i, float(x[ix]), float(x[ix]), float(tau[it]),
+                               0.004, 1)
+                   for i, (ix, it) in enumerate(cells)]
+        survey = Survey([Trace(h, rng.standard_normal(1)) for h in headers],
+                        binning)
+        image = ImageGrid(grid, rng.standard_normal(grid.empty_image().values.shape))
+
+        modeled = forward_model(image, headers, job)
+        migrated = migrate_survey_serial(survey, job)
+        for (ix, it), m, d in zip(cells, modeled, survey):
+            assert m.samples[0] != 0.0
+            if weight is WeightMode.UNIT:
+                assert m.samples[0] == image.values[0, ix, it]
+                assert migrated.values[0, ix, it] == d.samples[0]
+        assert np.count_nonzero(migrated.values) == len(cells)
+        lhs = sum(float(np.dot(m.samples, d.samples))
+                  for m, d in zip(modeled, survey))
+        rhs = float(np.sum(migrated.values * image.values))
+        assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
+
     def test_forward_checks_grid(self):
         job = tiny_job()
         other = GridSpec(0.0, 50.0, 22, 0.0, 0.004, 101, 2)

@@ -17,8 +17,7 @@ from pktm.mapreduce.protocol import (
 )
 
 ALL_TAGS = (protocol.REGISTER, protocol.TASK_ASSIGN, protocol.TASK_DONE,
-            protocol.REDUCE_ASSIGN, protocol.REDUCE_DONE, protocol.SHUTDOWN,
-            protocol.HEARTBEAT)
+            protocol.REDUCE_ASSIGN, protocol.REDUCE_DONE, protocol.SHUTDOWN)
 
 
 def roundtrip(msg: Message) -> Message:
@@ -54,11 +53,16 @@ class TestEncodeDecode:
         assert back.detail == "ValueError('no')"
 
     def test_empty_body_tags(self):
-        for tag in (protocol.SHUTDOWN, protocol.HEARTBEAT):
-            back = roundtrip(Message(tag))
-            assert back.tag == tag
-            # frame = 4-byte length + 1-byte tag
-            assert len(Message(tag).encode()) == 5
+        back = roundtrip(Message(protocol.SHUTDOWN))
+        assert back.tag == protocol.SHUTDOWN
+        # frame = 4-byte length + 1-byte tag
+        assert len(Message(protocol.SHUTDOWN).encode()) == 5
+
+    def test_former_heartbeat_tag_is_unknown(self):
+        with pytest.raises(ProtocolError, match="unknown message tag 6"):
+            decode_payload(bytes([6]))
+        with pytest.raises(ProtocolError):
+            Message(tag=6).encode()
 
     def test_unicode_detail(self):
         back = roundtrip(Message(protocol.TASK_DONE, ident=1,
