@@ -21,7 +21,6 @@ from .mapreduce import (
     JobConfig,
     JobError,
     KeyedTotals,
-    partition_of,
     reassemble_image,
     run_job,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "migrate_trace",
     "one_way_time",
     "ordinal_to_cell_key",
-    "partition_of",
     "reassemble_image",
     "ricker",
     "residual_moveout",

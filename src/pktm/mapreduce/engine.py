@@ -231,31 +231,6 @@ def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
 # local (serial / threaded) execution
 # ---------------------------------------------------------------------------
 
-def _retry_serial(
-    task_ids: Sequence[int],
-    runner: Callable[[int], None],
-    max_retries: int,
-    observer: Observer | None,
-    done_kind: str,
-) -> None:
-    for t in task_ids:
-        attempts = 0
-        while True:
-            try:
-                runner(t)
-                break
-            except Exception as exc:
-                attempts += 1
-                if observer:
-                    observer(JobEvent("task_retried", ident=t))
-                if attempts > max_retries:
-                    raise JobError(
-                        f"task {t} failed after {attempts} attempts: {exc}"
-                    ) from exc
-        if observer:
-            observer(JobEvent(done_kind, ident=t))
-
-
 def _retry_threaded(
     task_ids: Sequence[int],
     runner: Callable[[int], None],
@@ -264,8 +239,11 @@ def _retry_threaded(
     observer: Observer | None,
     done_kind: str,
 ) -> None:
+    """Run every task on ``n_workers`` threads (serial mode passes one),
+    resubmitting a failed task until it has failed ``max_retries + 1`` times."""
     attempts = {t: 0 for t in task_ids}
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
         futures = {pool.submit(runner, t): t for t in task_ids}
         while futures:
             done, _ = wait(futures, return_when=FIRST_COMPLETED)
@@ -280,12 +258,14 @@ def _retry_threaded(
                 if observer:
                     observer(JobEvent("task_retried", ident=t))
                 if attempts[t] > max_retries:
-                    for pending in futures:
-                        pending.cancel()
                     raise JobError(
                         f"task {t} failed after {attempts[t]} attempts: {exc}"
                     ) from exc
                 futures[pool.submit(runner, t)] = t
+    finally:
+        # whatever ends the wait (a spent budget, an observer error,
+        # Ctrl-C), no queued task may start after it
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +507,6 @@ class _Coordinator:
             conn, _ = self.listener.accept()
         except BlockingIOError:
             return
-        conn.setblocking(True)
         state = _WorkerState(conn=conn, worker_id=self.next_worker_id)
         self.next_worker_id += 1
         self.workers[conn] = state
@@ -653,17 +632,11 @@ def run_job(
         def run_reduce(p: int) -> None:
             execute_reduce_task(p, n_map_tasks, spill)
 
-        if config.mode == "serial":
-            _retry_serial(range(n_map_tasks), run_map,
-                          config.max_task_retries, observer, "map_task_done")
-            _retry_serial(range(config.n_partitions), run_reduce,
-                          config.max_task_retries, observer, "reduce_task_done")
-        else:
-            _retry_threaded(range(n_map_tasks), run_map, config.n_workers,
-                            config.max_task_retries, observer, "map_task_done")
-            _retry_threaded(range(config.n_partitions), run_reduce,
-                            config.n_workers, config.max_task_retries,
-                            observer, "reduce_task_done")
+        n_workers = 1 if config.mode == "serial" else config.n_workers
+        _retry_threaded(range(n_map_tasks), run_map, n_workers,
+                        config.max_task_retries, observer, "map_task_done")
+        _retry_threaded(range(config.n_partitions), run_reduce, n_workers,
+                        config.max_task_retries, observer, "reduce_task_done")
     totals = _merge_partitions(config.n_partitions, spill)
     # on failure the exception has already propagated, leaving the spill
     # directory behind for post-mortem inspection

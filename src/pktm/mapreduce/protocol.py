@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 REGISTER = 0
 TASK_ASSIGN = 1
@@ -49,7 +49,6 @@ class Message:
     ident: int = 0        # pid, worker_id, task id, or partition id per tag
     status: int = STATUS_OK
     detail: str = ""      # failure description or manifest path
-    extra: int = field(default=0, repr=False)
 
     def encode(self) -> bytes:
         if self.tag == SHUTDOWN:

@@ -1,4 +1,4 @@
-"""On-disk spill files holding hash-partitioned map output.
+"""On-disk spill files holding partitioned map output.
 
 Layout: magic ``KVP2``, u32 little-endian record count, then fixed 16-byte
 records ``(u64 key, f64 value)``, little-endian.  Map files keep each

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pktm import GridSpec
+from pktm import GridSpec, MigrationMapFn, migrate_survey_serial
 from pktm.mapreduce import (
     ContractViolationError,
     JobConfig,
@@ -26,9 +26,12 @@ from pktm.mapreduce import (
 from pktm.mapreduce.engine import (
     SPILL_DIR_ENV,
     JobEvent,
+    _merge_partitions,
     _parse_listen,
     execute_map_task,
+    execute_reduce_task,
 )
+from pktm.mapreduce.spill import read_partition_file
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +192,29 @@ class TestRunJobSerial:
         assert kinds.count("reduce_task_done") == 5
         assert kinds.index("reduce_task_done") > kinds.index("map_task_done")
 
+    def test_runs_one_task_at_a_time_in_id_order(self, spill_dir):
+        """Serial mode ignores n_workers: its one scheduler thread runs the
+        tasks in id order, never two at once."""
+        lock = threading.Lock()
+        running = [0, 0]    # now, most ever
+
+        def watched(record):
+            with lock:
+                running[0] += 1
+                running[1] = max(running)
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return toy_map(record)
+
+        cfg = JobConfig(n_partitions=3, n_workers=4, chunk_size=4,
+                        spill_dir=spill_dir)
+        events = []
+        run_job(RECORDS, watched, cfg, observer=events.append)
+        assert running[1] == 1
+        done = [e.ident for e in events if e.kind == "map_task_done"]
+        assert done == list(range(10))
+
 
 class TestCrossModeBitIdentity:
     def test_threaded_matches_serial(self, spill_dir):
@@ -278,6 +304,26 @@ class TestRetries:
                         spill_dir=spill_dir)
         with pytest.raises(JobError, match="failed after 2 attempts"):
             run_job(RECORDS, AlwaysFailMap(), cfg)
+
+    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
+    def test_observer_error_stops_queued_tasks(self, mode, workers, spill_dir):
+        mapped = []
+
+        def counting(record):
+            mapped.append(int(record))
+            time.sleep(0.05)
+            return toy_map(record)
+
+        def observer(event):
+            if event.kind == "map_task_done":
+                raise KeyError("observer failed")
+
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        chunk_size=1, spill_dir=spill_dir)
+        with pytest.raises(KeyError, match="observer failed"):
+            run_job(RECORDS, counting, cfg, observer=observer)
+        # each worker may have started one more task before the error
+        assert len(mapped) <= 2 * workers
 
     def test_failed_job_leaves_spill_for_inspection(self, tmp_path):
         cfg = JobConfig(n_partitions=2, chunk_size=8, max_task_retries=0,
@@ -527,6 +573,29 @@ class TestExecuteMapTask:
 
         with pytest.raises(ValueError):
             execute_map_task(0, [0], bad, 2, False, tmp_path)
+
+    @pytest.mark.parametrize("r", [1, 2, 8, 13])
+    def test_partition_files_hold_key_mod_r_in_emission_order(
+            self, r, tmp_path, small_survey, small_job):
+        map_fn = MigrationMapFn(small_job)
+        traces = list(small_survey)
+        tasks = [traces[i:i + 16] for i in range(0, len(traces), 16)]
+        for t, records in enumerate(tasks):
+            execute_map_task(t, records, map_fn, r, False, tmp_path)
+            emitted = [map_fn(trace) for trace in records]
+            keys = np.concatenate([k for k, _ in emitted])
+            values = np.concatenate([v for _, v in emitted])
+            assert len(list(tmp_path.glob(f"map_{t:05d}_p*.kvp"))) == r
+            for p in range(r):
+                got = read_partition_file(tmp_path / f"map_{t:05d}_p{p:04d}.kvp")
+                mine = keys % np.uint64(r) == p
+                assert got["key"].tobytes() == keys[mine].tobytes()
+                assert got["value"].tobytes() == values[mine].tobytes()
+        for p in range(r):
+            execute_reduce_task(p, len(tasks), tmp_path)
+        image = reassemble_image(_merge_partitions(r, tmp_path), small_job.grid)
+        want = migrate_survey_serial(small_survey, small_job)
+        assert image.values.tobytes() == want.values.tobytes()
 
 
 class TestParseListen:

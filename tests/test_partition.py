@@ -3,99 +3,70 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pktm.mapreduce import fnv1a_64, partition_of
+from pktm import migrate_trace
 from pktm.mapreduce.partition import partitions_of
 
-
-def fnv1a_64_oracle(data: bytes) -> int:
-    """Independent transliteration of the published FNV-1a algorithm."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = h ^ byte
-        h = (h * 0x100000001B3) % (1 << 64)
-    return h
-
-
-class TestFnv1a:
-    def test_offset_basis(self):
-        assert fnv1a_64(b"") == 14695981039346656037
-
-    def test_single_byte(self):
-        assert fnv1a_64(b"a") == fnv1a_64_oracle(b"a")
-
-    def test_known_string(self):
-        assert fnv1a_64(b"hello") == fnv1a_64_oracle(b"hello")
-
-    @given(st.binary(min_size=0, max_size=64))
-    def test_matches_reference(self, data):
-        assert fnv1a_64(data) == fnv1a_64_oracle(data)
-
-    @given(st.binary(min_size=0, max_size=32))
-    def test_fits_in_64_bits(self, data):
-        assert 0 <= fnv1a_64(data) < (1 << 64)
+EDGE_KEYS = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
 
 
 class TestPartitionOf:
-    def test_hashes_little_endian_ordinal_bytes(self):
-        ordinal = 123456
-        for r in (1, 2, 8, 13):
-            expected = fnv1a_64_oracle(
-                ordinal.to_bytes(8, "little")) % r
-            assert partition_of(ordinal, r) == expected
+    """Where single keys go."""
 
     def test_range(self):
-        for o in range(100):
-            p = partition_of(o, 7)
-            assert 0 <= p < 7
+        parts = partitions_of(np.arange(100, dtype=np.uint64), 7)
+        assert parts.min() >= 0 and parts.max() < 7
 
     def test_single_partition(self):
-        assert partition_of(999, 1) == 0
+        keys = np.array(EDGE_KEYS + [999], dtype=np.uint64)
+        assert partitions_of(keys, 1).tolist() == [0] * len(keys)
 
     def test_deterministic(self):
-        assert partition_of(42, 8) == partition_of(42, 8)
+        keys = np.array([42, 1 << 40], dtype=np.uint64)
+        assert (partitions_of(keys, 8).tolist()
+                == partitions_of(keys.copy(), 8).tolist())
 
     def test_rejects_bad_partition_count(self):
-        with pytest.raises(ValueError):
-            partition_of(0, 0)
-        with pytest.raises(ValueError):
-            partition_of(0, -3)
-
-    def test_rejects_out_of_range_ordinal(self):
-        with pytest.raises(ValueError):
-            partition_of(-1, 4)
-        with pytest.raises(ValueError):
-            partition_of(1 << 64, 4)
+        for r in (0, -3):
+            with pytest.raises(ValueError, match="n_partitions"):
+                partitions_of(np.arange(4, dtype=np.uint64), r)
 
     @given(st.integers(0, (1 << 64) - 1), st.integers(1, 64))
-    def test_matches_hash_mod(self, ordinal, r):
-        expected = fnv1a_64(ordinal.to_bytes(8, "little")) % r
-        assert partition_of(ordinal, r) == expected
+    def test_matches_key_mod(self, key, r):
+        assert partitions_of(np.array([key], dtype=np.uint64), r)[0] == key % r
 
 
 class TestPartitionsOfVectorized:
     def test_matches_scalar(self):
         rng = np.random.default_rng(2024)
-        ordinals = rng.integers(0, 1 << 48, size=500, dtype=np.uint64)
-        for r in (1, 2, 8, 16):
-            vec = partitions_of(ordinals, r)
-            scalar = [partition_of(int(o), r) for o in ordinals]
-            assert vec.tolist() == scalar
+        keys = np.concatenate([
+            np.array(EDGE_KEYS, dtype=np.uint64),
+            rng.integers(0, 1 << 64, size=2000, dtype=np.uint64),
+        ])
+        for r in (1, 2, 7, 8, 13, 64):
+            got = partitions_of(keys, r)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == [int(k) % r for k in keys]
 
     def test_covers_high_bit_ordinals(self):
-        ordinals = np.array([0, 1, (1 << 63), (1 << 64) - 1],
-                            dtype=np.uint64)
-        vec = partitions_of(ordinals, 8)
-        scalar = [partition_of(int(o), 8) for o in ordinals]
-        assert vec.tolist() == scalar
+        keys = np.array(EDGE_KEYS, dtype=np.uint64)
+        assert partitions_of(keys, 8).tolist() == [0, 1, 7, 0, 6, 7]
 
     def test_empty(self):
         out = partitions_of(np.array([], dtype=np.uint64), 4)
-        assert len(out) == 0
+        assert out.shape == (0,)
+        assert out.dtype.kind == "i"
 
-    def test_spreads_keys(self):
-        """Not a uniformity proof, just a sanity floor: ten thousand
-        consecutive ordinals across 8 partitions should hit all of them."""
-        ordinals = np.arange(10_000, dtype=np.uint64)
-        counts = np.bincount(partitions_of(ordinals, 8), minlength=8)
-        assert counts.min() > 0
-        assert counts.max() < 3 * counts.min()
+    def test_shape_is_kept(self):
+        keys = np.arange(24, dtype=np.uint64).reshape(2, 3, 4)
+        out = partitions_of(keys, 5)
+        assert out.shape == (2, 3, 4)
+        assert out.tolist() == (keys % 5).astype(np.int64).tolist()
+
+    def test_spreads_keys(self, small_survey, small_job):
+        """Kernel output has tau fastest in contiguous rows, so key mod R
+        balances a real migration stream, not just consecutive integers."""
+        keys = np.concatenate(
+            [migrate_trace(t, small_job).ordinals for t in small_survey])
+        assert keys.size > 100_000
+        counts = np.bincount(partitions_of(keys, 8), minlength=8)
+        assert counts.max() / counts.mean() <= 1.01
