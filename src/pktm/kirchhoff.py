@@ -5,6 +5,7 @@ Migration scatters each trace sample along its diffraction isochron into the
 common-offset image for the trace's offset bin.  ``forward_model`` is the
 exact transpose (same aperture, binning, weights, and interpolation
 coefficients), so the pair passes a machine-precision dot-product test.
+Both read DSR times and weights from the job's :class:`LegTable`.
 
 Per-cell totals are correctly rounded exact sums of all contributions
 (see :mod:`pktm.exactsum`), which makes the serial path bit-identical to any
@@ -14,6 +15,7 @@ distributed execution of the same per-trace map.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,12 +34,121 @@ from .model import (
     VelocityModel,
     ordinal_to_cell_key,
 )
-from .traveltime import KernelParams, leg_times_grid, weights_grid
+from .traveltime import KernelParams, WeightMode, leg_times_grid
+
+
+# Memory one job's leg table may take in one process.  Surface positions on
+# a lattice commensurate with the grid share most distances (the benchmark
+# grids need 199 rows, 1.07 MB); past the budget, legs from positions the
+# table has not seen are computed for each trace instead.
+TABLE_BUDGET_BYTES = 64 * 2**20
+
+
+class LegTable:
+    """One-way leg times and obliquity cosines of one migration job.
+
+    Row r holds, along the tau axis, the leg time
+    ``T = leg_times_grid(d, tau, v)`` for one exact lateral distance d and,
+    under obliquity weighting, its cosine ``(tau/2) / T`` (1 where T = 0).
+    Each surface position s seen so far maps to the nx rows of its
+    distances ``|x_ix - s|``.  Every entry comes from the expression that
+    :func:`~pktm.traveltime.one_way_time` and :func:`~pktm.traveltime.weight`
+    evaluate for one cell, so reading the table changes no bit of any
+    kernel output.
+
+    Rows are added under a lock and never rewritten, so threads may share a
+    table.  The table lives as long as its job and is never pickled: each
+    process builds its own as traces arrive.
+    """
+
+    def __init__(self, grid: GridSpec, vel: VelocityModel, weight_mode: WeightMode):
+        self._x = grid.x_axis()
+        self._tau = grid.tau_axis()
+        self._v = np.asarray(vel(self._tau), dtype=np.float64)
+        self._obliquity = weight_mode is WeightMode.OBLIQUITY
+        self._row_bytes = (2 if self._obliquity else 1) * grid.ntau * 8
+        self._budget = TABLE_BUDGET_BYTES
+        self._max_rows = self._budget // self._row_bytes
+        self._lock = threading.Lock()
+        self._row_of: dict[float, int] = {}          # distance -> row
+        self._rows_at: dict[float, np.ndarray] = {}  # position -> nx rows
+        self._bytes = 0
+        self._full = False
+        self._times = np.empty((0, grid.ntau))
+        self._cosines = np.empty((0, grid.ntau)) if self._obliquity else None
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._row_of)
+
+    def legs(self, s: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Leg times and cosines from surface position ``s`` to the image
+        columns ``[lo, hi)``, as new (hi - lo, ntau) arrays the caller may
+        overwrite.  The cosines are None under unit weighting."""
+        with self._lock:
+            rows = self._rows_at.get(s)
+            if rows is None and not self._full:
+                rows = self._add(s)
+            times, cosines = self._times, self._cosines
+        if rows is None:
+            return self._compute(np.abs(self._x[lo:hi] - s))
+        r = rows[lo:hi]  # an index array, so the gathers below copy
+        return times[r], None if cosines is None else cosines[r]
+
+    def _compute(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        t = leg_times_grid(d[:, None], self._tau, self._v)
+        if not self._obliquity:
+            return t, None
+        # a zero leg is vertical: d = 0 at tau = 0, or (tau/2)^2 underflowed
+        return t, np.divide(0.5 * self._tau, t, out=np.ones_like(t), where=t > 0.0)
+
+    def _add(self, s: float) -> np.ndarray | None:
+        """Index position ``s``, adding rows for its new distances; None
+        (and no more positions) once that would pass the budget."""
+        dist, inverse = np.unique(np.abs(self._x - s), return_inverse=True)
+        dist = dist.tolist()
+        fresh = [d for d in dist if d not in self._row_of]
+        added = len(fresh) * self._row_bytes + self._x.size * 8
+        if self._bytes + added > self._budget:
+            self._full = True
+            return None
+        n = len(self._row_of)
+        if fresh:
+            t, c = self._compute(np.asarray(fresh))
+            self._times = _with_rows(self._times, n, t, self._max_rows)
+            if c is not None:
+                self._cosines = _with_rows(self._cosines, n, c, self._max_rows)
+            self._row_of.update(zip(fresh, range(n, n + len(fresh))))
+        ids = np.array([self._row_of[d] for d in dist], dtype=np.intp)
+        rows = ids[inverse.reshape(-1)]
+        self._rows_at[s] = rows
+        self._bytes += added
+        return rows
+
+
+def _with_rows(table: np.ndarray, n: int, new: np.ndarray, max_rows: int) -> np.ndarray:
+    """``table`` with ``new`` written after its first ``n`` rows.
+
+    Rows below ``n`` are never written, so a reader holding the old array
+    keeps valid rows; a full array is replaced by a copy twice as tall.
+    """
+    need = n + new.shape[0]
+    if need > table.shape[0]:
+        grown = np.empty((min(max(need, 2 * table.shape[0]), max_rows),
+                          table.shape[1]))
+        grown[:n] = table[:n]
+        table = grown
+    table[n:need] = new
+    return table
 
 
 @dataclass(frozen=True)
 class MigrationJob:
-    """Fixed operands of one migration: target grid, velocity, kernel knobs."""
+    """Fixed operands of one migration: target grid, velocity, kernel knobs.
+
+    ``leg_table`` is the job's :class:`LegTable`, empty until the job's
+    first trace; a pickled job arrives with an empty one.
+    """
 
     grid: GridSpec
     vel: VelocityModel
@@ -50,6 +161,20 @@ class MigrationJob:
                 f"grid has {self.grid.n_offset_bins} offset bins, "
                 f"binning defines {self.binning.n_bins}"
             )
+        self._new_table()
+
+    def _new_table(self) -> None:
+        object.__setattr__(self, "leg_table", LegTable(
+            self.grid, self.vel, self.params.weight_mode))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["leg_table"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._new_table()
 
 
 @dataclass(frozen=True)
@@ -103,43 +228,56 @@ def interp_sample(trace: Trace, t: float) -> float:
 
 def _stencil(
     t: np.ndarray, t0: float, dt: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Linear-interpolation stencil of times ``t`` on an ``n``-sample trace.
 
     Returns (i, j, frac, valid): the amplitude at t is
     ``(1 - frac) * s[i] + frac * s[j]`` where ``valid`` and zero elsewhere,
-    as :func:`interp_sample` computes it for one time.  A one-sample trace
-    is valid only at t0 exactly, where i = j = 0 and frac = 0.  Migration
-    reads through the stencil and modeling scatters through it, so the pair
-    is an exact transpose.
+    as :func:`interp_sample` computes it for one time.  ``valid`` is None
+    when every time lies within the trace and before its last sample, which
+    spares the caller its masking.
+    A one-sample trace is valid only at t0 exactly, where i = j = 0 and
+    frac = 0.  Migration reads through the stencil and modeling scatters
+    through it, so the pair is an exact transpose.
     """
-    u = (t - t0) / dt
+    u = t - t0
+    u /= dt
+    if n >= 2 and u.min() >= 0.0 and u.max() < n - 1:
+        # every time lies before the last sample, so floor(u) <= n - 2
+        i = np.floor(u)
+        u -= i
+        i = i.astype(np.int64)
+        return i, i + 1, u, None
     valid = (u >= 0.0) & (u <= n - 1)
     uc = np.where(valid, u, 0.0)
     i = np.minimum(np.floor(uc).astype(np.int64), max(n - 2, 0))
     return i, np.minimum(i + 1, n - 1), uc - i, valid
 
 
-def _accepted_lateral(header: TraceHeader, job: MigrationJob) -> np.ndarray:
-    """Lateral indices whose x position lies within the midpoint aperture."""
+def _accepted_columns(header: TraceHeader, job: MigrationJob) -> tuple[int, int]:
+    """Image columns ``[lo, hi)`` whose x lies within the midpoint aperture.
+
+    The x axis ascends, so the accepted columns are contiguous.
+    """
     mid = 0.5 * (header.source_x + header.receiver_x)
-    xg = job.grid.x_axis()
-    return np.flatnonzero(np.abs(xg - mid) <= job.params.aperture)
+    ix = np.flatnonzero(np.abs(job.grid.x_axis() - mid) <= job.params.aperture)
+    if ix.size == 0:
+        return 0, 0
+    return int(ix[0]), int(ix[-1]) + 1
 
 
 def _kernel_grids(
-    header: TraceHeader, job: MigrationJob, ix_acc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """DSR times and weights on the (accepted lateral, tau) grid."""
-    grid = job.grid
-    tau = grid.tau_axis()
-    v = np.asarray(job.vel(tau), dtype=np.float64)
-    x = grid.x_axis()[ix_acc]
-    hs = np.abs(x - header.source_x)[:, None]
-    hr = np.abs(x - header.receiver_x)[:, None]
-    ts = leg_times_grid(hs, tau, v)
-    tr = leg_times_grid(hr, tau, v)
-    return ts + tr, weights_grid(tau, ts, tr, job.params.weight_mode)
+    header: TraceHeader, job: MigrationJob, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """DSR times and weights (None under unit weighting) on the
+    (column in ``[lo, hi)``, tau) grid."""
+    table = job.leg_table
+    t, w = table.legs(header.source_x, lo, hi)
+    t_r, w_r = table.legs(header.receiver_x, lo, hi)
+    t += t_r
+    if w is not None:
+        w *= w_r
+    return t, w
 
 
 def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
@@ -155,21 +293,28 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     b = job.binning.bin_of(h.offset)
     if b is None:
         return Contributions.empty(grid)
-    ix_acc = _accepted_lateral(h, job)
-    if ix_acc.size == 0:
+    lo, hi = _accepted_columns(h, job)
+    if lo == hi:
         return Contributions.empty(grid)
-    t, w = _kernel_grids(h, job, ix_acc)
+    t, w = _kernel_grids(h, job, lo, hi)
     samples = np.asarray(trace.samples, dtype=np.float64)
     i, j, frac, valid = _stencil(t, h.t0, h.dt, samples.shape[0])
-    amp = (1.0 - frac) * samples[i] + frac * samples[j]
-    values = w * np.where(valid, amp, 0.0)
-    base = ((np.uint64(b) * np.uint64(grid.nx) + ix_acc.astype(np.uint64))
-            * np.uint64(grid.ntau))
-    ordinals = base[:, None] + np.arange(grid.ntau, dtype=np.uint64)
-    flat_vals = values.reshape(-1)
-    flat_ords = ordinals.reshape(-1)
-    keep = flat_vals != 0.0
-    return Contributions(grid, flat_ords[keep], flat_vals[keep])
+    # (1 - frac) * s[i] + frac * s[j], as interp_sample, without temporaries
+    values = samples[i]
+    values *= 1.0 - frac
+    right = samples[j]
+    right *= frac
+    values += right
+    if valid is not None:
+        values = np.where(valid, values, 0.0)
+    if w is not None:
+        values *= w
+    values = values.reshape(-1)
+    keep = values != 0.0
+    # the accepted cells of one bin are one run of consecutive ordinals
+    ordinals = np.flatnonzero(keep).astype(np.uint64)
+    ordinals += np.uint64((b * grid.nx + lo) * grid.ntau)
+    return Contributions(grid, ordinals, values[keep])
 
 
 def forward_model(
@@ -191,13 +336,19 @@ def forward_model(
         samples = np.zeros(n, dtype=np.float64)
         b = job.binning.bin_of(h.offset)
         if b is not None:
-            ix_acc = _accepted_lateral(h, job)
-            if ix_acc.size:
-                t, w = _kernel_grids(h, job, ix_acc)
-                vals = w * image.values[b, ix_acc, :]
+            lo, hi = _accepted_columns(h, job)
+            if lo < hi:
+                t, w = _kernel_grids(h, job, lo, hi)
+                vals = image.values[b, lo:hi, :]
+                if w is not None:
+                    vals = w * vals
                 i, j, frac, valid = _stencil(t, h.t0, h.dt, n)
-                np.add.at(samples, i[valid], ((1.0 - frac) * vals)[valid])
-                np.add.at(samples, j[valid], (frac * vals)[valid])
+                if valid is None:  # np.add.at is fastest on 1-D operands
+                    i, j, frac, vals = (a.reshape(-1) for a in (i, j, frac, vals))
+                else:
+                    i, j, frac, vals = i[valid], j[valid], frac[valid], vals[valid]
+                np.add.at(samples, i, (1.0 - frac) * vals)
+                np.add.at(samples, j, frac * vals)
         out.append(Trace(h, samples))
     return out
 

@@ -169,6 +169,8 @@ def execute_map_task(
 ) -> None:
     """Run ``map_fn`` over one chunk of records and spill R partition files.
 
+    Keys must be non-negative integers; anything else fails the task.
+
     One stable sort by partition id groups the output; each partition's
     records keep their emission order (with the combiner enabled, the order
     in which :func:`~pktm.exactsum.grouped_expansions` returns them).
@@ -177,10 +179,19 @@ def execute_map_task(
     val_parts = [np.empty(0, dtype=np.float64)]
     for record in records:
         keys, values = map_fn(record)
+        keys = np.asarray(keys)
+        # a cast to uint64 would wrap negative keys without a word
+        if keys.dtype.kind not in "iu":
+            raise ValueError(
+                f"map task {task_id}: keys must be integers, got {keys.dtype}")
+        if keys.dtype.kind == "i" and keys.size and keys.min() < 0:
+            raise ValueError(
+                f"map task {task_id}: keys must be >= 0, got {keys.min()}")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if keys.shape != values.shape or keys.ndim != 1:
-            raise ValueError("map_fn must return equal-length 1-D key/value arrays")
+            raise ValueError(f"map task {task_id}: map_fn must return "
+                             "equal-length 1-D key/value arrays")
         key_parts.append(keys)
         val_parts.append(values)
     keys = np.concatenate(key_parts)
@@ -376,9 +387,6 @@ class _Coordinator:
                 kind, ident=ident,
                 pid=state.pid if state else 0,
                 worker_id=state.worker_id if state else -1))
-
-    def _phase_total(self) -> int:
-        return self.n_map_tasks if self.phase == "map" else self.config.n_partitions
 
     def _charge_failure(self, kind_ident: tuple[str, int], cause: str) -> None:
         kind, ident = kind_ident

@@ -52,11 +52,6 @@ class TraceHeader:
         """Source-receiver distance |source_x - receiver_x| in meters."""
         return abs(self.source_x - self.receiver_x)
 
-    @property
-    def t_end(self) -> float:
-        """Time of the last sample in seconds."""
-        return self.t0 + (self.n_samples - 1) * self.dt
-
     def time_axis(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_samples, dtype=np.float64) * self.dt
 

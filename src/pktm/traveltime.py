@@ -99,8 +99,11 @@ def within_aperture(x_img: float, xs: float, xr: float, params: KernelParams) ->
     return abs(x_img - mid) <= params.aperture
 
 
-def leg_times_grid(h: float, tau_axis: np.ndarray, v_axis: np.ndarray) -> np.ndarray:
-    """Vectorized one-way leg times along a tau axis for a fixed lateral distance.
+def leg_times_grid(
+    h: float | np.ndarray, tau_axis: np.ndarray, v_axis: np.ndarray
+) -> np.ndarray:
+    """Vectorized one-way leg times along a tau axis for lateral distance
+    ``h``, a scalar or a column of distances (one output row each).
 
     Elementwise identical to :func:`one_way_time` (same expression tree).
     """
@@ -108,23 +111,3 @@ def leg_times_grid(h: float, tau_axis: np.ndarray, v_axis: np.ndarray) -> np.nda
     ratio = h / v_axis
     return np.sqrt(half * half + ratio * ratio)
 
-
-def weights_grid(
-    tau_axis: np.ndarray,
-    ts: np.ndarray,
-    tr: np.ndarray,
-    mode: WeightMode,
-) -> np.ndarray | float:
-    """Vectorized :func:`weight` given precomputed leg times; returns 1.0 for UNIT."""
-    if mode is WeightMode.UNIT:
-        return 1.0
-    half = 0.5 * tau_axis
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_s = np.where(ts > 0.0, half / ts, 1.0)
-        cos_r = np.where(tr > 0.0, half / tr, 1.0)
-        w = cos_s * cos_r
-    zero_tau = tau_axis == 0.0
-    if np.any(zero_tau):
-        w = np.where(zero_tau & (ts == 0.0) & (tr == 0.0), 1.0,
-                     np.where(zero_tau, 0.0, w))
-    return w

@@ -565,6 +565,39 @@ class TestSpillResolution:
 # pieces
 # --------------------------------------------------------------------------
 
+def negative_key_map(record):
+    return np.array([-1, 3], dtype=np.int64), np.array([1.0, 2.0])
+
+
+def float_key_map(record):
+    return np.array([1.0, 3.0]), np.array([1.0, 2.0])
+
+
+class TestMapKeyValidation:
+    """Keys that a cast to uint64 would change fail their map task."""
+
+    @pytest.mark.parametrize("map_fn,match", [
+        (negative_key_map, "map task 0: keys must be >= 0, got -1"),
+        (float_key_map, "map task 0: keys must be integers, got float64"),
+    ])
+    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
+    def test_bad_keys_fail_the_job(self, mode, workers, map_fn, match,
+                                   spill_dir):
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        max_task_retries=0, spill_dir=spill_dir)
+        with pytest.raises(JobError, match=match):
+            run_job([0], map_fn, cfg)
+
+    def test_non_negative_signed_keys_are_accepted(self, spill_dir):
+        def signed(record):
+            return np.array([4, 3], dtype=np.int32), np.array([1.0, 2.0])
+
+        totals = run_job([0], signed, JobConfig(n_partitions=2,
+                                                 spill_dir=spill_dir))
+        assert totals.keys.tolist() == [3, 4]
+        assert totals.totals.tolist() == [2.0, 1.0]
+
+
 class TestExecuteMapTask:
     def test_bad_map_fn_shape_rejected(self, tmp_path):
         def bad(record):

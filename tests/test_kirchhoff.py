@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pktm import (
     ConfigurationError,
@@ -16,12 +17,16 @@ from pktm import (
     VelocityModel,
     WeightMode,
     cell_key_ordinal,
+    dsr_total_time,
     forward_model,
     interp_sample,
     migrate_survey_serial,
     migrate_trace,
     stack_offsets,
+    weight,
+    within_aperture,
 )
+from pktm import kirchhoff
 from conftest import random_survey
 
 
@@ -140,6 +145,18 @@ class TestMigrateTrace:
             checked += 1
         assert checked > 0
 
+    def test_cell_on_the_last_sample_reads_it(self):
+        """Zero offset, zero aperture: the DSR times are the tau axis, and
+        the last one falls exactly on the trace's last sample."""
+        grid = GridSpec(0.0, 50.0, 3, 0.0, 0.25, 11, 1)
+        job = MigrationJob(grid, VelocityModel.constant(2000.0),
+                           KernelParams(0.0), OffsetBinning.single())
+        samples = np.arange(1.0, 12.0)
+        h = TraceHeader(0, 50.0, 50.0, 0.0, 0.25, 11)
+        c = migrate_trace(Trace(h, samples), job)
+        assert c.ordinals.tolist() == list(range(11, 22))
+        assert c.values.tolist() == samples.tolist()
+
     def test_redundant_coverage_across_traces(self):
         """Neighboring traces must hit shared image cells."""
         job = tiny_job()
@@ -149,6 +166,108 @@ class TestMigrateTrace:
         c2 = migrate_trace(Trace(h2, np.ones(101)), job)
         shared = set(c1.ordinals.tolist()) & set(c2.ordinals.tolist())
         assert shared
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small grid, a piecewise-linear velocity, a kernel and one trace.
+
+    Source and receiver are off the grid lattice in general.  The trace's
+    t0 is sometimes the DSR time of one cell, so that one-sample traces
+    (readable at t0 only) put a nonzero value on some cell.
+    """
+    n_knots = draw(st.integers(1, 3))
+    knot_taus = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=n_knots,
+                                    max_size=n_knots)))
+    vel = VelocityModel(tuple(
+        (t, draw(st.floats(500.0, 5000.0))) for t in knot_taus))
+    binning = OffsetBinning((0.0, 300.0, math.inf))
+    grid = GridSpec(draw(st.floats(-200.0, 200.0)), draw(st.floats(5.0, 100.0)),
+                    draw(st.integers(1, 8)),
+                    draw(st.one_of(st.just(0.0), st.floats(0.001, 0.5))),
+                    draw(st.floats(0.001, 0.05)), draw(st.integers(1, 12)),
+                    binning.n_bins)
+    job = MigrationJob(grid, vel, KernelParams(
+        draw(st.floats(0.0, 500.0)), draw(st.sampled_from(WeightMode))),
+        binning)
+    x_lo, x_hi = grid.x_min - 200.0, float(grid.x_axis()[-1]) + 200.0
+    xs = draw(st.floats(x_lo, x_hi))
+    xr = draw(st.floats(x_lo, x_hi))
+    n = draw(st.integers(1, 12))
+    dt = draw(st.floats(0.001, 0.05))
+    if draw(st.booleans()):
+        x = float(grid.x_axis()[draw(st.integers(0, grid.nx - 1))])
+        tau = float(grid.tau_axis()[draw(st.integers(0, grid.ntau - 1))])
+        t0 = dsr_total_time(x, tau, xs, xr, vel)
+    else:
+        t0 = draw(st.floats(0.0, 1.0))
+    samples = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+                            min_size=n, max_size=n))
+    return job, Trace(TraceHeader(0, xs, xr, t0, dt, n), np.asarray(samples))
+
+
+class TestKernelMatchesScalarOracle:
+    """Every cell of ``migrate_trace`` against the scalar definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_every_cell_matches_scalar_kernel(self, case):
+        job, trace = case
+        h, grid = trace.header, job.grid
+        c = migrate_trace(trace, job)
+        emitted = dict(zip(c.ordinals.tolist(), c.values.tolist()))
+        b = job.binning.bin_of(h.offset)
+        xg, taus = grid.x_axis().tolist(), grid.tau_axis().tolist()
+        expected = {}
+        for ix, x in enumerate(xg):
+            if not within_aperture(x, h.source_x, h.receiver_x, job.params):
+                continue
+            for itau, tau in enumerate(taus):
+                t = dsr_total_time(x, tau, h.source_x, h.receiver_x, job.vel)
+                value = weight(x, tau, h.source_x, h.receiver_x, job.vel,
+                               job.params.weight_mode) * interp_sample(trace, t)
+                if value != 0.0:
+                    expected[(b * grid.nx + ix) * grid.ntau + itau] = value
+        assert set(emitted) == set(expected)
+        for o, value in emitted.items():
+            assert math.copysign(1.0, value) == math.copysign(1.0, expected[o])
+            assert value == expected[o]
+
+
+class TestLegTable:
+    def test_lattice_positions_share_rows(self):
+        job = tiny_job(weight=WeightMode.OBLIQUITY)
+        for s in (0.0, 50.0, 500.0, 1000.0, 25.0):
+            h = TraceHeader(0, s, s, 0.0, 0.004, 101)
+            migrate_trace(Trace(h, np.ones(101)), job)
+        # distances 0, 50, ..., 1000 from the lattice points, and
+        # 25, 75, ..., 975 from 25
+        assert job.leg_table.n_rows == 21 + 20
+
+    def test_spent_budget_computes_legs_per_trace(self, monkeypatch):
+        """Past its budget the table indexes no more positions, and the
+        kernel output stays bit-identical."""
+        rng = np.random.default_rng(8)
+        binning = OffsetBinning((0.0, 500.0, 2000.0))
+        grid = GridSpec(0.0, 40.0, 24, 0.0, 0.004, 40, 2)
+        vel = VelocityModel(((0.0, 1600.0), (1.0, 2600.0)))
+        params = KernelParams(350.0, WeightMode.OBLIQUITY)
+        survey = random_survey(rng, binning, n_traces=12, n_samples=80)
+        full = MigrationJob(grid, vel, params, binning)
+        # room for the rows of about three positions
+        monkeypatch.setattr(kirchhoff, "TABLE_BUDGET_BYTES",
+                            3 * grid.nx * grid.ntau * 16)
+        small = MigrationJob(grid, vel, params, binning)
+        for trace in survey:
+            a, b = migrate_trace(trace, full), migrate_trace(trace, small)
+            assert a.ordinals.tobytes() == b.ordinals.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+        assert 0 < small.leg_table.n_rows < full.leg_table.n_rows
+        headers = [t.header for t in survey]
+        image = ImageGrid(grid, rng.standard_normal((2, 24, 40)))
+        for a, b in zip(forward_model(image, headers, full),
+                        forward_model(image, headers, small)):
+            assert a.samples.tobytes() == b.samples.tobytes()
 
 
 class TestAdjointPair:

@@ -1,14 +1,27 @@
 import pickle
+import sys
+import weakref
 
 import numpy as np
 
 from pktm import (
     JobConfig,
+    KernelParams,
+    MigrationJob,
     MigrationMapFn,
+    OffsetBinning,
+    VelocityModel,
+    WeightMode,
     migrate_survey,
     migrate_survey_serial,
     migrate_trace,
 )
+from conftest import random_survey
+
+
+def fresh_job(job: MigrationJob) -> MigrationJob:
+    """An equal job with an empty leg table of its own."""
+    return MigrationJob(job.grid, job.vel, job.params, job.binning)
 
 
 class TestMigrationMapFn:
@@ -27,6 +40,57 @@ class TestMigrationMapFn:
         c = migrate_trace(trace, small_job)
         assert keys.tobytes() == c.ordinals.tobytes()
         assert values.tobytes() == c.values.tobytes()
+
+
+class TestLegTableLifetime:
+    """A job's leg table is never shipped and dies with its job."""
+
+    def test_pickle_is_unchanged_by_migrating(self, small_survey, small_job):
+        job = fresh_job(small_job)
+        fn = MigrationMapFn(job)
+        before = pickle.dumps(fn)
+        for trace in small_survey.traces[:8]:
+            fn(trace)
+        assert job.leg_table.n_rows > 0
+        assert pickle.dumps(fn) == before
+        assert pickle.loads(before).job.leg_table.n_rows == 0
+
+    def test_table_dies_with_its_job(self, small_survey, small_job, spill_dir):
+        job = fresh_job(small_job)
+        config = JobConfig(mode="threaded", n_workers=2, spill_dir=spill_dir)
+        migrate_survey(small_survey, job, config)
+        table = weakref.ref(job.leg_table)
+        assert table().n_rows > 0
+        del job
+        assert table() is None
+
+    def test_threads_growing_one_table_match_serial(self, small_grid,
+                                                    spill_dir):
+        """Every trace of this survey brings two new surface positions, so
+        the threads add rows to the shared table all through the map."""
+        binning = OffsetBinning((0.0, 400.0, 800.0, 1600.0))
+        job = MigrationJob(small_grid, VelocityModel(((0.0, 1800.0), (0.8, 2400.0))),
+                           KernelParams(300.0, WeightMode.OBLIQUITY), binning)
+        survey = random_survey(np.random.default_rng(4), binning,
+                               n_traces=48, n_samples=160)
+        oracle = migrate_survey_serial(survey, fresh_job(job))
+        config = JobConfig(mode="threaded", n_workers=4, chunk_size=1,
+                           spill_dir=spill_dir)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            image = migrate_survey(survey, job, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert image.values.tobytes() == oracle.values.tobytes()
+        # one row per distinct distance: a lost or doubled row shows here
+        x = small_grid.x_axis()
+        distances = {float(d) for t in survey
+                     if np.any(np.abs(x - 0.5 * (t.header.source_x + t.header.receiver_x))
+                               <= job.params.aperture)
+                     for s in (t.header.source_x, t.header.receiver_x)
+                     for d in np.abs(x - s)}
+        assert job.leg_table.n_rows == len(distances)
 
 
 class TestMigrateSurvey:

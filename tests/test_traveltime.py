@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pktm import (
+    GridSpec,
     KernelParams,
     VelocityModel,
     WeightMode,
@@ -13,7 +14,8 @@ from pktm import (
     weight,
     within_aperture,
 )
-from pktm.traveltime import leg_times_grid, weights_grid
+from pktm.kirchhoff import LegTable
+from pktm.traveltime import leg_times_grid
 
 V2000 = VelocityModel.constant(2000.0)
 
@@ -142,16 +144,24 @@ class TestVectorizedKernels:
             assert grid[i] == one_way_time(h, tau, v)
 
     def test_weights_match_scalar(self):
-        tau_axis = np.arange(16, dtype=np.float64) * 0.01
-        v_axis = np.full(16, 2000.0)
-        xs, xr, x = -250.0, 600.0, 75.0
-        ts = leg_times_grid(abs(x - xs), tau_axis, v_axis)
-        tr = leg_times_grid(abs(x - xr), tau_axis, v_axis)
-        w = weights_grid(tau_axis, ts, tr, WeightMode.OBLIQUITY)
-        for i, tau in enumerate(tau_axis.tolist()):
+        # the kernel's obliquity weight is the product of two table cosines
+        grid = GridSpec(0.0, 25.0, 8, 0.0, 0.01, 16, 1)
+        table = LegTable(grid, V2000, WeightMode.OBLIQUITY)
+        xs, xr, ix = -250.0, 600.0, 3
+        x = float(grid.x_axis()[ix])
+        _, cos_s = table.legs(xs, ix, ix + 1)
+        _, cos_r = table.legs(xr, ix, ix + 1)
+        w = (cos_s * cos_r)[0]
+        for i, tau in enumerate(grid.tau_axis().tolist()):
             assert w[i] == weight(x, tau, xs, xr, V2000, WeightMode.OBLIQUITY)
 
     def test_unit_weights_grid_is_scalar_one(self):
-        tau_axis = np.arange(8, dtype=np.float64)
-        ts = leg_times_grid(100.0, tau_axis, np.full(8, 1500.0))
-        assert weights_grid(tau_axis, ts, ts, WeightMode.UNIT) == 1.0
+        # unit weighting tabulates no cosines: the kernel multiplies by
+        # nothing, which is the scalar weight 1 exactly
+        grid = GridSpec(0.0, 25.0, 8, 0.0, 1.0, 8, 1)
+        table = LegTable(grid, VelocityModel.constant(1500.0), WeightMode.UNIT)
+        times, cosines = table.legs(100.0, 0, grid.nx)
+        assert cosines is None
+        assert times.shape == (grid.nx, grid.ntau)
+        for tau in grid.tau_axis().tolist():
+            assert weight(0.0, tau, 100.0, 100.0, V2000, WeightMode.UNIT) == 1.0
