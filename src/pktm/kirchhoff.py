@@ -39,9 +39,12 @@ from .traveltime import KernelParams, WeightMode, leg_times_grid
 
 # Memory one job's leg table may take in one process.  Surface positions on
 # a lattice commensurate with the grid share most distances (the benchmark
-# grids need 199 rows, 1.07 MB); past the budget, legs from positions the
-# table has not seen are computed for each trace instead.
-TABLE_BUDGET_BYTES = 64 * 2**20
+# grids need 199 rows and 40 index vectors, 1.15 MB); positions off the
+# lattice share none, and past the budget their legs are computed for each
+# trace instead.  With 400 traces at such positions on the benchmark grid,
+# a threaded 5-velocity scan peaked at 79 MB with this budget, 78 MB with
+# no table and 109 MB with 16 MiB.
+TABLE_BUDGET_BYTES = 2 * 2**20
 
 
 class LegTable:
@@ -68,14 +71,15 @@ class LegTable:
         self._obliquity = weight_mode is WeightMode.OBLIQUITY
         self._row_bytes = (2 if self._obliquity else 1) * grid.ntau * 8
         self._budget = TABLE_BUDGET_BYTES
-        self._max_rows = self._budget // self._row_bytes
+        # made with the first row, so a job that migrates nothing in this
+        # process (the coordinator's) holds no table
+        self._times: np.ndarray | None = None
+        self._cosines: np.ndarray | None = None
         self._lock = threading.Lock()
         self._row_of: dict[float, int] = {}          # distance -> row
         self._rows_at: dict[float, np.ndarray] = {}  # position -> nx rows
         self._bytes = 0
         self._full = False
-        self._times = np.empty((0, grid.ntau))
-        self._cosines = np.empty((0, grid.ntau)) if self._obliquity else None
 
     @property
     def n_rows(self) -> int:
@@ -89,11 +93,10 @@ class LegTable:
             rows = self._rows_at.get(s)
             if rows is None and not self._full:
                 rows = self._add(s)
-            times, cosines = self._times, self._cosines
         if rows is None:
             return self._compute(np.abs(self._x[lo:hi] - s))
         r = rows[lo:hi]  # an index array, so the gathers below copy
-        return times[r], None if cosines is None else cosines[r]
+        return self._times[r], None if self._cosines is None else self._cosines[r]
 
     def _compute(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         t = leg_times_grid(d[:, None], self._tau, self._v)
@@ -112,34 +115,25 @@ class LegTable:
         if self._bytes + added > self._budget:
             self._full = True
             return None
-        n = len(self._row_of)
         if fresh:
+            if self._times is None:
+                # room for every row the budget allows; pages never
+                # written take no memory
+                shape = (self._budget // self._row_bytes, self._tau.size)
+                self._times = np.empty(shape)
+                self._cosines = np.empty(shape) if self._obliquity else None
+            n = len(self._row_of)
+            m = n + len(fresh)
             t, c = self._compute(np.asarray(fresh))
-            self._times = _with_rows(self._times, n, t, self._max_rows)
+            self._times[n:m] = t
             if c is not None:
-                self._cosines = _with_rows(self._cosines, n, c, self._max_rows)
-            self._row_of.update(zip(fresh, range(n, n + len(fresh))))
+                self._cosines[n:m] = c
+            self._row_of.update(zip(fresh, range(n, m)))
         ids = np.array([self._row_of[d] for d in dist], dtype=np.intp)
         rows = ids[inverse.reshape(-1)]
         self._rows_at[s] = rows
         self._bytes += added
         return rows
-
-
-def _with_rows(table: np.ndarray, n: int, new: np.ndarray, max_rows: int) -> np.ndarray:
-    """``table`` with ``new`` written after its first ``n`` rows.
-
-    Rows below ``n`` are never written, so a reader holding the old array
-    keeps valid rows; a full array is replaced by a copy twice as tall.
-    """
-    need = n + new.shape[0]
-    if need > table.shape[0]:
-        grown = np.empty((min(max(need, 2 * table.shape[0]), max_rows),
-                          table.shape[1]))
-        grown[:n] = table[:n]
-        table = grown
-    table[n:need] = new
-    return table
 
 
 @dataclass(frozen=True)

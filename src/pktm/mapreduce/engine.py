@@ -169,7 +169,8 @@ def execute_map_task(
 ) -> None:
     """Run ``map_fn`` over one chunk of records and spill R partition files.
 
-    Keys must be non-negative integers; anything else fails the task.
+    Keys must be non-negative integers (an empty key array may have any
+    dtype); anything else fails the task.
 
     One stable sort by partition id groups the output; each partition's
     records keep their emission order (with the combiner enabled, the order
@@ -180,11 +181,12 @@ def execute_map_task(
     for record in records:
         keys, values = map_fn(record)
         keys = np.asarray(keys)
-        # a cast to uint64 would wrap negative keys without a word
-        if keys.dtype.kind not in "iu":
+        # a cast to uint64 would wrap negative keys without a word; an
+        # empty array (float64 from np.asarray([])) holds no key to check
+        if keys.size and keys.dtype.kind not in "iu":
             raise ValueError(
                 f"map task {task_id}: keys must be integers, got {keys.dtype}")
-        if keys.dtype.kind == "i" and keys.size and keys.min() < 0:
+        if keys.size and keys.dtype.kind == "i" and keys.min() < 0:
             raise ValueError(
                 f"map task {task_id}: keys must be >= 0, got {keys.min()}")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)

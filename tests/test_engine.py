@@ -597,6 +597,22 @@ class TestMapKeyValidation:
         assert totals.keys.tolist() == [3, 4]
         assert totals.totals.tolist() == [2.0, 1.0]
 
+    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
+    def test_empty_keys_of_any_dtype_are_accepted(self, mode, workers,
+                                                  spill_dir):
+        """A record with no output may return ``([], [])``, whose keys
+        np.asarray makes float64."""
+        def sparse(record):
+            if record % 2:
+                return [], []
+            return np.array([record], dtype=np.int64), np.array([1.0])
+
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        spill_dir=spill_dir)
+        totals = run_job([0, 1, 2, 3], sparse, cfg)
+        assert totals.keys.tolist() == [0, 2]
+        assert totals.totals.tolist() == [1.0, 1.0]
+
 
 class TestExecuteMapTask:
     def test_bad_map_fn_shape_rejected(self, tmp_path):
