@@ -58,6 +58,7 @@ import numpy as np
 from ..exactsum import exact_sums, grouped_expansions
 from ..model import GridSpec, ImageGrid
 from . import protocol
+from .heap import keep_task_memory
 from .partition import partitions_of
 from .spill import make_records, read_partition_file, write_partition_file
 
@@ -634,6 +635,8 @@ def run_job(
             config, spill, n_map_tasks, listen, spawn_workers, observer
         ).run()
     else:
+        keep_task_memory()
+
         def run_map(t: int) -> None:
             chunk = records[t * config.chunk_size:(t + 1) * config.chunk_size]
             execute_map_task(t, chunk, map_fn, config.n_partitions,

@@ -693,3 +693,54 @@ class TestReassembleImage:
         kt = KeyedTotals(np.array([24], dtype=np.uint64), np.array([1.0]))
         with pytest.raises(ContractViolationError):
             reassemble_image(kt, self.GRID)
+
+
+# --------------------------------------------------------------------------
+# allocator tuning for repeated tasks
+# --------------------------------------------------------------------------
+
+CHURN_SCRIPT = """
+import resource, sys
+import numpy as np
+from pktm.mapreduce import JobConfig, run_job
+from pktm.mapreduce.heap import keep_task_memory
+if sys.argv[1] == "direct":
+    keep_task_memory()
+    keep_task_memory()
+elif sys.argv[1] == "threaded_job":
+    run_job([1, 2, 3], lambda r: (np.array([r], np.uint64), np.array([1.0])),
+            JobConfig(n_workers=2, mode="threaded", spill_dir=sys.argv[2]))
+def task():
+    arrays = [np.ones(2**17) for _ in range(6)]  # six 1 MiB temporaries
+    del arrays
+task()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    task()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+try:
+    GLIBC = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+except (ValueError, OSError):
+    GLIBC = False
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc only")
+def test_local_jobs_keep_freed_task_memory(spill_dir):
+    # a fresh interpreter each, so no earlier test has tuned the allocator
+    # or moved glibc's dynamic thresholds; untuned, every 1 MiB array is
+    # mapped anew
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    faults = {}
+    for mode in ("untuned", "direct", "threaded_job"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CHURN_SCRIPT, mode, spill_dir],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        faults[mode] = int(proc.stdout)
+    assert faults["untuned"] > 30 * 256
+    assert faults["direct"] < 256
+    assert faults["threaded_job"] < 256
