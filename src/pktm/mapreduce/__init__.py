@@ -1,8 +1,9 @@
 """Deterministic single-machine MapReduce runtime.
 
-Map tasks spill key/value pairs to disk in R partitions by key mod R,
-reduce tasks fold each partition with correctly rounded exact sums, and the
-coordinator merges partitions into one globally key-ordered result.
+Map tasks spill key/value pairs to disk in R partitions by key mod R, one
+file of R regions per task; reduce tasks fold each partition with correctly
+rounded exact sums, and the coordinator merges partitions into one globally
+key-ordered result.
 Serial, threaded, and socket-based multiprocess execution all produce
 bit-identical output.
 """
@@ -12,6 +13,7 @@ from .engine import (
     JobError,
     ContractViolationError,
     KeyedTotals,
+    MapOutputError,
     reassemble_image,
     run_job,
 )
@@ -21,6 +23,7 @@ __all__ = [
     "JobError",
     "ContractViolationError",
     "KeyedTotals",
+    "MapOutputError",
     "reassemble_image",
     "run_job",
 ]

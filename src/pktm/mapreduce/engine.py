@@ -4,7 +4,7 @@ output, reduce each partition with exact sums, merge into key order.
 Output is bit-identical across serial, threaded, and multiprocess modes and
 any worker count because nothing about scheduling reaches the arithmetic:
 
-* a map task's spill files depend only on the task's records (atomic rename
+* a map task's spill file depends only on the task's records (atomic rename
   makes re-execution idempotent, so at-least-once scheduling has exactly-once
   effect);
 * reduce reads map files in task-id order, never completion order;
@@ -17,9 +17,12 @@ any worker count because nothing about scheduling reaches the arithmetic:
   :func:`~pktm.exactsum.grouped_expansions` for one overflow caveat).
 
 A map task groups its output by partition with one stable sort of the
-partition ids.  A reduce task never sorts: :func:`~pktm.exactsum.exact_sums`
-sums its unsorted partition by error-free extraction and returns the keys
-ascending.  The serial reference path sums with
+partition ids and writes it as one file, ``map_{t:05d}.kvp``, whose region p
+holds partition p (see :mod:`~pktm.mapreduce.spill`): a job creates M map
+files and R reduced files, not one file per task and partition.  Reduce task
+p reads only region p of each map file.  A reduce task never sorts:
+:func:`~pktm.exactsum.exact_sums` sums its unsorted partition by error-free
+extraction and returns the keys ascending.  The serial reference path sums with
 :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
 engine is checked against an independent oracle.  The combiner,
 :func:`~pktm.exactsum.grouped_expansions`, runs the same extraction as the
@@ -75,6 +78,14 @@ class JobError(RuntimeError):
 
 class ContractViolationError(ValueError):
     """Reduced output broke an ordering or uniqueness guarantee."""
+
+
+class MapOutputError(ValueError):
+    """``map_fn`` returned keys or values that break the map contract.
+
+    ``map_fn`` is deterministic, so running the task again would fail the
+    same way: the job fails at once instead of retrying it.
+    """
 
 
 @dataclass(frozen=True)
@@ -152,8 +163,8 @@ Observer = Callable[[JobEvent], None]
 # task bodies (shared by every mode and by remote workers)
 # ---------------------------------------------------------------------------
 
-def _map_file(spill: Path, task_id: int, p: int) -> Path:
-    return spill / f"map_{task_id:05d}_p{p:04d}.kvp"
+def _map_file(spill: Path, task_id: int) -> Path:
+    return spill / f"map_{task_id:05d}.kvp"
 
 
 def _reduce_file(spill: Path, p: int) -> Path:
@@ -168,10 +179,12 @@ def execute_map_task(
     combiner_enabled: bool,
     spill: Path,
 ) -> None:
-    """Run ``map_fn`` over one chunk of records and spill R partition files.
+    """Run ``map_fn`` over one chunk of records and spill one file of R
+    regions, region p holding partition p.
 
     Keys must be non-negative integers (an empty key array may have any
-    dtype); anything else fails the task.
+    dtype) and match the values in length; anything else raises
+    :class:`MapOutputError`.
 
     One stable sort by partition id groups the output; each partition's
     records keep their emission order (with the combiner enabled, the order
@@ -185,16 +198,16 @@ def execute_map_task(
         # a cast to uint64 would wrap negative keys without a word; an
         # empty array (float64 from np.asarray([])) holds no key to check
         if keys.size and keys.dtype.kind not in "iu":
-            raise ValueError(
+            raise MapOutputError(
                 f"map task {task_id}: keys must be integers, got {keys.dtype}")
         if keys.size and keys.dtype.kind == "i" and keys.min() < 0:
-            raise ValueError(
+            raise MapOutputError(
                 f"map task {task_id}: keys must be >= 0, got {keys.min()}")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if keys.shape != values.shape or keys.ndim != 1:
-            raise ValueError(f"map task {task_id}: map_fn must return "
-                             "equal-length 1-D key/value arrays")
+            raise MapOutputError(f"map task {task_id}: map_fn must return "
+                                 "equal-length 1-D key/value arrays")
         key_parts.append(keys)
         val_parts.append(values)
     keys = np.concatenate(key_parts)
@@ -208,14 +221,13 @@ def execute_map_task(
     spilled = make_records(keys[order], values[order])
     bounds = np.concatenate(
         ([0], np.cumsum(np.bincount(parts, minlength=n_partitions))))
-    for p in range(n_partitions):
-        write_partition_file(_map_file(spill, task_id, p),
-                             spilled[bounds[p]:bounds[p + 1]])
+    write_partition_file(_map_file(spill, task_id), spilled, bounds)
 
 
 def execute_reduce_task(p: int, n_map_tasks: int, spill: Path) -> None:
     """Fold partition ``p``: one correctly rounded exact sum per key."""
-    chunks = [read_partition_file(_map_file(spill, t, p)) for t in range(n_map_tasks)]
+    chunks = [read_partition_file(_map_file(spill, t), region=p)
+              for t in range(n_map_tasks)]
     keys = np.concatenate([np.empty(0, np.uint64)] + [c["key"] for c in chunks])
     values = np.concatenate([np.empty(0, np.float64)] + [c["value"] for c in chunks])
     del chunks  # free the file buffers before the sum allocates its own
@@ -254,7 +266,8 @@ def _retry_threaded(
     done_kind: str,
 ) -> None:
     """Run every task on ``n_workers`` threads (serial mode passes one),
-    resubmitting a failed task until it has failed ``max_retries + 1`` times."""
+    resubmitting a failed task until it has failed ``max_retries + 1`` times.
+    A :class:`MapOutputError` fails the job at once."""
     attempts = {t: 0 for t in task_ids}
     pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
@@ -268,6 +281,8 @@ def _retry_threaded(
                     if observer:
                         observer(JobEvent(done_kind, ident=t))
                     continue
+                if isinstance(exc, MapOutputError):
+                    raise JobError(f"task {t} rejected: {exc}") from exc
                 attempts[t] += 1
                 if observer:
                     observer(JobEvent("task_retried", ident=t))
@@ -466,6 +481,8 @@ class _Coordinator:
             expected = (kind, msg.ident)
             if state.inflight == expected:
                 state.inflight = None
+            if msg.status == protocol.STATUS_REJECTED:
+                raise JobError(f"{kind} task {msg.ident} rejected: {msg.detail}")
             if msg.status != protocol.STATUS_OK:
                 self._charge_failure(expected, msg.detail or "task reported failure")
             elif kind == self.phase and msg.ident not in self.done:

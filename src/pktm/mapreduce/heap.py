@@ -11,8 +11,8 @@ fixes the thresholds so that arrays up to ``MMAP_THRESHOLD`` come from the
 heap and up to ``TRIM_THRESHOLD`` of free heap stays mapped, and it puts
 every thread on the one main arena, so that the retained memory is counted
 once however many threads a job starts.  The serial and threaded scheduler
-calls it; multiprocess workers run untuned.  Only glibc is tuned; elsewhere
-this is a no-op.
+calls it, and so does every multiprocess worker, forked or spawned, before
+its first task.  Only glibc is tuned; elsewhere this is a no-op.
 """
 
 from __future__ import annotations

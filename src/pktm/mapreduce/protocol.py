@@ -14,7 +14,9 @@ Tags::
     4 REDUCE_DONE    u32 partition id, u8 status, u16 detail len, detail
     5 SHUTDOWN       (empty)
 
-Status 0 means success; 1 carries a failure description in ``detail``.
+Status 0 means success; 1 carries a failure description in ``detail``, and
+the task may be retried; 2 (map tasks only) means ``map_fn``'s output broke
+the map contract, which a retry cannot mend, so the job fails at once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ MAX_FRAME = 1 << 20
 
 STATUS_OK = 0
 STATUS_FAILED = 1
+STATUS_REJECTED = 2
 
 
 class ProtocolError(RuntimeError):

@@ -18,13 +18,15 @@ import socket
 from pathlib import Path
 
 from . import protocol
-from .engine import execute_map_task, execute_reduce_task
+from .engine import MapOutputError, execute_map_task, execute_reduce_task
+from .heap import keep_task_memory
 
 _DETAIL_LIMIT = 1000
 
 
 def worker_main(connect: str) -> int:
     """Serve one coordinator; returns a process exit code."""
+    keep_task_memory()
     host, sep, port = connect.rpartition(":")
     if not sep or not host:
         raise ValueError(f"connect address must be host:port, got {connect!r}")
@@ -64,9 +66,12 @@ def worker_main(connect: str) -> int:
                         map_fn, n_partitions, combiner_enabled, spill)
                     send(protocol.Message(protocol.TASK_DONE, ident=t))
                 except Exception as exc:
+                    # a retry cannot mend output that breaks the contract
+                    rejected = isinstance(exc, MapOutputError)
                     send(protocol.Message(
                         protocol.TASK_DONE, ident=t,
-                        status=protocol.STATUS_FAILED,
+                        status=(protocol.STATUS_REJECTED if rejected
+                                else protocol.STATUS_FAILED),
                         detail=repr(exc)[:_DETAIL_LIMIT]))
             elif msg.tag == protocol.REDUCE_ASSIGN:
                 p = msg.ident

@@ -5,6 +5,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -31,7 +32,7 @@ from pktm.mapreduce.engine import (
     execute_map_task,
     execute_reduce_task,
 )
-from pktm.mapreduce.spill import read_partition_file
+from pktm.mapreduce.spill import SpillFormatError, read_partition_file
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +154,8 @@ class TestKeyedTotals:
 # --------------------------------------------------------------------------
 
 RECORDS = list(range(40))
+ALL_MODES = pytest.mark.parametrize(
+    "mode,workers", [("serial", 1), ("threaded", 2), ("multiprocess", 2)])
 
 
 def run(mode="serial", combiner=False, workers=1, spill=None, **kw):
@@ -573,6 +576,23 @@ def float_key_map(record):
     return np.array([1.0, 3.0]), np.array([1.0, 2.0])
 
 
+class CountedBadMap:
+    """Leave one file in ``calls`` per call, then break the map contract."""
+
+    def __init__(self, calls, bad):
+        self.calls = calls
+        self.bad = bad
+
+    def __call__(self, record):
+        fd, _ = tempfile.mkstemp(dir=self.calls)
+        os.close(fd)
+        if self.bad == "negative":
+            return negative_key_map(record)
+        if self.bad == "float":
+            return float_key_map(record)
+        return np.array([1], dtype=np.uint64), np.array([1.0, 2.0])
+
+
 class TestMapKeyValidation:
     """Keys that a cast to uint64 would change fail their map task."""
 
@@ -587,6 +607,21 @@ class TestMapKeyValidation:
                         max_task_retries=0, spill_dir=spill_dir)
         with pytest.raises(JobError, match=match):
             run_job([0], map_fn, cfg)
+
+    @ALL_MODES
+    @pytest.mark.parametrize("bad", ["negative", "float", "shape"])
+    def test_bad_output_is_not_retried(self, mode, workers, bad, tmp_path,
+                                       spill_dir, worker_import_path):
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        max_task_retries=2, spill_dir=spill_dir)
+        events = []
+        with pytest.raises(JobError, match="rejected: .*map task 0: "):
+            run_job([0], CountedBadMap(str(calls), bad), cfg,
+                    observer=events.append)
+        assert "task_retried" not in [e.kind for e in events]
+        assert len(list(calls.iterdir())) == 1
 
     def test_non_negative_signed_keys_are_accepted(self, spill_dir):
         def signed(record):
@@ -634,17 +669,67 @@ class TestExecuteMapTask:
             emitted = [map_fn(trace) for trace in records]
             keys = np.concatenate([k for k, _ in emitted])
             values = np.concatenate([v for _, v in emitted])
-            assert len(list(tmp_path.glob(f"map_{t:05d}_p*.kvp"))) == r
+            assert sorted(f.name for f in tmp_path.iterdir()) == [
+                f"map_{i:05d}.kvp" for i in range(t + 1)]
+            path = tmp_path / f"map_{t:05d}.kvp"
             for p in range(r):
-                got = read_partition_file(tmp_path / f"map_{t:05d}_p{p:04d}.kvp")
+                got = read_partition_file(path, region=p)
                 mine = keys % np.uint64(r) == p
                 assert got["key"].tobytes() == keys[mine].tobytes()
                 assert got["value"].tobytes() == values[mine].tobytes()
+            with pytest.raises(SpillFormatError, match="out of range"):
+                read_partition_file(path, region=r)
         for p in range(r):
             execute_reduce_task(p, len(tasks), tmp_path)
         image = reassemble_image(_merge_partitions(r, tmp_path), small_job.grid)
         want = migrate_survey_serial(small_survey, small_job)
         assert image.values.tobytes() == want.values.tobytes()
+
+
+def job_dir(root):
+    (job,) = [d for d in Path(root).iterdir() if d.name.startswith("job-")]
+    return job
+
+
+class TestSpillLayout:
+    @ALL_MODES
+    def test_one_file_per_map_task_and_partition(self, mode, workers,
+                                                  spill_dir,
+                                                  worker_import_path):
+        """Once the last reduce task is done, the job's spill directory
+        holds M map files and R reduced files (and the multiprocess
+        manifest), nothing else."""
+        listings = []
+
+        def observe(event):
+            if event.kind == "reduce_task_done":
+                listings.append(sorted(f.name for f in job_dir(spill_dir).iterdir()))
+
+        cfg = JobConfig(n_partitions=5, n_workers=workers, mode=mode,
+                        chunk_size=7, spill_dir=spill_dir)
+        run_job(RECORDS, toy_map, cfg, observer=observe)
+        want = ([f"map_{t:05d}.kvp" for t in range(6)]
+                + (["manifest.pkl"] if mode == "multiprocess" else [])
+                + [f"reduced_p{p:04d}.kvp" for p in range(5)])
+        assert len(listings) == 5
+        assert listings[-1] == sorted(want)
+
+    @ALL_MODES
+    def test_truncated_map_file_fails_the_job(self, mode, workers, spill_dir,
+                                              worker_import_path):
+        done = []
+
+        def truncate_after_map_phase(event):
+            if event.kind == "map_task_done":
+                done.append(event.ident)
+                if len(done) == 6:
+                    path = job_dir(spill_dir) / "map_00003.kvp"
+                    path.write_bytes(path.read_bytes()[:-1])
+
+        cfg = JobConfig(n_partitions=5, n_workers=workers, mode=mode,
+                        chunk_size=7, spill_dir=spill_dir)
+        with pytest.raises(JobError, match=r"map_00003\.kvp: expected \d+ bytes"):
+            run_job(RECORDS, toy_map, cfg, observer=truncate_after_map_phase)
 
 
 class TestParseListen:
@@ -744,3 +829,41 @@ def test_local_jobs_keep_freed_task_memory(spill_dir):
     assert faults["untuned"] > 30 * 256
     assert faults["direct"] < 256
     assert faults["threaded_job"] < 256
+
+
+MP_CHURN_SCRIPT = """
+import resource, sys
+import numpy as np
+from pktm.mapreduce import JobConfig, run_job
+def task():
+    arrays = [np.ones(2**17) for _ in range(6)]  # six 1 MiB temporaries
+    del arrays
+def churn(record):
+    task()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(30):
+        task()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return np.array([record], np.uint64), np.array([float(faults)])
+totals = run_job([0, 1, 2, 3], churn,
+                 JobConfig(n_workers=2, mode="multiprocess", chunk_size=1,
+                           spill_dir=sys.argv[1]))
+print(int(totals.totals.max()))
+print(int(churn(0)[1][0]))  # this process never tuned its allocator
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc only")
+def test_multiprocess_workers_keep_freed_task_memory(spill_dir):
+    # a fresh single-threaded interpreter, so its workers are forked from
+    # a process whose allocator nothing has tuned
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", MP_CHURN_SCRIPT, spill_dir],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    worker, untuned = (int(line) for line in proc.stdout.split())
+    assert untuned > 30 * 256
+    assert worker < 256

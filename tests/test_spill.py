@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from pktm.mapreduce import spill
 from pktm.mapreduce.spill import (
     MAGIC,
     SpillFormatError,
@@ -17,6 +18,18 @@ def records(keys, values):
         np.asarray(keys, dtype=np.uint64),
         np.asarray(values, dtype=np.float64),
     )
+
+
+# five regions over seven records; regions 0 and 3 are empty
+KEYS = [5, 1, 6, 11, 3, 3, 9]
+VALUES = [0.5, -1.0, 1e-300, 2.5, -0.0, 7.0, 3.25]
+BOUNDS = [0, 0, 2, 5, 5, 7]
+
+
+def regioned(path):
+    recs = records(KEYS, VALUES)
+    write_partition_file(path, recs, np.array(BOUNDS))
+    return recs
 
 
 class TestRoundtrip:
@@ -48,10 +61,44 @@ class TestRoundtrip:
         write_partition_file(b, recs)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_regioned_byte_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.kvp", tmp_path / "b.kvp"
+        regioned(a)
+        regioned(b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_no_temp_files_left(self, tmp_path):
         path = tmp_path / "x.kvp"
         write_partition_file(path, records([1], [1.0]))
         assert [p.name for p in tmp_path.iterdir()] == ["x.kvp"]
+
+    def test_all_regions_round_trip(self, tmp_path):
+        path = tmp_path / "r.kvp"
+        recs = regioned(path)
+        assert read_partition_file(path).tobytes() == recs.tobytes()
+
+    def test_each_region_is_its_slice(self, tmp_path):
+        path = tmp_path / "r.kvp"
+        recs = regioned(path)
+        for r in range(len(BOUNDS) - 1):
+            got = read_partition_file(path, region=r)
+            assert got.dtype == recs.dtype
+            assert got.tobytes() == recs[BOUNDS[r]:BOUNDS[r + 1]].tobytes()
+
+    def test_empty_regions_of_an_empty_file(self, tmp_path):
+        path = tmp_path / "e.kvp"
+        write_partition_file(path, records([], []), np.zeros(4, np.int64))
+        for r in range(3):
+            assert len(read_partition_file(path, region=r)) == 0
+
+    @pytest.mark.parametrize("bounds", [
+        [0], [1, 7], [0, 3], [0, 8], [0, 5, 2, 7], [[0, 7]],
+    ])
+    def test_writer_rejects_bad_bounds(self, tmp_path, bounds):
+        with pytest.raises(ValueError):
+            write_partition_file(tmp_path / "b.kvp", records(KEYS, VALUES),
+                                 np.array(bounds))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHeaderLayout:
@@ -59,34 +106,63 @@ class TestHeaderLayout:
         path = tmp_path / "h.kvp"
         write_partition_file(path, records([10, 20], [1.0, 2.0]))
         raw = path.read_bytes()
-        assert raw[:4] == MAGIC
-        assert struct.unpack_from("<I", raw, 4)[0] == 2
-        assert len(raw) == 8 + 2 * 16
+        assert raw[:4] == MAGIC == b"KVP3"
+        assert struct.unpack_from("<I2Q", raw, 4) == (1, 0, 2)
+        assert len(raw) == 8 + 2 * 8 + 2 * 16
 
     def test_record_is_16_bytes(self, tmp_path):
         path = tmp_path / "r.kvp"
         write_partition_file(path, records([7], [1.25]))
-        raw = path.read_bytes()[8:]
+        raw = path.read_bytes()[8 + 2 * 8:]
         assert struct.unpack("<Qd", raw) == (7, 1.25)
+
+    def test_region_index(self, tmp_path):
+        path = tmp_path / "r.kvp"
+        regioned(path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I6Q", raw, 4) == (5, *BOUNDS)
+        records_at = 8 + 6 * 8
+        assert len(raw) == records_at + 7 * 16
+        assert struct.unpack_from("<Qd", raw, records_at + 2 * 16) == (6, 1e-300)
+
+
+def index_file(path, n_regions, bounds, n_records):
+    """A hand-made spill file: header, the given index, zeroed records."""
+    path.write_bytes(MAGIC + struct.pack(f"<I{len(bounds)}Q", n_regions, *bounds)
+                     + bytes(16 * n_records))
 
 
 class TestCorruptInputs:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.kvp"
-        path.write_bytes(b"NOPE" + struct.pack("<I", 0))
-        with pytest.raises(SpillFormatError):
+        path.write_bytes(b"NOPE" + struct.pack("<I2Q", 1, 0, 0))
+        with pytest.raises(SpillFormatError, match="bad magic"):
             read_partition_file(path)
 
     def test_previous_format_rejected(self, tmp_path):
         path = tmp_path / "old.kvp"
-        path.write_bytes(b"KVP1" + struct.pack("<I", 1) + bytes(24))
-        with pytest.raises(SpillFormatError):
-            read_partition_file(path)
+        for magic in (b"KVP1", b"KVP2"):
+            path.write_bytes(magic + struct.pack("<I", 1) + bytes(24))
+            with pytest.raises(SpillFormatError, match="bad magic"):
+                read_partition_file(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.kvp"
         path.write_bytes(MAGIC[:2])
-        with pytest.raises(SpillFormatError):
+        with pytest.raises(SpillFormatError, match="truncated header"):
+            read_partition_file(path)
+
+    def test_truncated_index(self, tmp_path):
+        path = tmp_path / "short.kvp"
+        regioned(path)
+        path.write_bytes(path.read_bytes()[:8 + 5 * 8])
+        with pytest.raises(SpillFormatError, match="index of 5 regions"):
+            read_partition_file(path)
+
+    def test_zero_regions(self, tmp_path):
+        path = tmp_path / "zero.kvp"
+        index_file(path, 0, [0], 0)
+        with pytest.raises(SpillFormatError, match="index of 0 regions"):
             read_partition_file(path)
 
     def test_truncated_records(self, tmp_path):
@@ -106,9 +182,77 @@ class TestCorruptInputs:
 
     def test_count_larger_than_payload(self, tmp_path):
         path = tmp_path / "overcount.kvp"
-        path.write_bytes(MAGIC + struct.pack("<I", 5))
-        with pytest.raises(SpillFormatError):
+        path.write_bytes(MAGIC + struct.pack("<I2Q", 1, 0, 5))
+        with pytest.raises(SpillFormatError, match="expected 104 bytes"):
             read_partition_file(path)
+
+    def test_first_bound_not_zero(self, tmp_path):
+        path = tmp_path / "first.kvp"
+        index_file(path, 2, [1, 1, 2], 2)
+        with pytest.raises(SpillFormatError, match="first bound is 1"):
+            read_partition_file(path, region=1)
+
+    def test_decreasing_bounds(self, tmp_path):
+        path = tmp_path / "down.kvp"
+        index_file(path, 3, [0, 3, 1, 3], 3)
+        with pytest.raises(SpillFormatError, match="bounds decrease"):
+            read_partition_file(path, region=0)
+
+    @pytest.mark.parametrize("region", [-1, 5, 6])
+    def test_region_out_of_range(self, tmp_path, region):
+        path = tmp_path / "r.kvp"
+        regioned(path)
+        with pytest.raises(SpillFormatError, match="out of range"):
+            read_partition_file(path, region=region)
+
+    def test_short_read_is_an_error(self, tmp_path, monkeypatch):
+        """A file that shrinks between the size check and the read."""
+        path = tmp_path / "r.kvp"
+        regioned(path)
+        real_open = open
+
+        class Shrinking:
+            def __init__(self, f):
+                self._f = f
+
+            def __getattr__(self, name):
+                return getattr(self._f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+            def read(self, n=-1):
+                data = self._f.read(n)
+                return data[:-1] if n > 100 else data
+
+        monkeypatch.setattr(spill, "open",
+                            lambda *a, **k: Shrinking(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(SpillFormatError, match="short read of records"):
+            read_partition_file(path)
+
+    @pytest.mark.parametrize("what,offset", [
+        ("magic", 0), ("region count", 4), ("first bound", 8),
+        ("last bound", 8 + 5 * 8),
+    ])
+    def test_every_byte_change_is_rejected(self, tmp_path, what, offset):
+        path = tmp_path / "r.kvp"
+        regioned(path)
+        good = path.read_bytes()
+        width = 4 if what in ("magic", "region count") else 8
+        for i in range(offset, offset + width):
+            for value in range(256):
+                if value == good[i]:
+                    continue
+                bad = bytearray(good)
+                bad[i] = value
+                path.write_bytes(bad)
+                for region in (None, 2):
+                    with pytest.raises(SpillFormatError):
+                        read_partition_file(path, region=region)
 
 
 class TestMakeRecords:
