@@ -19,8 +19,10 @@ any worker count because nothing about scheduling reaches the arithmetic:
 A map task groups its output by partition with one stable sort of the
 partition ids and writes it as one file, ``map_{t:05d}.kvp``, whose region p
 holds partition p (see :mod:`~pktm.mapreduce.spill`): a job creates M map
-files and R reduced files, not one file per task and partition.  Reduce task
-p reads only region p of each map file.  A reduce task never sorts:
+files and R reduced files, not one file per task and partition.  The files
+are columnar, so the map side writes its sorted keys and values as they
+are, and reduce task p reads region p of every map file straight into one
+key array and one value array.  A reduce task never sorts:
 :func:`~pktm.exactsum.exact_sums` sums its unsorted partition by error-free
 extraction and returns the keys ascending.  The serial reference path sums with
 :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
@@ -63,7 +65,7 @@ from ..model import GridSpec, ImageGrid
 from . import protocol
 from .heap import keep_task_memory
 from .partition import partitions_of
-from .spill import make_records, read_partition_file, write_partition_file
+from .spill import read_columns, write_columns
 
 MODES = ("serial", "threaded", "multiprocess")
 
@@ -214,43 +216,40 @@ def execute_map_task(
     values = np.concatenate(val_parts)
     if combiner_enabled and keys.size:
         keys, values = grouped_expansions(keys, values)
-    # narrow ids (uint8 for R <= 256) let numpy radix-sort them
-    parts = partitions_of(keys, n_partitions).astype(
-        np.min_scalar_type(n_partitions - 1))
-    order = np.argsort(parts, kind="stable")
-    spilled = make_records(keys[order], values[order])
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(parts, minlength=n_partitions))))
-    write_partition_file(_map_file(spill, task_id), spilled, bounds)
+    parts = partitions_of(keys, n_partitions)
+    # count the int64 ids (bincount would cast narrow ones back to intp),
+    # then narrow them (uint8 for R <= 256) so that numpy radix-sorts them
+    bounds = np.zeros(n_partitions + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parts, minlength=n_partitions), out=bounds[1:])
+    order = np.argsort(parts.astype(np.min_scalar_type(n_partitions - 1)),
+                       kind="stable")
+    write_columns(_map_file(spill, task_id), keys[order], values[order], bounds)
 
 
 def execute_reduce_task(p: int, n_map_tasks: int, spill: Path) -> None:
     """Fold partition ``p``: one correctly rounded exact sum per key."""
-    chunks = [read_partition_file(_map_file(spill, t), region=p)
-              for t in range(n_map_tasks)]
-    keys = np.concatenate([np.empty(0, np.uint64)] + [c["key"] for c in chunks])
-    values = np.concatenate([np.empty(0, np.float64)] + [c["value"] for c in chunks])
-    del chunks  # free the file buffers before the sum allocates its own
-    write_partition_file(_reduce_file(spill, p),
-                         make_records(*exact_sums(keys, values)))
+    keys, values = read_columns(
+        [_map_file(spill, t) for t in range(n_map_tasks)], region=p)
+    write_columns(_reduce_file(spill, p), *exact_sums(keys, values))
 
 
 def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
     """Combine reduced partitions into one strictly ascending key stream."""
-    parts = []
+    key_parts, total_parts = [], []
     for p in range(n_partitions):
-        rec = read_partition_file(_reduce_file(spill, p))
-        if rec.shape[0] and not np.all(rec["key"][1:] > rec["key"][:-1]):
+        keys, totals = read_columns([_reduce_file(spill, p)])
+        if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
             raise ContractViolationError(
                 f"partition {p} keys are not strictly ascending")
-        parts.append(rec)
-    merged = np.concatenate(parts)
-    order = np.argsort(merged["key"], kind="stable")
-    keys = merged["key"][order]
-    totals = merged["value"][order]
+        key_parts.append(keys)
+        total_parts.append(totals)
+    keys = np.concatenate(key_parts)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    totals = np.concatenate(total_parts)[order]
     if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
         raise ContractViolationError("merged keys are not strictly ascending")
-    return KeyedTotals(keys.copy(), totals.copy())
+    return KeyedTotals(keys, totals)
 
 
 # ---------------------------------------------------------------------------

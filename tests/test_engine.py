@@ -831,6 +831,43 @@ def test_local_jobs_keep_freed_task_memory(spill_dir):
     assert faults["threaded_job"] < 256
 
 
+REDUCE_CHURN_SCRIPT = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from pktm.mapreduce.engine import execute_map_task, execute_reduce_task
+from pktm.mapreduce.heap import keep_task_memory
+keep_task_memory()
+def emit(seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 300_000, 160_000, dtype=np.uint64),
+            rng.standard_normal(160_000))
+spill = Path(sys.argv[1])
+for t in range(4):  # one partition of 640k records, 5 MB per array
+    execute_map_task(t, [t], emit, 1, False, spill)
+execute_reduce_task(0, 4, spill)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+execute_reduce_task(0, 4, spill)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="glibc only")
+def test_reduce_tasks_keep_freed_task_memory(spill_dir):
+    # a reduce task's key and value arrays pass glibc's default 4 MiB cap
+    # on the mmap threshold; unless they come from the heap and stay there,
+    # each array is mapped anew and every one of its pages faults again
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", REDUCE_CHURN_SCRIPT, spill_dir],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one_array_pages = 640_000 * 8 // os.sysconf("SC_PAGE_SIZE")
+    assert int(proc.stdout) < one_array_pages
+
+
 MP_CHURN_SCRIPT = """
 import resource, sys
 import numpy as np

@@ -34,6 +34,15 @@ class TestPartitionOf:
     def test_matches_key_mod(self, key, r):
         assert partitions_of(np.array([key], dtype=np.uint64), r)[0] == key % r
 
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=50)
+           .map(lambda ks: ks + EDGE_KEYS),
+           st.integers(1, 1 << 16))
+    def test_matches_numpy_modulus(self, keys, r):
+        keys = np.array(keys, dtype=np.uint64)
+        got = partitions_of(keys, r)
+        assert got.dtype == np.int64
+        assert got.tolist() == (keys % np.uint64(r)).tolist()
+
 
 class TestPartitionsOfVectorized:
     def test_matches_scalar(self):

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,9 @@ from pktm.mapreduce.spill import (
     MAGIC,
     SpillFormatError,
     make_records,
+    read_columns,
     read_partition_file,
+    write_columns,
     write_partition_file,
 )
 
@@ -106,9 +109,10 @@ class TestHeaderLayout:
         path = tmp_path / "h.kvp"
         write_partition_file(path, records([10, 20], [1.0, 2.0]))
         raw = path.read_bytes()
-        assert raw[:4] == MAGIC == b"KVP3"
+        assert raw[:4] == MAGIC == b"KVP4"
         assert struct.unpack_from("<I2Q", raw, 4) == (1, 0, 2)
         assert len(raw) == 8 + 2 * 8 + 2 * 16
+        assert struct.unpack_from("<2Q2d", raw, 8 + 2 * 8) == (10, 20, 1.0, 2.0)
 
     def test_record_is_16_bytes(self, tmp_path):
         path = tmp_path / "r.kvp"
@@ -121,9 +125,14 @@ class TestHeaderLayout:
         regioned(path)
         raw = path.read_bytes()
         assert struct.unpack_from("<I6Q", raw, 4) == (5, *BOUNDS)
-        records_at = 8 + 6 * 8
-        assert len(raw) == records_at + 7 * 16
-        assert struct.unpack_from("<Qd", raw, records_at + 2 * 16) == (6, 1e-300)
+        keys_at = 8 + 6 * 8
+        values_at = keys_at + 7 * 8
+        assert len(raw) == values_at + 7 * 8
+        assert struct.unpack_from("<7Q", raw, keys_at) == tuple(KEYS)
+        assert (np.frombuffer(raw, "<f8", 7, values_at).tobytes()
+                == np.array(VALUES).tobytes())
+        assert struct.unpack_from("<Q", raw, keys_at + 2 * 8) == (6,)
+        assert struct.unpack_from("<d", raw, values_at + 2 * 8) == (1e-300,)
 
 
 def index_file(path, n_regions, bounds, n_records):
@@ -141,7 +150,7 @@ class TestCorruptInputs:
 
     def test_previous_format_rejected(self, tmp_path):
         path = tmp_path / "old.kvp"
-        for magic in (b"KVP1", b"KVP2"):
+        for magic in (b"KVP1", b"KVP2", b"KVP3"):
             path.write_bytes(magic + struct.pack("<I", 1) + bytes(24))
             with pytest.raises(SpillFormatError, match="bad magic"):
                 read_partition_file(path)
@@ -209,28 +218,14 @@ class TestCorruptInputs:
         """A file that shrinks between the size check and the read."""
         path = tmp_path / "r.kvp"
         regioned(path)
-        real_open = open
+        real_read_index = spill._read_index
 
-        class Shrinking:
-            def __init__(self, f):
-                self._f = f
+        def then_shrink(f, name):
+            index = real_read_index(f, name)
+            os.truncate(name, os.path.getsize(name) - 1)
+            return index
 
-            def __getattr__(self, name):
-                return getattr(self._f, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._f.close()
-
-            def read(self, n=-1):
-                data = self._f.read(n)
-                return data[:-1] if n > 100 else data
-
-        monkeypatch.setattr(spill, "open",
-                            lambda *a, **k: Shrinking(real_open(*a, **k)),
-                            raising=False)
+        monkeypatch.setattr(spill, "_read_index", then_shrink)
         with pytest.raises(SpillFormatError, match="short read of records"):
             read_partition_file(path)
 
@@ -253,6 +248,87 @@ class TestCorruptInputs:
                 for region in (None, 2):
                     with pytest.raises(SpillFormatError):
                         read_partition_file(path, region=region)
+
+
+# three files of four regions; region 1 is empty in every file, and the
+# second file holds no records at all
+FILES = [
+    ([4, 8, 8, 1, 2], [0.25, -3.0, 5e-324, 1e300, -0.0], [0, 2, 2, 3, 5]),
+    ([], [], [0, 0, 0, 0, 0]),
+    ([(1 << 64) - 1, 0, 9], [np.inf, -1.5, 2.0], [0, 1, 1, 1, 3]),
+]
+
+
+def write_files(tmp_path):
+    paths = []
+    for i, (keys, values, bounds) in enumerate(FILES):
+        paths.append(tmp_path / f"map_{i}.kvp")
+        write_columns(paths[-1], np.array(keys, np.uint64),
+                      np.array(values, np.float64), np.array(bounds))
+    return paths
+
+
+class TestColumns:
+    def test_round_trip_of_every_region(self, tmp_path):
+        paths = write_files(tmp_path)
+        for path, (keys, values, _) in zip(paths, FILES):
+            got_keys, got_values = read_columns([path])
+            assert got_keys.dtype == np.uint64
+            assert got_values.dtype == np.float64
+            assert got_keys.tolist() == keys
+            assert got_values.tobytes() == np.array(values, np.float64).tobytes()
+
+    def test_each_region_is_its_slice(self, tmp_path):
+        paths = write_files(tmp_path)
+        for path, (keys, values, bounds) in zip(paths, FILES):
+            keys = np.array(keys, np.uint64)
+            values = np.array(values, np.float64)
+            for r in range(len(bounds) - 1):
+                got_keys, got_values = read_columns([path], region=r)
+                lo, hi = bounds[r], bounds[r + 1]
+                assert got_keys.tobytes() == keys[lo:hi].tobytes()
+                assert got_values.tobytes() == values[lo:hi].tobytes()
+
+    def test_region_gathered_across_files(self, tmp_path):
+        paths = write_files(tmp_path)
+        for r in range(4):
+            keys, values = read_columns(paths, region=r)
+            parts = [read_columns([p], region=r) for p in paths]
+            assert keys.tobytes() == np.concatenate(
+                [k for k, _ in parts]).tobytes()
+            assert values.tobytes() == np.concatenate(
+                [v for _, v in parts]).tobytes()
+        keys, _ = read_columns(paths[::-1], region=0)
+        assert keys.tolist() == [(1 << 64) - 1, 4, 8]
+
+    def test_no_files(self):
+        keys, values = read_columns([], region=0)
+        assert keys.shape == values.shape == (0,)
+
+    def test_byte_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        assert ([p.read_bytes() for p in write_files(a)]
+                == [p.read_bytes() for p in write_files(b)])
+
+    def test_matches_the_record_writer(self, tmp_path):
+        a, b = tmp_path / "a.kvp", tmp_path / "b.kvp"
+        recs = regioned(a)
+        write_columns(b, recs["key"], recs["value"], np.array(BOUNDS))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_one_bad_file_fails_the_gather(self, tmp_path):
+        paths = write_files(tmp_path)
+        paths[1].write_bytes(b"KVP3" + paths[1].read_bytes()[4:])
+        with pytest.raises(SpillFormatError, match="bad magic"):
+            read_columns(paths, region=0)
+
+    def test_mismatched_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "m.kvp", np.array([1], np.uint64),
+                          np.array([1.0, 2.0]))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMakeRecords:
