@@ -20,7 +20,7 @@ import numpy as np
 
 from .kirchhoff import MigrationJob, forward_model, stack_offsets
 from .mapreduce import ContractViolationError, JobConfig, JobError
-from .mapreduce.protocol import ProtocolError
+from .mapreduce.protocol import ProtocolError, parse_hostport
 from .model import (
     GridSpec,
     ImageGrid,
@@ -92,14 +92,10 @@ def _scatterer(text: str) -> Scatterer:
 
 
 def _hostport(text: str) -> str:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise argparse.ArgumentTypeError(
-            f"expected host:port, got {text!r}")
     try:
-        int(port)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad port in {text!r}") from None
+        parse_hostport(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

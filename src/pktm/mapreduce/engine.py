@@ -30,21 +30,29 @@ engine is checked against an independent oracle.  The combiner,
 :func:`~pktm.exactsum.grouped_expansions`, runs the same extraction as the
 reduce on each map task's unsorted output and emits the digits unrounded.
 
-In multiprocess mode the coordinator forks its local workers, so each one
-starts with numpy and pktm already imported.  Forking a process that runs
-other threads can deadlock the child, so when another Python thread is
-alive, or the platform has no ``os.fork``, each local worker is a fresh
-``python -m pktm worker --connect`` interpreter instead.  Either way the
-coordinator reaps its own children.  Workers started elsewhere against
-``listen`` use that same entry point.
+One scheduler, :func:`_retry_threaded`, runs every mode: all map tasks,
+then all reduce tasks, on runner threads with one retry budget.  Only the
+runner differs.  Serial and threaded runners run the task body in this
+process.  A multiprocess job has one runner per worker slot (one per local
+worker, or ``n_workers`` when it starts none), which hands its task to an
+idle worker and waits for the reply (see :class:`_WorkerPool`).
+
+A multiprocess job forks its local workers before any runner thread
+starts, so each one starts with numpy and pktm already imported.  Forking
+a process that runs other threads can deadlock the child, so when another
+Python thread is alive, or the platform has no ``os.fork``, each local
+worker is a fresh ``python -m pktm worker --connect`` interpreter instead.
+Either way the job reaps its own children.  Workers started elsewhere
+against ``listen`` use that same entry point.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
-import selectors
+import queue
 import shutil
 import socket
 import subprocess
@@ -52,11 +60,10 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +78,7 @@ MODES = ("serial", "threaded", "multiprocess")
 
 SPILL_DIR_ENV = "PKTM_SPILL_DIR"
 _REGISTRATION_TIMEOUT = 30.0
+_ACCEPT_POLL = 0.05     # seconds a runner waits in accept between checks
 _JOB_SEQ = 0
 
 
@@ -253,43 +261,74 @@ def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
 
 
 # ---------------------------------------------------------------------------
-# local (serial / threaded) execution
+# the scheduler, shared by every mode
 # ---------------------------------------------------------------------------
 
+class _Fatal(Exception):
+    """A task runner's error that no retry can mend: the scheduler fails
+    the job with ``error`` at once."""
+
+    def __init__(self, error: BaseException):
+        super().__init__(error)
+        self.error = error
+
+
 def _retry_threaded(
+    kind: str,
     task_ids: Sequence[int],
-    runner: Callable[[int], None],
-    n_workers: int,
+    runner: Callable[[int], tuple[int, int] | None],
+    n_slots: int,
     max_retries: int,
     observer: Observer | None,
-    done_kind: str,
+    abort: Callable[[], None] | None = None,
 ) -> None:
-    """Run every task on ``n_workers`` threads (serial mode passes one),
-    resubmitting a failed task until it has failed ``max_retries + 1`` times.
-    A :class:`MapOutputError` fails the job at once."""
+    """Run every ``kind`` ("map" or "reduce") task on ``n_slots`` runner
+    threads, resubmitting a failed task until it has failed
+    ``max_retries + 1`` times.
+
+    ``runner(t)`` returns the (pid, worker_id) of the worker process that
+    ran task t, or None when the task ran in this process.  A
+    :class:`MapOutputError` or :class:`_Fatal` fails the job at once.
+    Whatever fails the job calls ``abort`` before the runner threads are
+    joined, so that no runner waits out a task timeout.
+    """
     attempts = {t: 0 for t in task_ids}
-    pool = ThreadPoolExecutor(max_workers=n_workers)
+    finished = queue.SimpleQueue()    # (task id, future) of each attempt
+    pool = ThreadPoolExecutor(max_workers=n_slots)
+
+    def submit(t: int) -> None:
+        pool.submit(runner, t).add_done_callback(
+            lambda fut: finished.put((t, fut)))
+
     try:
-        futures = {pool.submit(runner, t): t for t in task_ids}
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                t = futures.pop(fut)
-                exc = fut.exception()
-                if exc is None:
-                    if observer:
-                        observer(JobEvent(done_kind, ident=t))
-                    continue
-                if isinstance(exc, MapOutputError):
-                    raise JobError(f"task {t} rejected: {exc}") from exc
-                attempts[t] += 1
+        for t in task_ids:
+            submit(t)
+        left = len(attempts)
+        while left:
+            t, fut = finished.get()
+            exc = fut.exception()
+            if exc is None:
+                left -= 1
                 if observer:
-                    observer(JobEvent("task_retried", ident=t))
-                if attempts[t] > max_retries:
-                    raise JobError(
-                        f"task {t} failed after {attempts[t]} attempts: {exc}"
-                    ) from exc
-                futures[pool.submit(runner, t)] = t
+                    pid, worker_id = fut.result() or (0, -1)
+                    observer(JobEvent(f"{kind}_task_done", ident=t,
+                                      pid=pid, worker_id=worker_id))
+                continue
+            if isinstance(exc, _Fatal):
+                raise exc.error
+            if isinstance(exc, MapOutputError):
+                raise JobError(f"{kind} task {t} rejected: {exc}") from exc
+            attempts[t] += 1
+            if observer:
+                observer(JobEvent("task_retried", ident=t))
+            if attempts[t] > max_retries:
+                raise JobError(f"{kind} task {t} failed after "
+                               f"{attempts[t]} attempts: {exc}") from exc
+            submit(t)
+    except BaseException:
+        if abort:
+            abort()
+        raise
     finally:
         # whatever ends the wait (a spent budget, an observer error,
         # Ctrl-C), no queued task may start after it
@@ -297,26 +336,12 @@ def _retry_threaded(
 
 
 # ---------------------------------------------------------------------------
-# multiprocess coordinator
+# multiprocess workers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _WorkerState:
-    conn: socket.socket
-    worker_id: int
-    pid: int = 0
-    registered: bool = False
-    inflight: tuple[str, int] | None = None   # ("map"|"reduce", ident)
-    deadline: float = 0.0
-    buf: protocol.FrameBuffer = None
-
-    def __post_init__(self):
-        self.buf = protocol.FrameBuffer()
-
 
 class _SpawnedWorker:
     """A ``pktm worker`` in a fresh interpreter, behind the subset of the
-    :class:`multiprocessing.Process` interface the coordinator uses."""
+    :class:`multiprocessing.Process` interface the pool uses."""
 
     def __init__(self, connect: str):
         self._popen = subprocess.Popen(
@@ -339,41 +364,48 @@ class _SpawnedWorker:
         self._popen.kill()
 
 
-class _Coordinator:
-    """Single-threaded socket event loop driving remote workers."""
+class _Worker(NamedTuple):
+    conn: socket.socket
+    pid: int
+    worker_id: int
 
-    def __init__(
-        self,
-        config: JobConfig,
-        spill: Path,
-        n_map_tasks: int,
-        listen: str | None,
-        spawn_workers: int | None,
-        observer: Observer | None,
-    ):
-        self.config = config
-        self.spill = spill
-        self.n_map_tasks = n_map_tasks
-        self.observer = observer
-        host, port = _parse_listen(listen)
-        self.listener = socket.create_server((host, port))
-        self.listener.setblocking(False)
-        self.addr = self.listener.getsockname()[:2]
-        self.sel = selectors.DefaultSelector()
-        self.sel.register(self.listener, selectors.EVENT_READ, None)
-        self.workers: dict[socket.socket, _WorkerState] = {}
-        self.procs: list = []   # multiprocessing.Process | _SpawnedWorker
-        self.next_worker_id = 0
-        self.attempts: dict[tuple[str, int], int] = {}
-        self.phase = "map" if n_map_tasks else "reduce"
-        self.pending: deque[int] = (
-            deque(range(n_map_tasks)) if n_map_tasks
-            else deque(range(config.n_partitions)))
-        self.done: set[int] = set()
-        self.ever_registered = False
-        self.started = time.monotonic()
+
+_REPLY_TAG = {protocol.TASK_ASSIGN: protocol.TASK_DONE,
+              protocol.REDUCE_ASSIGN: protocol.REDUCE_DONE}
+
+
+class _WorkerPool:
+    """The worker processes of a multiprocess job and their connections.
+
+    Making the pool opens the listener and starts the local workers, before
+    any runner thread exists.  :meth:`run_task` is the task runner of
+    :func:`_retry_threaded`: it runs one task on an idle registered worker,
+    or registers the next worker that connects.  It reports
+    ``worker_registered`` before the worker's first task and
+    ``worker_lost`` when a worker fails it.
+    """
+
+    def __init__(self, config: JobConfig, spill: Path, listen: str | None,
+                 spawn_workers: int | None, observer: Observer | None):
+        self.task_timeout = config.task_timeout
+        self.manifest = str(spill / "manifest.pkl")
+        self._observer = observer
+        self._notify_lock = threading.Lock()
+        self.listener = socket.create_server(
+            protocol.parse_hostport(listen or "127.0.0.1:0"))
+        self.listener.settimeout(_ACCEPT_POLL)
+        self._lock = threading.Lock()      # guards the five fields below
+        self._conns: set[socket.socket] = set()   # accepted and not lost
+        self._idle: list[_Worker] = []
+        self._next_id = 0
+        self._ever_registered = False
+        self._closed = False
+        self._started = time.monotonic()
         n_spawn = config.n_workers if spawn_workers is None else spawn_workers
-        connect = f"{self.addr[0]}:{self.addr[1]}"
+        self.n_slots = n_spawn or config.n_workers
+        self.procs: list = []   # multiprocessing.Process | _SpawnedWorker
+        host, port = self.listener.getsockname()[:2]
+        connect = f"{host}:{port}"
         if hasattr(os, "fork") and threading.active_count() == 1:
             fork = multiprocessing.get_context("fork")
             for _ in range(n_spawn):
@@ -384,11 +416,10 @@ class _Coordinator:
             self.procs.extend(_SpawnedWorker(connect) for _ in range(n_spawn))
 
     def _forked_worker(self, connect: str) -> None:
-        """Body of a forked local worker: drop the coordinator's sockets,
-        silence stdout/stderr like the spawned interpreter, then serve."""
+        """Body of a forked local worker: drop the job's listener, silence
+        stdout/stderr like the spawned interpreter, then serve."""
         from .worker import worker_main
 
-        self.sel.close()
         self.listener.close()
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
@@ -396,207 +427,163 @@ class _Coordinator:
         os.close(devnull)
         sys.exit(worker_main(connect))
 
-    # -- event helpers ----------------------------------------------------
+    def notify(self, event: JobEvent) -> None:
+        """Pass ``event`` to the observer, one call at a time; once the job
+        has ended, nothing more is reported."""
+        if self._observer:
+            with self._notify_lock:
+                if not self._closed:
+                    self._observer(event)
 
-    def _emit(self, kind: str, ident: int = -1, state: _WorkerState | None = None):
-        if self.observer:
-            self.observer(JobEvent(
-                kind, ident=ident,
-                pid=state.pid if state else 0,
-                worker_id=state.worker_id if state else -1))
-
-    def _charge_failure(self, kind_ident: tuple[str, int], cause: str) -> None:
-        kind, ident = kind_ident
-        if kind == self.phase and ident in self.done:
-            return  # a duplicate attempt already delivered this task
-        n = self.attempts.get(kind_ident, 0) + 1
-        self.attempts[kind_ident] = n
-        self._emit("task_retried", ident=ident)
-        if n > self.config.max_task_retries:
-            raise JobError(
-                f"{kind} task {ident} failed after {n} attempts: {cause}")
-        self.pending.append(ident)
-
-    def _lose_worker(self, state: _WorkerState, cause: str) -> None:
+    def _report(self, kind: str, worker: _Worker) -> None:
         try:
-            self.sel.unregister(state.conn)
-        except (KeyError, ValueError):
-            pass
+            self.notify(JobEvent(kind, ident=worker.worker_id,
+                                 pid=worker.pid, worker_id=worker.worker_id))
+        except Exception as exc:
+            raise _Fatal(exc) from exc   # an observer error fails the job
+
+    def run_task(self, tag: int, ident: int) -> tuple[int, int]:
+        """Assign one task to a worker and wait for its single reply.
+
+        A worker that fails to answer within the task timeout, or answers
+        anything but that task's result, is dropped.
+        """
+        worker = self._acquire()
         try:
-            state.conn.close()
-        finally:
-            self.workers.pop(state.conn, None)
-        self._emit("worker_lost", ident=state.worker_id, state=state)
-        if state.inflight is not None:
-            inflight, state.inflight = state.inflight, None
-            self._charge_failure(inflight, cause)
+            protocol.send_message(worker.conn, protocol.Message(tag, ident=ident))
+            reply = protocol.recv_message(worker.conn)
+            if reply is None:
+                raise protocol.ProtocolError("connection closed")
+            if reply.tag != _REPLY_TAG[tag] or reply.ident != ident:
+                raise protocol.ProtocolError(
+                    f"reply tag {reply.tag} for {reply.ident} does not "
+                    f"answer tag {tag} for {ident}")
+        except (OSError, protocol.ProtocolError) as exc:
+            with self._lock:
+                self._conns.discard(worker.conn)
+            worker.conn.close()
+            self._report("worker_lost", worker)
+            cause = (f"timed out after {self.task_timeout:.1f}s"
+                     if isinstance(exc, TimeoutError) else exc)
+            raise RuntimeError(
+                f"worker {worker.worker_id} lost: {cause}") from exc
+        with self._lock:
+            self._idle.append(worker)
+        if reply.status == protocol.STATUS_REJECTED:
+            raise MapOutputError(reply.detail)
+        if reply.status != protocol.STATUS_OK:
+            raise RuntimeError(reply.detail or "task reported failure")
+        return worker.pid, worker.worker_id
 
-    def _assign(self, state: _WorkerState) -> None:
-        if state.inflight is not None or not state.registered:
-            return
-        ident = None
-        while self.pending:
-            candidate = self.pending.popleft()
-            if candidate not in self.done:
-                ident = candidate
-                break
-        if ident is None:
-            return
-        tag = protocol.TASK_ASSIGN if self.phase == "map" else protocol.REDUCE_ASSIGN
-        try:
-            protocol.send_message(state.conn, protocol.Message(tag, ident=ident))
-        except OSError as exc:
-            self.pending.appendleft(ident)
-            self._lose_worker(state, f"send failed: {exc}")
-            return
-        state.inflight = (self.phase, ident)
-        state.deadline = time.monotonic() + self.config.task_timeout
-
-    def _assign_all(self) -> None:
-        for state in list(self.workers.values()):
-            if not self.pending:
-                break
-            self._assign(state)
-
-    # -- message handling --------------------------------------------------
-
-    def _handle(self, state: _WorkerState, msg: protocol.Message) -> None:
-        if msg.tag == protocol.REGISTER:
-            state.pid = msg.ident
-            state.registered = True
-            self.ever_registered = True
+    def _acquire(self) -> _Worker:
+        """An idle registered worker, else the next worker to register."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    raise JobError("the job has ended")
+                if self._idle:
+                    return self._idle.pop()
+                self._check_liveness()
             try:
-                protocol.send_message(state.conn, protocol.Message(
-                    protocol.REGISTER, ident=state.worker_id,
-                    detail=str(self.spill / "manifest.pkl")))
-            except OSError as exc:
-                self._lose_worker(state, f"send failed: {exc}")
-                return
-            self._emit("worker_registered", ident=state.worker_id, state=state)
-            self._assign(state)
-            return
-        if msg.tag in (protocol.TASK_DONE, protocol.REDUCE_DONE):
-            kind = "map" if msg.tag == protocol.TASK_DONE else "reduce"
-            expected = (kind, msg.ident)
-            if state.inflight == expected:
-                state.inflight = None
-            if msg.status == protocol.STATUS_REJECTED:
-                raise JobError(f"{kind} task {msg.ident} rejected: {msg.detail}")
-            if msg.status != protocol.STATUS_OK:
-                self._charge_failure(expected, msg.detail or "task reported failure")
-            elif kind == self.phase and msg.ident not in self.done:
-                self.done.add(msg.ident)
-                self._emit(
-                    "map_task_done" if kind == "map" else "reduce_task_done",
-                    ident=msg.ident, state=state)
-            # anything else is a late duplicate report after a retry
-            self._maybe_advance_phase()
-            self._assign(state)
-            return
-        raise protocol.ProtocolError(f"unexpected tag {msg.tag} from worker")
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            worker = self._register(conn)
+            if worker is not None:
+                return worker
 
-    def _maybe_advance_phase(self) -> None:
-        if self.phase == "map" and len(self.done) == self.n_map_tasks:
-            self.phase = "reduce"
-            self.done = set()
-            self.pending = deque(range(self.config.n_partitions))
-            self._assign_all()
-
-    def _finished(self) -> bool:
-        return self.phase == "reduce" and len(self.done) == self.config.n_partitions
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self) -> None:
+    def _register(self, conn: socket.socket) -> _Worker | None:
+        """Register the worker on ``conn``; None when it breaks off."""
+        with self._lock:
+            if self._closed:
+                conn.close()
+                raise JobError("the job has ended")
+            self._conns.add(conn)
+            worker_id = self._next_id
+            self._next_id += 1
         try:
-            while not self._finished():
-                self._tick()
-        finally:
-            self._shutdown()
+            pid = self._handshake(conn, worker_id)
+        except (OSError, protocol.ProtocolError):
+            with self._lock:
+                self._conns.discard(conn)
+            conn.close()
+            return None
+        with self._lock:
+            self._ever_registered = True
+        worker = _Worker(conn, pid, worker_id)
+        self._report("worker_registered", worker)
+        return worker
 
-    def _tick(self) -> None:
-        for key, _ in self.sel.select(timeout=0.05):
-            if key.fileobj is self.listener:
-                self._accept()
-            else:
-                self._read(self.workers[key.fileobj])
-        now = time.monotonic()
-        for state in list(self.workers.values()):
-            if state.inflight is not None and now > state.deadline:
-                self._lose_worker(
-                    state,
-                    f"timed out after {self.config.task_timeout:.1f}s")
-        self._assign_all()
-        self._check_liveness(now)
+    def _handshake(self, conn: socket.socket, worker_id: int) -> int:
+        """Read the worker's ``REGISTER`` and its pid, answer with its id
+        and the manifest path."""
+        conn.settimeout(self.task_timeout)
+        hello = protocol.recv_message(conn)
+        if hello is None or hello.tag != protocol.REGISTER:
+            raise protocol.ProtocolError("expected REGISTER")
+        protocol.send_message(conn, protocol.Message(
+            protocol.REGISTER, ident=worker_id, detail=self.manifest))
+        return hello.ident
 
-    def _accept(self) -> None:
-        try:
-            conn, _ = self.listener.accept()
-        except BlockingIOError:
+    def _check_liveness(self) -> None:
+        """Fail the job when no worker is left to run its tasks.  Called
+        with the lock held."""
+        if self._conns or any(p.is_alive() for p in self.procs):
             return
-        state = _WorkerState(conn=conn, worker_id=self.next_worker_id)
-        self.next_worker_id += 1
-        self.workers[conn] = state
-        conn.setblocking(False)
-        self.sel.register(conn, selectors.EVENT_READ, None)
+        if self.procs or self._ever_registered:
+            raise _Fatal(JobError(
+                "all workers exited with tasks still outstanding"))
+        if time.monotonic() - self._started > _REGISTRATION_TIMEOUT:
+            raise _Fatal(JobError(
+                f"no worker registered within {_REGISTRATION_TIMEOUT:.0f}s"))
 
-    def _read(self, state: _WorkerState) -> None:
-        try:
-            data = state.conn.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError as exc:
-            self._lose_worker(state, f"recv failed: {exc}")
-            return
-        if not data:
-            self._lose_worker(state, "connection closed")
-            return
-        try:
-            for msg in state.buf.feed(data):
-                self._handle(state, msg)
-        except protocol.ProtocolError as exc:
-            self._lose_worker(state, f"protocol error: {exc}")
-
-    def _check_liveness(self, now: float) -> None:
-        if self.workers:
-            return
-        if any(p.is_alive() for p in self.procs):
-            return
-        if self.procs or self.ever_registered:
-            raise JobError("all workers exited with tasks still outstanding")
-        if now - self.started > _REGISTRATION_TIMEOUT:
-            raise JobError(
-                f"no worker registered within {_REGISTRATION_TIMEOUT:.0f}s")
-
-    def _shutdown(self) -> None:
-        for state in list(self.workers.values()):
+    def abort(self) -> None:
+        """The job has failed: wake every runner waiting on a worker."""
+        with self._lock:
+            self._closed = True
+            conns = list(self._conns)
+        for conn in conns:
             try:
-                protocol.send_message(
-                    state.conn, protocol.Message(protocol.SHUTDOWN))
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+
+    def close(self) -> None:
+        """Send ``SHUTDOWN`` to every worker, close every socket and reap
+        the local workers."""
+        with self._lock:
+            self._closed = True
+        # the runner threads have ended; workers still waiting to register
+        # stood by unused: register them too, so that they exit cleanly on
+        # SHUTDOWN, and wait until they hang up, having read the manifest
+        # that the job is about to delete
+        self.listener.setblocking(False)
+        while True:
             try:
-                self.sel.unregister(state.conn)
-            except (KeyError, ValueError):
-                pass
-            state.conn.close()
-        self.workers.clear()
-        self.sel.close()
+                conn, _ = self.listener.accept()
+            except OSError:
+                break
+            with conn:
+                try:
+                    self._handshake(conn, self._next_id)
+                    protocol.send_message(
+                        conn, protocol.Message(protocol.SHUTDOWN))
+                    conn.recv(1)
+                except (OSError, protocol.ProtocolError):
+                    pass
+            self._next_id += 1
         self.listener.close()
+        for conn in self._conns:
+            try:
+                protocol.send_message(conn, protocol.Message(protocol.SHUTDOWN))
+            except OSError:
+                pass
+            conn.close()
         for proc in self.procs:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-
-
-def _parse_listen(listen: str | None) -> tuple[str, int]:
-    if listen is None:
-        return ("127.0.0.1", 0)
-    host, sep, port = listen.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"listen address must be host:port, got {listen!r}")
-    return (host, int(port))
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +622,7 @@ def run_job(
     _JOB_SEQ += 1
     spill = root / f"job-{os.getpid()}-{_JOB_SEQ}-{int(time.monotonic_ns())}"
     spill.mkdir(parents=True, exist_ok=False)
+    pool = None
     if config.mode == "multiprocess":
         manifest = {
             "records": records,
@@ -647,9 +635,10 @@ def run_job(
         }
         with open(spill / "manifest.pkl", "wb") as f:
             pickle.dump(manifest, f)
-        _Coordinator(
-            config, spill, n_map_tasks, listen, spawn_workers, observer
-        ).run()
+        pool = _WorkerPool(config, spill, listen, spawn_workers, observer)
+        run_map = functools.partial(pool.run_task, protocol.TASK_ASSIGN)
+        run_reduce = functools.partial(pool.run_task, protocol.REDUCE_ASSIGN)
+        n_slots, observer, abort = pool.n_slots, pool.notify, pool.abort
     else:
         keep_task_memory()
 
@@ -661,11 +650,16 @@ def run_job(
         def run_reduce(p: int) -> None:
             execute_reduce_task(p, n_map_tasks, spill)
 
-        n_workers = 1 if config.mode == "serial" else config.n_workers
-        _retry_threaded(range(n_map_tasks), run_map, n_workers,
-                        config.max_task_retries, observer, "map_task_done")
-        _retry_threaded(range(config.n_partitions), run_reduce, n_workers,
-                        config.max_task_retries, observer, "reduce_task_done")
+        n_slots = 1 if config.mode == "serial" else config.n_workers
+        abort = None
+    try:
+        _retry_threaded("map", range(n_map_tasks), run_map, n_slots,
+                        config.max_task_retries, observer, abort)
+        _retry_threaded("reduce", range(config.n_partitions), run_reduce,
+                        n_slots, config.max_task_retries, observer, abort)
+    finally:
+        if pool is not None:
+            pool.close()
     totals = _merge_partitions(config.n_partitions, spill)
     # on failure the exception has already propagated, leaving the spill
     # directory behind for post-mortem inspection

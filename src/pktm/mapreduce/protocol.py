@@ -105,26 +105,15 @@ def decode_payload(payload: bytes) -> Message:
     raise ProtocolError(f"unknown message tag {tag}")
 
 
-class FrameBuffer:
-    """Incremental frame reassembly for a non-blocking socket."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[Message]:
-        self._buf.extend(data)
-        out = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return out
-            size = _LEN.unpack_from(self._buf, 0)[0]
-            if size > MAX_FRAME:
-                raise ProtocolError(f"frame of {size} bytes exceeds limit")
-            if len(self._buf) < _LEN.size + size:
-                return out
-            payload = bytes(self._buf[_LEN.size:_LEN.size + size])
-            del self._buf[:_LEN.size + size]
-            out.append(decode_payload(payload))
+def parse_hostport(text: str) -> tuple[str, int]:
+    """Split ``host:port`` at its last colon."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"expected host:port, got {text!r}")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ValueError(f"bad port in {text!r}") from None
 
 
 def send_message(sock: socket.socket, msg: Message) -> None:

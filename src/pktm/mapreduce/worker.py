@@ -27,10 +27,8 @@ _DETAIL_LIMIT = 1000
 def worker_main(connect: str) -> int:
     """Serve one coordinator; returns a process exit code."""
     keep_task_memory()
-    host, sep, port = connect.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"connect address must be host:port, got {connect!r}")
-    sock = socket.create_connection((host, int(port)), timeout=30.0)
+    sock = socket.create_connection(protocol.parse_hostport(connect),
+                                    timeout=30.0)
     sock.settimeout(None)
 
     def send(msg: protocol.Message) -> None:

@@ -43,6 +43,18 @@ class TestExitCodes:
         assert main(["estimate", "--bogus", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["worker", "--connect", "localhost"],
+         "argument --connect: expected host:port, got 'localhost'"),
+        (["worker", "--connect", "localhost:http"],
+         "argument --connect: bad port in 'localhost:http'"),
+        (["migrate", "--listen", "5000"],
+         "argument --listen: expected host:port, got '5000'"),
+    ])
+    def test_bad_host_port_is_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_required_option(self, capsys):
         assert main(["migrate"]) == 2
         err = capsys.readouterr().err

@@ -28,7 +28,6 @@ from pktm.mapreduce.engine import (
     SPILL_DIR_ENV,
     JobEvent,
     _merge_partitions,
-    _parse_listen,
     execute_map_task,
     execute_reduce_task,
 )
@@ -278,44 +277,68 @@ class TestCombinerEdges:
 # fault tolerance
 # --------------------------------------------------------------------------
 
+class FlakyMap:
+    """Fail the first ``n`` times record 11 is mapped, in whichever process
+    maps it: each failure leaves one file in ``failures``."""
+
+    def __init__(self, failures, n=2):
+        self.failures = failures
+        self.n = n
+
+    def __call__(self, record):
+        if int(record) == 11 and len(os.listdir(self.failures)) < self.n:
+            fd, _ = tempfile.mkstemp(dir=self.failures)
+            os.close(fd)
+            raise RuntimeError("transient")
+        return toy_map(record)
+
+
+class SlowCountedMap:
+    """toy_map at 50 ms a record; each call leaves one file in ``calls``."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __call__(self, record):
+        fd, _ = tempfile.mkstemp(dir=self.calls)
+        os.close(fd)
+        time.sleep(0.05)
+        return toy_map(record)
+
+
 class TestRetries:
-    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 3)])
-    def test_flaky_task_retries_to_success(self, mode, workers, spill_dir):
-        failures = {}
-
-        def flaky(record):
-            r = int(record)
-            if r == 11 and failures.setdefault(r, 0) < 2:
-                failures[r] += 1
-                raise RuntimeError("transient")
-            return toy_map(record)
-
+    @pytest.mark.parametrize("mode,workers", [
+        ("serial", 1), ("threaded", 3), ("multiprocess", 2)])
+    def test_flaky_task_retries_to_success(self, mode, workers, tmp_path,
+                                           spill_dir, worker_import_path):
+        failures = tmp_path / "failures"
+        failures.mkdir()
         cfg = JobConfig(n_partitions=4, n_workers=workers, mode=mode,
                         chunk_size=5, max_task_retries=2,
                         spill_dir=spill_dir)
         events = []
-        totals = run_job(RECORDS, flaky, cfg, observer=events.append)
+        totals = run_job(RECORDS, FlakyMap(str(failures)), cfg,
+                         observer=events.append)
         want_keys, want_vals = brute_totals(RECORDS)
         assert totals.keys.tolist() == want_keys
         assert totals.totals.tolist() == want_vals
         assert [e.kind for e in events].count("task_retried") == 2
 
-    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
-    def test_budget_exhaustion_raises(self, mode, workers, spill_dir):
+    @ALL_MODES
+    def test_budget_exhaustion_raises(self, mode, workers, spill_dir,
+                                      worker_import_path):
         cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
                         chunk_size=8, max_task_retries=1,
                         spill_dir=spill_dir)
-        with pytest.raises(JobError, match="failed after 2 attempts"):
+        with pytest.raises(JobError, match=r"^map task \d+ failed after 2 "
+                                           r"attempts: .*synthetic map failure"):
             run_job(RECORDS, AlwaysFailMap(), cfg)
 
-    @pytest.mark.parametrize("mode,workers", [("serial", 1), ("threaded", 2)])
-    def test_observer_error_stops_queued_tasks(self, mode, workers, spill_dir):
-        mapped = []
-
-        def counting(record):
-            mapped.append(int(record))
-            time.sleep(0.05)
-            return toy_map(record)
+    @ALL_MODES
+    def test_observer_error_stops_queued_tasks(self, mode, workers, tmp_path,
+                                               spill_dir, worker_import_path):
+        calls = tmp_path / "calls"
+        calls.mkdir()
 
         def observer(event):
             if event.kind == "map_task_done":
@@ -323,10 +346,13 @@ class TestRetries:
 
         cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
                         chunk_size=1, spill_dir=spill_dir)
+        start = time.monotonic()
         with pytest.raises(KeyError, match="observer failed"):
-            run_job(RECORDS, counting, cfg, observer=observer)
+            run_job(RECORDS, SlowCountedMap(str(calls)), cfg,
+                    observer=observer)
+        assert time.monotonic() - start < cfg.task_timeout / 3
         # each worker may have started one more task before the error
-        assert len(mapped) <= 2 * workers
+        assert len(list(calls.iterdir())) <= 2 * workers
 
     def test_failed_job_leaves_spill_for_inspection(self, tmp_path):
         cfg = JobConfig(n_partitions=2, chunk_size=8, max_task_retries=0,
@@ -370,6 +396,38 @@ class TestMultiprocessFaults:
                         spill_dir=spill_dir)
         with pytest.raises(JobError):
             run_job(RECORDS[:8], AlwaysFailMap(), cfg)
+
+    def test_failing_job_does_not_wait_for_a_busy_worker(
+            self, tmp_path, spill_dir, worker_import_path):
+        """The job fails while one worker is 20 s into a task: its socket
+        is shut down at once, so no runner waits for the reply."""
+        def observer(event):
+            if event.kind == "map_task_done":
+                raise KeyError("observer failed")
+
+        cfg = JobConfig(n_partitions=2, n_workers=2, mode="multiprocess",
+                        chunk_size=1, spill_dir=spill_dir)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="observer failed"):
+            run_job(RECORDS[:4], StallOnceMap(str(tmp_path / "stalled"), 20.0),
+                    cfg, observer=observer)
+        # 5 s of it go to reaping the stalled worker, which is then killed
+        assert time.monotonic() - start < 10.0
+
+    @pytest.mark.parametrize("kind", ["worker_registered", "worker_lost"])
+    def test_observer_error_on_a_worker_event_fails_the_job(
+            self, kind, tmp_path, spill_dir, worker_import_path):
+        def observer(event):
+            if event.kind == kind:
+                raise KeyError("observer failed")
+
+        cfg = JobConfig(n_partitions=4, n_workers=2, mode="multiprocess",
+                        chunk_size=4, spill_dir=spill_dir)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="observer failed"):
+            run_job(RECORDS[:12], KillOnceMap(str(tmp_path / "killed")), cfg,
+                    observer=observer)
+        assert time.monotonic() - start < cfg.task_timeout / 3
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +524,36 @@ class TestLocalWorkerStart:
         assert_reaped(pids)
 
 
+def test_runner_threads_share_the_pool(spill_dir, worker_import_path):
+    """More runner threads and workers than cores, switching threads every
+    10 microseconds: worker ids stay unique, each task is done once, and
+    no worker runs a task before its registration is reported."""
+    events = []
+    cfg = JobConfig(n_partitions=7, n_workers=4, mode="multiprocess",
+                    chunk_size=1, spill_dir=spill_dir)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run_job(RECORDS, paced_toy_map, cfg, observer=events.append)
+    finally:
+        sys.setswitchinterval(interval)
+    want_keys, want_vals = brute_totals(RECORDS)
+    assert got.keys.tolist() == want_keys
+    assert got.totals.tolist() == want_vals
+    registered = []
+    for e in events:
+        if e.kind == "worker_registered":
+            assert e.worker_id not in registered
+            registered.append(e.worker_id)
+        else:
+            assert e.kind in ("map_task_done", "reduce_task_done")
+            assert e.worker_id in registered
+    assert sorted(e.ident for e in events
+                  if e.kind == "map_task_done") == list(range(40))
+    assert sorted(e.ident for e in events
+                  if e.kind == "reduce_task_done") == list(range(7))
+
+
 BUFFERED_OUTPUT_SCRIPT = """
 import os, sys
 from pktm.mapreduce import JobConfig, run_job
@@ -533,6 +621,38 @@ class TestExternalWorker:
         finally:
             launcher.join(timeout=60.0)
         assert not launcher.is_alive()
+        assert codes == [0]
+        assert [e.kind for e in events].count("worker_registered") == 1
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+
+
+    def test_standby_worker_exits_cleanly(self, spill_dir,
+                                          worker_import_path):
+        """A worker beyond the job's one slot stands by unused: when the job
+        ends it is registered and shut down, and exits with 0."""
+        from pktm.mapreduce.worker import worker_main
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        events, codes, standby = [], [], []
+
+        def observe(event):
+            events.append(event)
+            if event.kind == "worker_registered" and not standby:
+                standby.append(threading.Thread(target=lambda: codes.append(
+                    worker_main(f"127.0.0.1:{port}"))))
+                standby[0].start()
+
+        base = run(spill=spill_dir)
+        try:
+            got = run_job(RECORDS, paced_toy_map, mp_config(spill_dir),
+                          listen=f"127.0.0.1:{port}", spawn_workers=1,
+                          observer=observe)
+        finally:
+            standby[0].join(timeout=60.0)
+        assert not standby[0].is_alive()
         assert codes == [0]
         assert [e.kind for e in events].count("worker_registered") == 1
         assert got.keys.tobytes() == base.keys.tobytes()
@@ -730,18 +850,6 @@ class TestSpillLayout:
                         chunk_size=7, spill_dir=spill_dir)
         with pytest.raises(JobError, match=r"map_00003\.kvp: expected \d+ bytes"):
             run_job(RECORDS, toy_map, cfg, observer=truncate_after_map_phase)
-
-
-class TestParseListen:
-    def test_default(self):
-        assert _parse_listen(None) == ("127.0.0.1", 0)
-
-    def test_explicit(self):
-        assert _parse_listen("0.0.0.0:5000") == ("0.0.0.0", 5000)
-
-    def test_rejects_missing_port(self):
-        with pytest.raises(ValueError):
-            _parse_listen("localhost")
 
 
 class TestReassembleImage:

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from pktm.mapreduce import protocol
 from pktm.mapreduce.protocol import (
-    FrameBuffer,
     Message,
     ProtocolError,
     decode_payload,
+    parse_hostport,
     recv_message,
     send_message,
 )
@@ -105,52 +106,6 @@ class TestEncodeDecode:
             (tag, ident, status, detail)
 
 
-class TestFrameBuffer:
-    def test_single_frame(self):
-        fb = FrameBuffer()
-        out = fb.feed(Message(protocol.TASK_ASSIGN, ident=5).encode())
-        assert len(out) == 1 and out[0].ident == 5
-
-    def test_byte_at_a_time(self):
-        fb = FrameBuffer()
-        frame = Message(protocol.REGISTER, ident=1, detail="abc").encode()
-        seen = []
-        for i in range(len(frame)):
-            seen.extend(fb.feed(frame[i:i + 1]))
-        assert len(seen) == 1
-        assert seen[0].detail == "abc"
-
-    def test_multiple_frames_in_one_feed(self):
-        fb = FrameBuffer()
-        blob = b"".join(Message(protocol.TASK_ASSIGN, ident=i).encode()
-                        for i in range(4))
-        out = fb.feed(blob)
-        assert [m.ident for m in out] == [0, 1, 2, 3]
-
-    def test_partial_then_rest(self):
-        fb = FrameBuffer()
-        frame = Message(protocol.TASK_DONE, ident=2, detail="xy").encode()
-        assert fb.feed(frame[:7]) == []
-        out = fb.feed(frame[7:])
-        assert len(out) == 1 and out[0].detail == "xy"
-
-    def test_oversized_frame_rejected(self):
-        fb = FrameBuffer()
-        with pytest.raises(ProtocolError):
-            fb.feed(struct.pack("<I", protocol.MAX_FRAME + 1))
-
-    @given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=10),
-           st.integers(1, 7))
-    def test_any_chunking_reassembles(self, idents, chunk):
-        fb = FrameBuffer()
-        blob = b"".join(Message(protocol.TASK_ASSIGN, ident=i).encode()
-                        for i in idents)
-        seen = []
-        for i in range(0, len(blob), chunk):
-            seen.extend(fb.feed(blob[i:i + chunk]))
-        assert [m.ident for m in seen] == idents
-
-
 class TestSocketHelpers:
     def pair(self):
         a, b = socket.socketpair()
@@ -197,6 +152,34 @@ class TestSocketHelpers:
             a.close()
             b.close()
 
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=10),
+           st.integers(1, 7))
+    def test_any_chunking_reassembles(self, idents, chunk):
+        """Frames that arrive in arbitrary pieces, split anywhere, are read
+        back whole and in order."""
+        a, b = self.pair()
+        try:
+            blob = b"".join(Message(protocol.TASK_ASSIGN, ident=i).encode()
+                            for i in idents)
+
+            def writer():
+                for i in range(0, len(blob), chunk):
+                    a.sendall(blob[i:i + chunk])
+                    time.sleep(0)   # let the reader take each piece alone
+                a.close()
+
+            t = threading.Thread(target=writer)
+            t.start()
+            seen = []
+            while (msg := recv_message(b)) is not None:
+                seen.append(msg.ident)
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+            assert seen == idents
+        finally:
+            a.close()
+            b.close()
+
     def test_many_messages_in_order(self):
         a, b = self.pair()
         try:
@@ -213,3 +196,22 @@ class TestSocketHelpers:
         finally:
             a.close()
             b.close()
+
+
+class TestParseHostport:
+    @pytest.mark.parametrize("text,want", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),       # run_job's default listen
+        ("0.0.0.0:5000", ("0.0.0.0", 5000)),
+        ("::1:7000", ("::1", 7000)),            # split at the last colon
+    ], ids=["default", "explicit", "last-colon"])
+    def test_parses(self, text, want):
+        assert parse_hostport(text) == want
+
+    @pytest.mark.parametrize("text,match", [
+        ("localhost", "expected host:port, got 'localhost'"),
+        (":5000", "expected host:port, got ':5000'"),
+        ("localhost:http", "bad port in 'localhost:http'"),
+    ], ids=["missing-port", "missing-host", "bad-port"])
+    def test_rejects(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_hostport(text)
