@@ -459,10 +459,7 @@ class _WorkerPool:
                     f"reply tag {reply.tag} for {reply.ident} does not "
                     f"answer tag {tag} for {ident}")
         except (OSError, protocol.ProtocolError) as exc:
-            with self._lock:
-                self._conns.discard(worker.conn)
-            worker.conn.close()
-            self._report("worker_lost", worker)
+            self._drop(worker)
             cause = (f"timed out after {self.task_timeout:.1f}s"
                      if isinstance(exc, TimeoutError) else exc)
             raise RuntimeError(
@@ -476,21 +473,45 @@ class _WorkerPool:
         return worker.pid, worker.worker_id
 
     def _acquire(self) -> _Worker:
-        """An idle registered worker, else the next worker to register."""
+        """An idle registered worker, else the next worker to register.
+
+        An idle worker sends nothing, so one whose connection is readable
+        has hung up: it is dropped without costing a task a retry.  Workers
+        standing by in the listen backlog are registered before the job is
+        declared dead, so they take over from lost ones.
+        """
         while True:
             with self._lock:
                 if self._closed:
                     raise JobError("the job has ended")
-                if self._idle:
-                    return self._idle.pop()
-                self._check_liveness()
+                worker = self._idle.pop() if self._idle else None
+            if worker is not None:
+                worker.conn.setblocking(False)
+                try:
+                    worker.conn.recv(1, socket.MSG_PEEK)
+                except BlockingIOError:
+                    worker.conn.settimeout(self.task_timeout)
+                    return worker
+                except OSError:
+                    pass
+                self._drop(worker)
+                continue
             try:
                 conn, _ = self.listener.accept()
             except TimeoutError:
+                with self._lock:
+                    self._check_liveness()
                 continue
             worker = self._register(conn)
             if worker is not None:
                 return worker
+
+    def _drop(self, worker: _Worker) -> None:
+        """Close a lost worker's connection and report ``worker_lost``."""
+        with self._lock:
+            self._conns.discard(worker.conn)
+        worker.conn.close()
+        self._report("worker_lost", worker)
 
     def _register(self, conn: socket.socket) -> _Worker | None:
         """Register the worker on ``conn``; None when it breaks off."""

@@ -588,29 +588,68 @@ def test_forked_workers_do_not_repeat_buffered_output(spill_dir):
     assert "registered=2 alive=0" in proc.stderr
 
 
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def launch_worker(port, codes):
+    """Run ``pktm worker --connect`` against ``port`` and append its exit
+    code, retrying while the job is not listening yet (exit code 4)."""
+    deadline = time.monotonic() + 30.0
+    while True:
+        rc = subprocess.run(
+            [sys.executable, "-m", "pktm", "worker",
+             "--connect", f"127.0.0.1:{port}"],
+            capture_output=True, timeout=120).returncode
+        if rc != 4 or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    codes.append(rc)
+
+
+class Standby:
+    """A worker served by ``worker_main`` on a thread of this process.
+
+    :meth:`start` returns once the worker's connection is made, so the
+    worker then waits in the job's listen backlog until it is accepted.
+    """
+
+    def __init__(self, monkeypatch):
+        self.connected = threading.Event()
+        self.codes = []
+        self.thread = None
+        real = socket.create_connection
+
+        def create_connection(*args, **kw):
+            sock = real(*args, **kw)
+            self.connected.set()
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+
+    def start(self, port):
+        from pktm.mapreduce.worker import worker_main
+
+        self.thread = threading.Thread(target=lambda: self.codes.append(
+            worker_main(f"127.0.0.1:{port}")))
+        self.thread.start()
+        assert self.connected.wait(30.0)
+
+    def join(self):
+        if self.thread is not None:
+            self.thread.join(timeout=60.0)
+            assert not self.thread.is_alive()
+
+
 class TestExternalWorker:
     def test_connect_worker_matches_serial(self, spill_dir,
                                            worker_import_path):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = free_port()
         codes = []
-
-        def launch_worker():
-            # retry while the coordinator is not listening yet (exit code 4)
-            deadline = time.monotonic() + 30.0
-            while True:
-                rc = subprocess.run(
-                    [sys.executable, "-m", "pktm", "worker",
-                     "--connect", f"127.0.0.1:{port}"],
-                    capture_output=True, timeout=120).returncode
-                if rc != 4 or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
-            codes.append(rc)
-
         base = run(spill=spill_dir)
-        launcher = threading.Thread(target=launch_worker)
+        launcher = threading.Thread(target=launch_worker, args=(port, codes))
         launcher.start()
         try:
             events = []
@@ -628,22 +667,16 @@ class TestExternalWorker:
 
 
     def test_standby_worker_exits_cleanly(self, spill_dir,
-                                          worker_import_path):
+                                          worker_import_path, monkeypatch):
         """A worker beyond the job's one slot stands by unused: when the job
         ends it is registered and shut down, and exits with 0."""
-        from pktm.mapreduce.worker import worker_main
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        events, codes, standby = [], [], []
+        port, events = free_port(), []
+        standby = Standby(monkeypatch)
 
         def observe(event):
             events.append(event)
-            if event.kind == "worker_registered" and not standby:
-                standby.append(threading.Thread(target=lambda: codes.append(
-                    worker_main(f"127.0.0.1:{port}"))))
-                standby[0].start()
+            if event.kind == "worker_registered" and standby.thread is None:
+                standby.start(port)
 
         base = run(spill=spill_dir)
         try:
@@ -651,10 +684,84 @@ class TestExternalWorker:
                           listen=f"127.0.0.1:{port}", spawn_workers=1,
                           observer=observe)
         finally:
-            standby[0].join(timeout=60.0)
-        assert not standby[0].is_alive()
-        assert codes == [0]
+            standby.join()
+        assert standby.codes == [0]
         assert [e.kind for e in events].count("worker_registered") == 1
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+
+    def test_standby_worker_takes_over_from_a_lost_one(
+            self, tmp_path, spill_dir, worker_import_path, monkeypatch):
+        """One slot, two external workers: the first is killed in its first
+        task, and the one standing by in the listen backlog finishes the
+        job."""
+        port, codes, events = free_port(), [], []
+        standby = Standby(monkeypatch)
+
+        def observe(event):
+            events.append(event)
+            if event.kind == "worker_registered" and standby.thread is None:
+                standby.start(port)
+
+        cfg = JobConfig(n_partitions=5, n_workers=1, mode="multiprocess",
+                        chunk_size=7, spill_dir=spill_dir)
+        base = run(spill=spill_dir)
+        launcher = threading.Thread(target=launch_worker, args=(port, codes))
+        launcher.start()
+        try:
+            got = run_job(RECORDS, KillOnceMap(str(tmp_path / "killed")), cfg,
+                          listen=f"127.0.0.1:{port}", spawn_workers=0,
+                          observer=observe)
+        finally:
+            launcher.join(timeout=60.0)
+            standby.join()
+        assert codes == [-signal.SIGKILL]
+        assert standby.codes == [0]
+        kinds = [e.kind for e in events]
+        assert kinds.count("worker_registered") == 2
+        assert kinds.count("worker_lost") == 1
+        assert kinds.count("task_retried") == 1
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+
+    def test_worker_lost_while_idle_costs_no_retry(
+            self, spill_dir, worker_import_path, monkeypatch):
+        """A worker killed between the map and the reduce phase is dropped
+        when it is next taken, and no task is charged for it."""
+        port, codes, events = free_port(), [], []
+        standby = Standby(monkeypatch)
+        launcher = threading.Thread(target=launch_worker, args=(port, codes))
+
+        def observe(event):
+            events.append(event)
+            if event.kind == "worker_registered" and standby.thread is None:
+                standby.start(port)
+            if event.kind == "map_task_done":
+                # the job's only map task: its worker is idle until the
+                # reduce phase starts after this call
+                os.kill(event.pid, signal.SIGKILL)
+                launcher.join(timeout=60.0)
+
+        cfg = JobConfig(n_partitions=5, n_workers=1, mode="multiprocess",
+                        chunk_size=7, max_task_retries=0,
+                        spill_dir=spill_dir)
+        records = RECORDS[:7]
+        base = run_job(records, toy_map, JobConfig(
+            n_partitions=5, chunk_size=7, spill_dir=spill_dir))
+        launcher.start()
+        try:
+            got = run_job(records, toy_map, cfg,
+                          listen=f"127.0.0.1:{port}", spawn_workers=0,
+                          observer=observe)
+        finally:
+            launcher.join(timeout=60.0)
+            standby.join()
+        assert codes == [-signal.SIGKILL]
+        assert standby.codes == [0]
+        kinds = [e.kind for e in events]
+        assert kinds.count("worker_lost") == 1
+        assert "task_retried" not in kinds
+        assert kinds.count("reduce_task_done") == 5
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
 
