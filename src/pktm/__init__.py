@@ -25,9 +25,7 @@ from .mapreduce import (
     run_job,
 )
 from .model import (
-    CellKey,
     ConfigurationError,
-    Contribution,
     GridSpec,
     ImageGrid,
     OffsetBinning,
@@ -35,9 +33,7 @@ from .model import (
     Trace,
     TraceHeader,
     VelocityModel,
-    cell_key_ordinal,
     estimate_flops,
-    ordinal_to_cell_key,
 )
 from .pipeline import MigrationMapFn, migrate_survey
 from .synthetics import RickerWavelet, Scatterer, make_acquisition, ricker, synth_survey
@@ -64,10 +60,8 @@ from .velocity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellKey",
     "ConfigurationError",
     "ContractViolationError",
-    "Contribution",
     "Contributions",
     "GridSpec",
     "ImageGrid",
@@ -89,7 +83,6 @@ __all__ = [
     "TraceHeader",
     "VelocityModel",
     "WeightMode",
-    "cell_key_ordinal",
     "constant_velocity_scan",
     "dsr_total_time",
     "estimate_flops",
@@ -102,7 +95,6 @@ __all__ = [
     "migrate_survey_serial",
     "migrate_trace",
     "one_way_time",
-    "ordinal_to_cell_key",
     "reassemble_image",
     "ricker",
     "residual_moveout",

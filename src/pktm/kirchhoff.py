@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exactsum import grouped_fsum
 from .model import (
     ConfigurationError,
-    Contribution,
     GridSpec,
     ImageGrid,
     OffsetBinning,
@@ -32,7 +31,6 @@ from .model import (
     Trace,
     TraceHeader,
     VelocityModel,
-    ordinal_to_cell_key,
 )
 from .traveltime import KernelParams, WeightMode, leg_times_grid
 
@@ -175,11 +173,11 @@ class MigrationJob:
 class Contributions:
     """Array-backed sequence of keyed contributions from one trace.
 
-    ``ordinals`` are dense cell encodings (ascending within one trace's
-    output); zero-valued contributions are elided.
+    ``ordinals`` are dense cell encodings ``(b*nx + ix)*ntau + itau`` on
+    the job's grid, ascending within one trace's output (the C order of
+    :attr:`ImageGrid.values`); zero-valued contributions are elided.
     """
 
-    spec: GridSpec
     ordinals: np.ndarray
     values: np.ndarray
 
@@ -196,13 +194,9 @@ class Contributions:
     def __len__(self) -> int:
         return int(self.ordinals.shape[0])
 
-    def __iter__(self) -> Iterator[Contribution]:
-        for o, v in zip(self.ordinals.tolist(), self.values.tolist()):
-            yield Contribution(ordinal_to_cell_key(o, self.spec), v)
-
     @classmethod
-    def empty(cls, spec: GridSpec) -> "Contributions":
-        return cls(spec, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
+    def empty(cls) -> "Contributions":
+        return cls(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
 
 
 def interp_sample(trace: Trace, t: float) -> float:
@@ -286,10 +280,10 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     h = trace.header
     b = job.binning.bin_of(h.offset)
     if b is None:
-        return Contributions.empty(grid)
+        return Contributions.empty()
     lo, hi = _accepted_columns(h, job)
     if lo == hi:
-        return Contributions.empty(grid)
+        return Contributions.empty()
     t, w = _kernel_grids(h, job, lo, hi)
     samples = np.asarray(trace.samples, dtype=np.float64)
     i, j, frac, valid = _stencil(t, h.t0, h.dt, samples.shape[0])
@@ -308,7 +302,7 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     # the accepted cells of one bin are one run of consecutive ordinals
     ordinals = np.flatnonzero(keep).astype(np.uint64)
     ordinals += np.uint64((b * grid.nx + lo) * grid.ntau)
-    return Contributions(grid, ordinals, values[keep])
+    return Contributions(ordinals, values[keep])
 
 
 def forward_model(

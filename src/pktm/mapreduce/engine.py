@@ -394,12 +394,13 @@ class _WorkerPool:
         self.listener = socket.create_server(
             protocol.parse_hostport(listen or "127.0.0.1:0"))
         self.listener.settimeout(_ACCEPT_POLL)
-        self._lock = threading.Lock()      # guards the five fields below
+        self._lock = threading.Lock()      # guards the six fields below
         self._conns: set[socket.socket] = set()   # accepted and not lost
         self._idle: list[_Worker] = []
         self._next_id = 0
         self._ever_registered = False
         self._closed = False
+        self._aborted = False
         self._started = time.monotonic()
         n_spawn = config.n_workers if spawn_workers is None else spawn_workers
         self.n_slots = n_spawn or config.n_workers
@@ -561,7 +562,7 @@ class _WorkerPool:
     def abort(self) -> None:
         """The job has failed: wake every runner waiting on a worker."""
         with self._lock:
-            self._closed = True
+            self._closed = self._aborted = True
             conns = list(self._conns)
         for conn in conns:
             try:
@@ -571,7 +572,8 @@ class _WorkerPool:
 
     def close(self) -> None:
         """Send ``SHUTDOWN`` to every worker, close every socket and reap
-        the local workers."""
+        the local workers.  After :meth:`abort` they are killed at once: a
+        worker busy in a task reads ``SHUTDOWN`` only when the task ends."""
         with self._lock:
             self._closed = True
         # the runner threads have ended; workers still waiting to register
@@ -601,7 +603,8 @@ class _WorkerPool:
                 pass
             conn.close()
         for proc in self.procs:
-            proc.join(timeout=5.0)
+            if not self._aborted:
+                proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.kill()
                 proc.join()

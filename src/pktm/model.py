@@ -225,31 +225,6 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True, order=True)
-class CellKey:
-    """Image cell index (offset bin, lateral, vertical time).
-
-    The canonical total order is lexicographic (b, ix, itau), which the
-    dataclass field order provides.
-    """
-
-    b: int
-    ix: int
-    itau: int
-
-
-@dataclass(frozen=True)
-class Contribution:
-    """One keyed partial amplitude headed for an image cell."""
-
-    key: CellKey
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"contribution value must be finite, got {self.value}")
-
-
 @dataclass(frozen=True)
 class ImageGrid:
     """Common-offset image volume: grid geometry plus float64 cell values."""
@@ -278,32 +253,6 @@ class ImageGrid:
     @property
     def n_offset_bins(self) -> int:
         return self.spec.n_offset_bins
-
-
-def _spec_of(grid: GridSpec | ImageGrid) -> GridSpec:
-    return grid.spec if isinstance(grid, ImageGrid) else grid
-
-
-def cell_key_ordinal(key: CellKey, grid: GridSpec | ImageGrid) -> int:
-    """Order-preserving dense encoding of a cell key: (b*nx + ix)*ntau + itau."""
-    spec = _spec_of(grid)
-    if not (0 <= key.b < spec.n_offset_bins):
-        raise IndexError(f"offset bin {key.b} out of range [0, {spec.n_offset_bins})")
-    if not (0 <= key.ix < spec.nx):
-        raise IndexError(f"lateral index {key.ix} out of range [0, {spec.nx})")
-    if not (0 <= key.itau < spec.ntau):
-        raise IndexError(f"time index {key.itau} out of range [0, {spec.ntau})")
-    return (key.b * spec.nx + key.ix) * spec.ntau + key.itau
-
-
-def ordinal_to_cell_key(ordinal: int, grid: GridSpec | ImageGrid) -> CellKey:
-    """Inverse of :func:`cell_key_ordinal`."""
-    spec = _spec_of(grid)
-    if not (0 <= ordinal < spec.n_cells):
-        raise IndexError(f"ordinal {ordinal} out of range [0, {spec.n_cells})")
-    itau = int(ordinal % spec.ntau)
-    rest = int(ordinal // spec.ntau)
-    return CellKey(b=rest // spec.nx, ix=rest % spec.nx, itau=itau)
 
 
 def estimate_flops(n_image_points: float, n_traces: float, f_k: float) -> tuple[float, float]:

@@ -4,18 +4,28 @@ The map record is one trace, the map function is per-trace Kirchhoff
 scattering, and the reduced totals are scattered back onto the image grid.
 Because per-key totals are exact sums, the result equals
 :func:`pktm.kirchhoff.migrate_survey_serial` bit for bit in every mode.
+
+Records reach the map in :func:`map_order`: by offset bin, then midpoint,
+then trace id.  A map task is a run of consecutive records, so its traces
+are neighbours in one common-offset image and hit mostly the same cells.
+That local key repetition is what the map-side combiner folds: on the
+benchmark's 400-trace float32 demo survey, 16-trace tasks bring 10.9
+values per key instead of 3.3 in file (source-major) order, and the
+combiner keeps 0.23 of its records instead of 0.72.  Exact sums make the
+order invisible in the image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .kirchhoff import MigrationJob, migrate_trace
 from .mapreduce import JobConfig, reassemble_image, run_job
 from .mapreduce.engine import Observer
-from .model import ImageGrid, Survey, Trace
+from .model import ImageGrid, OffsetBinning, Survey, Trace
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,17 @@ class MigrationMapFn:
         return c.ordinals, c.values
 
 
+def map_order(traces: Iterable[Trace], binning: OffsetBinning) -> list[Trace]:
+    """``traces`` sorted by (offset bin, midpoint, trace id); traces outside
+    every bin come last.  The order depends on the headers alone."""
+    def key(trace: Trace) -> tuple[int, float, int]:
+        h = trace.header
+        b = binning.bin_of(h.offset)
+        return (binning.n_bins if b is None else b,
+                0.5 * (h.source_x + h.receiver_x), h.trace_id)
+    return sorted(traces, key=key)
+
+
 def migrate_survey(
     survey: Survey,
     job: MigrationJob,
@@ -40,12 +61,13 @@ def migrate_survey(
 ) -> ImageGrid:
     """Migrate a survey as one MapReduce job (serial engine by default).
 
-    The job's offset binning governs; the survey's own binning is only used
+    The job's offset binning governs, both the image and the
+    :func:`map_order` of the records; the survey's own binning is only used
     when reading data from disk.
     """
     if config is None:
         config = JobConfig()
     totals = run_job(
-        list(survey), MigrationMapFn(job), config,
+        map_order(survey, job.binning), MigrationMapFn(job), config,
         listen=listen, spawn_workers=spawn_workers, observer=observer)
     return reassemble_image(totals, job.grid)

@@ -103,6 +103,18 @@ class StallOnceMap:
         return toy_map(record)
 
 
+class StallFirstMap(StallOnceMap):
+    """Like StallOnceMap, but other records wait until the stall has begun,
+    so no other task can finish before it."""
+
+    def __call__(self, record):
+        deadline = time.monotonic() + 10.0
+        while (int(record) != 0 and not os.path.exists(self.marker)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return super().__call__(record)
+
+
 @pytest.fixture
 def worker_import_path(monkeypatch):
     """Let spawned workers unpickle callables defined in this test module."""
@@ -400,7 +412,8 @@ class TestMultiprocessFaults:
     def test_failing_job_does_not_wait_for_a_busy_worker(
             self, tmp_path, spill_dir, worker_import_path):
         """The job fails while one worker is 20 s into a task: its socket
-        is shut down at once, so no runner waits for the reply."""
+        is shut down and the worker killed at once, so neither a runner
+        nor the reaping waits for it."""
         def observer(event):
             if event.kind == "map_task_done":
                 raise KeyError("observer failed")
@@ -409,10 +422,9 @@ class TestMultiprocessFaults:
                         chunk_size=1, spill_dir=spill_dir)
         start = time.monotonic()
         with pytest.raises(KeyError, match="observer failed"):
-            run_job(RECORDS[:4], StallOnceMap(str(tmp_path / "stalled"), 20.0),
+            run_job(RECORDS[:4], StallFirstMap(str(tmp_path / "stalled"), 20.0),
                     cfg, observer=observer)
-        # 5 s of it go to reaping the stalled worker, which is then killed
-        assert time.monotonic() - start < 10.0
+        assert time.monotonic() - start < 3.0
 
     @pytest.mark.parametrize("kind", ["worker_registered", "worker_lost"])
     def test_observer_error_on_a_worker_event_fails_the_job(

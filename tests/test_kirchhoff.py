@@ -16,7 +16,6 @@ from pktm import (
     TraceHeader,
     VelocityModel,
     WeightMode,
-    cell_key_ordinal,
     dsr_total_time,
     forward_model,
     interp_sample,
@@ -105,7 +104,7 @@ class TestMigrateTrace:
         job = tiny_job()
         h = TraceHeader(0, 0.0, 700.0, 0.0, 0.004, 101)  # offset 700 -> bin 1
         c = migrate_trace(Trace(h, np.ones(101)), job)
-        bins = {contrib.key.b for contrib in c}
+        bins = set((c.ordinals // (job.grid.nx * job.grid.ntau)).tolist())
         assert bins == {1}
 
     def test_aperture_excludes_far_cells(self):
@@ -113,7 +112,8 @@ class TestMigrateTrace:
         h = TraceHeader(0, 400.0, 600.0, 0.0, 0.004, 101)  # midpoint 500
         c = migrate_trace(Trace(h, np.ones(101)), job)
         xs = {500.0 + 0.0}  # accepted lateral positions
-        lateral = {job.grid.x_axis()[contrib.key.ix] for contrib in c}
+        ix = (c.ordinals // job.grid.ntau) % job.grid.nx
+        lateral = set(job.grid.x_axis()[ix.astype(np.int64)].tolist())
         assert lateral  # some cells accepted
         assert all(abs(x - 500.0) <= 100.0 for x in lateral)
 
@@ -134,14 +134,17 @@ class TestMigrateTrace:
         c = migrate_trace(trace, job)
         vel = job.vel
         checked = 0
-        for contrib in list(c)[::37]:
-            key = contrib.key
-            x = job.grid.x_axis()[key.ix]
-            tau = job.grid.tau_axis()[key.itau]
+        grid = job.grid
+        for o, value in zip(c.ordinals.tolist()[::37], c.values.tolist()[::37]):
+            rest, itau = divmod(o, grid.ntau)
+            b, ix = divmod(rest, grid.nx)
+            assert b == 0
+            x = grid.x_axis()[ix]
+            tau = grid.tau_axis()[itau]
             t = dsr_total_time(x, tau, h.source_x, h.receiver_x, vel)
             w = weight_fn(x, tau, h.source_x, h.receiver_x, vel,
                           WeightMode.OBLIQUITY)
-            assert contrib.value == w * interp_sample(trace, t)
+            assert value == w * interp_sample(trace, t)
             checked += 1
         assert checked > 0
 

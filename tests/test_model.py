@@ -2,61 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pktm import (
-    CellKey,
     GridSpec,
-    ImageGrid,
     OffsetBinning,
     Survey,
     Trace,
     TraceHeader,
     VelocityModel,
-    cell_key_ordinal,
     estimate_flops,
-    ordinal_to_cell_key,
 )
-
-GRID = GridSpec(0.0, 20.0, 10, 0.0, 0.004, 100, 2)
-
-
-class TestCellKeyOrdinal:
-    def test_origin_is_zero(self):
-        assert cell_key_ordinal(CellKey(0, 0, 0), GRID) == 0
-
-    def test_lateral_step_is_ntau(self):
-        assert cell_key_ordinal(CellKey(0, 1, 0), GRID) == 100
-
-    def test_mixed(self):
-        # (1 * 10 + 2) * 100 + 3
-        assert cell_key_ordinal(CellKey(1, 2, 3), GRID) == 1203
-
-    @pytest.mark.parametrize("key", [
-        CellKey(2, 0, 0), CellKey(0, 10, 0), CellKey(0, 0, 100),
-    ])
-    def test_out_of_bounds(self, key):
-        with pytest.raises(IndexError):
-            cell_key_ordinal(key, GRID)
-
-    def test_negative_component_rejected(self):
-        with pytest.raises((IndexError, ValueError)):
-            cell_key_ordinal(CellKey(0, -1, 0), GRID)
-
-    @given(
-        b=st.integers(0, 1), ix=st.integers(0, 9), itau=st.integers(0, 99))
-    def test_bijective(self, b, ix, itau):
-        key = CellKey(b, ix, itau)
-        ordinal = cell_key_ordinal(key, GRID)
-        assert 0 <= ordinal < GRID.n_cells
-        assert ordinal_to_cell_key(ordinal, GRID) == key
-
-    def test_ordinal_matches_c_order_flat_index(self):
-        """The dense encoding must agree with C-order flattening."""
-        values = np.arange(GRID.n_cells, dtype=np.float64).reshape(2, 10, 100)
-        image = ImageGrid(GRID, values)
-        key = CellKey(1, 7, 42)
-        assert values[1, 7, 42] == cell_key_ordinal(key, image)
 
 
 class TestEstimateFlops:
