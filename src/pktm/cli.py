@@ -20,6 +20,7 @@ import numpy as np
 
 from .kirchhoff import MigrationJob, forward_model, stack_offsets
 from .mapreduce import ContractViolationError, JobConfig, JobError
+from .mapreduce.engine import MODES
 from .mapreduce.protocol import ProtocolError, parse_hostport
 from .model import (
     GridSpec,
@@ -50,6 +51,17 @@ from .velocity import constant_velocity_scan, imaging_loop
 
 class _UsageError(Exception):
     pass
+
+
+class _Help(argparse.HelpFormatter):
+    """Ends each option's help with its default, where it has one."""
+
+    def _get_help_string(self, action):
+        text = action.help or ""
+        if action.option_strings and action.default not in (None,
+                                                           argparse.SUPPRESS):
+            text += " (default %(default)s)"
+        return text.strip()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,12 +127,13 @@ def _add_velocity(p: _Parser) -> None:
                    help="constant migration velocity in m/s")
 
 
-def _add_kernel(p: _Parser) -> None:
-    p.add_argument("--aperture", type=float, metavar="M",
+def _add_kernel(p: _Parser, aperture: float | None = None,
+                weight: str = "unit") -> None:
+    p.add_argument("--aperture", type=float, default=aperture, metavar="M",
                    help="half-width of the migration aperture around the midpoint")
-    p.add_argument("--weight", choices=("unit", "obliquity"), default=None,
-                   help="amplitude weight applied along the isochron "
-                        "(default unit)")
+    p.add_argument("--weight", choices=[m.value for m in WeightMode],
+                   default=weight,
+                   help="amplitude weight applied along the isochron")
 
 
 def _add_geometry(p: _Parser) -> None:
@@ -131,19 +144,23 @@ def _add_geometry(p: _Parser) -> None:
 
 
 def _add_engine(p: _Parser) -> None:
-    p.add_argument("--mode", choices=("serial", "threaded", "multiprocess"),
-                   default=None, help="execution mode (default serial)")
-    p.add_argument("--workers", type=int, metavar="N",
+    job = JobConfig()
+    p.add_argument("--mode", choices=MODES, default=job.mode,
+                   help="execution mode")
+    p.add_argument("--workers", type=int, default=job.n_workers, metavar="N",
                    help="worker count for threaded/multiprocess modes")
-    p.add_argument("--partitions", type=int, metavar="R",
-                   help="reduce partition count")
-    p.add_argument("--combiner", choices=("on", "off"), default=None,
-                   help="map-side combining of duplicate keys (default off)")
-    p.add_argument("--chunk-size", type=int, metavar="N",
-                   help="records per map task")
-    p.add_argument("--task-timeout", type=float, metavar="SECONDS",
+    p.add_argument("--partitions", type=int, default=job.n_partitions,
+                   metavar="R", help="reduce partition count")
+    p.add_argument("--combiner", choices=("on", "off"),
+                   default="on" if job.combiner_enabled else "off",
+                   help="map-side combining of duplicate keys")
+    p.add_argument("--chunk-size", type=int, default=job.chunk_size,
+                   metavar="N", help="records per map task")
+    p.add_argument("--task-timeout", type=float, default=job.task_timeout,
+                   metavar="SECONDS",
                    help="per-task deadline before reassignment")
-    p.add_argument("--max-task-retries", type=int, metavar="N",
+    p.add_argument("--max-task-retries", type=int,
+                   default=job.max_task_retries, metavar="N",
                    help="retries allowed per task beyond the first attempt")
     p.add_argument("--spill-dir", metavar="DIR",
                    help="root for intermediate spill files "
@@ -156,13 +173,15 @@ def _add_engine(p: _Parser) -> None:
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    parser = _Parser(prog="pktm", allow_abbrev=False, description=__doc__)
+    parser = _Parser(prog="pktm", allow_abbrev=False, description=__doc__,
+                     formatter_class=_Help)
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     registry: dict[str, _Parser] = {}
 
     def sub(name: str, help_text: str) -> _Parser:
         # subparsers inherit _Parser, so usage errors exit 2 uniformly
-        p = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        p = subs.add_parser(name, help=help_text, allow_abbrev=False,
+                            formatter_class=_Help)
         _add_common(p)
         registry[name] = p
         return p
@@ -175,8 +194,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--receivers", type=int, metavar="L")
     p.add_argument("--receiver-x0", type=float, metavar="X")
     p.add_argument("--receiver-dx", type=float, metavar="DX")
-    p.add_argument("--t0", type=float, default=None, metavar="S",
-                   help="first sample time (default 0)")
+    p.add_argument("--t0", type=float, default=0.0, metavar="S",
+                   help="first sample time")
     p.add_argument("--dt", type=float, metavar="S")
     p.add_argument("--samples", type=int, metavar="N")
     p.add_argument("--frequency", type=float, metavar="HZ",
@@ -190,8 +209,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--output", metavar="FILE", help="image file to write")
     p.add_argument("--export-pgm", metavar="FILE",
                    help="also write the stacked section as a PGM picture")
-    p.add_argument("--gain", type=float, default=None,
-                   help="display gain for the PGM export (default 1)")
+    p.add_argument("--gain", type=float, default=1.0,
+                   help="display gain for the PGM export")
     _add_velocity(p)
     _add_kernel(p)
     _add_geometry(p)
@@ -219,24 +238,29 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--input", metavar="FILE")
     p.add_argument("--v0", type=float, metavar="V", help="starting velocity")
     p.add_argument("--candidates", type=_floats_csv, metavar="V1,V2,...")
-    p.add_argument("--tolerance", type=int, default=None, metavar="SAMPLES",
-                   help="largest acceptable residual-moveout lag (default 1)")
-    p.add_argument("--max-iterations", type=int, default=None, metavar="N")
-    p.add_argument("--max-lag", type=int, default=None, metavar="SAMPLES")
+    p.add_argument("--tolerance", type=int, default=1, metavar="SAMPLES",
+                   help="largest acceptable residual-moveout lag")
+    p.add_argument("--max-iterations", type=int, default=10, metavar="N",
+                   help="velocity updates before giving up")
+    p.add_argument("--max-lag", type=int, default=20, metavar="SAMPLES",
+                   help="largest residual-moveout lag searched")
     p.add_argument("--report", metavar="FILE", help="CSV report to write")
     _add_kernel(p)
     _add_geometry(p)
     _add_engine(p)
 
     p = sub("adjoint-test", "randomized migration/modeling dot-product test")
-    p.add_argument("--traces", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ntau", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    _add_kernel(p)
+    p.add_argument("--traces", type=int, default=50, help="random traces")
+    p.add_argument("--samples", type=int, default=120,
+                   help="samples per trace")
+    p.add_argument("--nx", type=int, default=48, help="image midpoints")
+    p.add_argument("--ntau", type=int, default=48, help="image times")
+    p.add_argument("--bins", type=int, default=2, help="offset bins")
+    p.add_argument("--seed", type=int, default=20240811,
+                   help="seed of the random traces and image")
+    p.add_argument("--tolerance", type=float, default=1e-10,
+                   help="largest passing relative mismatch")
+    _add_kernel(p, aperture=400.0, weight="obliquity")
 
     p = sub("estimate", "print flop count and Gflop-years for a job size")
     p.add_argument("--nxyz", "--image-points", dest="image_points",
@@ -244,8 +268,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--ntraces", "--traces", dest="traces",
                    type=float, metavar="N", help="contributing traces")
     p.add_argument("--fk", "--flops-per-point", dest="flops_per_point",
-                   type=float, default=None, metavar="F",
-                   help="kernel cost per (point, trace) pair (default 10)")
+                   type=float, default=10.0, metavar="F",
+                   help="kernel cost per (point, trace) pair")
 
     p = sub("worker", "run a migration worker process")
     p.add_argument("--connect", type=_hostport, metavar="HOST:PORT",
@@ -334,28 +358,20 @@ def _velocity_model(args: argparse.Namespace) -> VelocityModel:
 
 
 def _kernel_params(args: argparse.Namespace) -> KernelParams:
-    mode = (WeightMode.OBLIQUITY if (args.weight or "unit") == "obliquity"
-            else WeightMode.UNIT)
-    return KernelParams(aperture=args.aperture, weight_mode=mode)
+    return KernelParams(aperture=args.aperture,
+                        weight_mode=WeightMode(args.weight))
 
 
 def _job_config(args: argparse.Namespace) -> JobConfig:
-    defaults = JobConfig()
     return JobConfig(
-        n_partitions=args.partitions if args.partitions is not None
-        else defaults.n_partitions,
-        n_workers=args.workers if args.workers is not None
-        else defaults.n_workers,
-        mode=args.mode or defaults.mode,
-        combiner_enabled=(args.combiner == "on") if args.combiner is not None
-        else defaults.combiner_enabled,
+        n_partitions=args.partitions,
+        n_workers=args.workers,
+        mode=args.mode,
+        combiner_enabled=args.combiner == "on",
         spill_dir=args.spill_dir,
-        task_timeout=args.task_timeout if args.task_timeout is not None
-        else defaults.task_timeout,
-        max_task_retries=args.max_task_retries
-        if args.max_task_retries is not None else defaults.max_task_retries,
-        chunk_size=args.chunk_size if args.chunk_size is not None
-        else defaults.chunk_size,
+        task_timeout=args.task_timeout,
+        max_task_retries=args.max_task_retries,
+        chunk_size=args.chunk_size,
     )
 
 
@@ -381,7 +397,7 @@ def _cmd_synth(args) -> int:
     headers = make_acquisition(
         args.sources, args.source_x0, args.source_dx,
         args.receivers, args.receiver_x0, args.receiver_dx,
-        args.t0 if args.t0 is not None else 0.0, args.dt, args.samples)
+        args.t0, args.dt, args.samples)
     survey = synth_survey(headers, args.scatterer, vel,
                           RickerWavelet(args.frequency))
     write_survey(args.output, survey)
@@ -404,8 +420,7 @@ def _cmd_migrate(args) -> int:
     print(f"wrote image ({grid.n_offset_bins} bins, {grid.nx} x {grid.ntau}) "
           f"to {args.output}")
     if args.export_pgm:
-        export_pgm(args.export_pgm, stack_offsets(image),
-                   gain=args.gain if args.gain is not None else 1.0)
+        export_pgm(args.export_pgm, stack_offsets(image), gain=args.gain)
         print(f"wrote stacked section picture to {args.export_pgm}")
     return 0
 
@@ -449,11 +464,8 @@ def _cmd_loop(args) -> int:
     config = _job_config(args)
     report = imaging_loop(
         survey, grid, _kernel_params(args), binning, args.v0, args.candidates,
-        lag_tolerance=args.tolerance if args.tolerance is not None else 1,
-        max_iterations=args.max_iterations
-        if args.max_iterations is not None else 10,
-        max_lag=args.max_lag if args.max_lag is not None else 20,
-        config=config)
+        lag_tolerance=args.tolerance, max_iterations=args.max_iterations,
+        max_lag=args.max_lag, config=config)
     for it in report.iterations:
         print(f"iteration {it.iteration} velocity {it.velocity!r} "
               f"max_abs_lag {it.max_abs_lag} next {it.next_velocity!r}")
@@ -468,23 +480,15 @@ def _cmd_loop(args) -> int:
 def _cmd_adjoint_test(args) -> int:
     from .kirchhoff import migrate_survey_serial
 
-    n_traces = args.traces if args.traces is not None else 50
-    n_samples = args.samples if args.samples is not None else 120
-    nx = args.nx if args.nx is not None else 48
-    ntau = args.ntau if args.ntau is not None else 48
-    n_bins = args.bins if args.bins is not None else 2
-    seed = args.seed if args.seed is not None else 20240811
-    tol = args.tolerance if args.tolerance is not None else 1e-10
-    aperture = args.aperture if args.aperture is not None else 400.0
+    n_traces, n_samples, n_bins = args.traces, args.samples, args.bins
+    nx, ntau, tol = args.nx, args.ntau, args.tolerance
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     grid = GridSpec(0.0, 25.0, nx, 0.0, 0.004, ntau, n_bins)
     edges = tuple(np.linspace(0.0, 2400.0, n_bins + 1))
     binning = OffsetBinning(edges)
     vel = VelocityModel(((0.0, 1800.0), (1.0, 2400.0)))
-    mode = (WeightMode.OBLIQUITY if (args.weight or "obliquity") == "obliquity"
-            else WeightMode.UNIT)
-    job = MigrationJob(grid, vel, KernelParams(aperture, mode), binning)
+    job = MigrationJob(grid, vel, _kernel_params(args), binning)
     headers = []
     for i in range(n_traces):
         sx = rng.uniform(0.0, 1200.0)
@@ -512,8 +516,8 @@ def _cmd_adjoint_test(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require(args, "image-points", "traces")
-    f_k = args.flops_per_point if args.flops_per_point is not None else 10.0
-    flops, gflop_years = estimate_flops(args.image_points, args.traces, f_k)
+    flops, gflop_years = estimate_flops(args.image_points, args.traces,
+                                        args.flops_per_point)
     print(f"flops {flops!r}")
     print(f"gflop_years {gflop_years!r}")
     return 0

@@ -44,6 +44,16 @@ Python thread is alive, or the platform has no ``os.fork``, each local
 worker is a fresh ``python -m pktm worker --connect`` interpreter instead.
 Either way the job reaps its own children.  Workers started elsewhere
 against ``listen`` use that same entry point.
+
+Forking stays the default although Python 3.12+ warns on every forked
+start: numpy's OpenBLAS keeps a thread alive that ``threading`` does not
+see.  On a 2-vCPU Xeon (Python 3.11), a fresh interpreter that imports
+numpy and :mod:`pktm.mapreduce.worker` costs 0.25-0.34 s of wall time and
+0.24-0.34 s of CPU, so spawning the two workers of the ``migrate_mp``
+benchmark would add about half to its ``cpu_s`` (median 1.16 s).  A
+``forkserver`` worker would start without that cost, but it is a child of
+the server, not of the coordinator, so the coordinator's CPU time (its
+own and its reaped children's) would stop counting the workers' work.
 """
 
 from __future__ import annotations
@@ -157,7 +167,8 @@ class KeyedTotals:
 
 @dataclass(frozen=True)
 class JobEvent:
-    """Scheduling event passed to a run_job observer callback."""
+    """Scheduling event passed to a run_job observer callback; see
+    :func:`run_job` for the threads and the order of the calls."""
 
     kind: str          # worker_registered | worker_lost | map_task_done |
                        # reduce_task_done | task_retried
@@ -239,6 +250,32 @@ def execute_reduce_task(p: int, n_map_tasks: int, spill: Path) -> None:
     keys, values = read_columns(
         [_map_file(spill, t) for t in range(n_map_tasks)], region=p)
     write_columns(_reduce_file(spill, p), *exact_sums(keys, values))
+
+
+@dataclass(frozen=True)
+class _Tasks:
+    """The task bodies of one job and everything they read: serial and
+    threaded runners call its methods, and a multiprocess job pickles it
+    whole as the manifest from which each worker calls the same methods."""
+
+    records: list
+    map_fn: Callable
+    n_partitions: int
+    combiner_enabled: bool
+    chunk_size: int
+    spill: Path
+
+    @property
+    def n_map_tasks(self) -> int:
+        return -(-len(self.records) // self.chunk_size)
+
+    def run_map(self, t: int) -> None:
+        chunk = self.records[t * self.chunk_size:(t + 1) * self.chunk_size]
+        execute_map_task(t, chunk, self.map_fn, self.n_partitions,
+                         self.combiner_enabled, self.spill)
+
+    def run_reduce(self, p: int) -> None:
+        execute_reduce_task(p, self.n_map_tasks, self.spill)
 
 
 def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
@@ -370,25 +407,24 @@ class _Worker(NamedTuple):
     worker_id: int
 
 
-_REPLY_TAG = {protocol.TASK_ASSIGN: protocol.TASK_DONE,
-              protocol.REDUCE_ASSIGN: protocol.REDUCE_DONE}
-
-
 class _WorkerPool:
     """The worker processes of a multiprocess job and their connections.
 
-    Making the pool opens the listener and starts the local workers, before
-    any runner thread exists.  :meth:`run_task` is the task runner of
+    Making the pool writes the manifest, the pickled :class:`_Tasks`, then
+    opens the listener and starts the local workers, before any runner
+    thread exists.  :meth:`run_task` is the task runner of
     :func:`_retry_threaded`: it runs one task on an idle registered worker,
     or registers the next worker that connects.  It reports
     ``worker_registered`` before the worker's first task and
     ``worker_lost`` when a worker fails it.
     """
 
-    def __init__(self, config: JobConfig, spill: Path, listen: str | None,
+    def __init__(self, tasks: _Tasks, config: JobConfig, listen: str | None,
                  spawn_workers: int | None, observer: Observer | None):
         self.task_timeout = config.task_timeout
-        self.manifest = str(spill / "manifest.pkl")
+        self.manifest = str(tasks.spill / "manifest.pkl")
+        with open(self.manifest, "wb") as f:
+            pickle.dump(tasks, f)
         self._observer = observer
         self._notify_lock = threading.Lock()
         self.listener = socket.create_server(
@@ -455,7 +491,7 @@ class _WorkerPool:
             reply = protocol.recv_message(worker.conn)
             if reply is None:
                 raise protocol.ProtocolError("connection closed")
-            if reply.tag != _REPLY_TAG[tag] or reply.ident != ident:
+            if reply.tag != protocol.REPLY[tag] or reply.ident != ident:
                 raise protocol.ProtocolError(
                     f"reply tag {reply.tag} for {reply.ident} does not "
                     f"answer tag {tag} for {ident}")
@@ -638,46 +674,35 @@ def run_job(
     pair and be deterministic; in multiprocess mode both it and the records
     must be picklable.  The reduced key stream is checked to be strictly
     ascending before it is returned.
+
+    ``observer`` receives each :class:`JobEvent`, one call at a time, on
+    the scheduler thread and, in a multiprocess job, on the runner
+    threads.  A worker's ``worker_registered`` comes before its first task
+    is sent, so a slow observer delays that task; this order is kept on
+    purpose, because perfbench's ``EngineRecorder`` reads
+    ``manifest_bytes`` and ``worker_startup_s`` from it.  An exception
+    raised by the observer fails the job.
     """
     global _JOB_SEQ
-    records = list(records)
-    n_map_tasks = -(-len(records) // config.chunk_size) if records else 0
     root = _resolve_spill_root(config)
     _JOB_SEQ += 1
     spill = root / f"job-{os.getpid()}-{_JOB_SEQ}-{int(time.monotonic_ns())}"
     spill.mkdir(parents=True, exist_ok=False)
+    tasks = _Tasks(list(records), map_fn, config.n_partitions,
+                   config.combiner_enabled, config.chunk_size, spill)
     pool = None
     if config.mode == "multiprocess":
-        manifest = {
-            "records": records,
-            "map_fn": map_fn,
-            "n_partitions": config.n_partitions,
-            "combiner_enabled": config.combiner_enabled,
-            "chunk_size": config.chunk_size,
-            "n_map_tasks": n_map_tasks,
-            "spill_dir": str(spill),
-        }
-        with open(spill / "manifest.pkl", "wb") as f:
-            pickle.dump(manifest, f)
-        pool = _WorkerPool(config, spill, listen, spawn_workers, observer)
+        pool = _WorkerPool(tasks, config, listen, spawn_workers, observer)
         run_map = functools.partial(pool.run_task, protocol.TASK_ASSIGN)
         run_reduce = functools.partial(pool.run_task, protocol.REDUCE_ASSIGN)
         n_slots, observer, abort = pool.n_slots, pool.notify, pool.abort
     else:
         keep_task_memory()
-
-        def run_map(t: int) -> None:
-            chunk = records[t * config.chunk_size:(t + 1) * config.chunk_size]
-            execute_map_task(t, chunk, map_fn, config.n_partitions,
-                             config.combiner_enabled, spill)
-
-        def run_reduce(p: int) -> None:
-            execute_reduce_task(p, n_map_tasks, spill)
-
+        run_map, run_reduce = tasks.run_map, tasks.run_reduce
         n_slots = 1 if config.mode == "serial" else config.n_workers
         abort = None
     try:
-        _retry_threaded("map", range(n_map_tasks), run_map, n_slots,
+        _retry_threaded("map", range(tasks.n_map_tasks), run_map, n_slots,
                         config.max_task_retries, observer, abort)
         _retry_threaded("reduce", range(config.n_partitions), run_reduce,
                         n_slots, config.max_task_retries, observer, abort)

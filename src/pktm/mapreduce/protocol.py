@@ -1,22 +1,27 @@
 """Wire protocol between the job coordinator and worker processes.
 
 Every message is one length-prefixed frame: u32 little-endian payload size,
-then the payload.  A payload starts with a one-byte message tag; integers are
-little-endian and paths travel as u16 length + UTF-8 bytes.
+then the payload.  Every payload has one layout, whatever its tag: u8 tag,
+u32 ident, u8 status, u16 detail length (``<BIBH``, 8 bytes), then the
+detail as UTF-8 bytes.  A field that a tag does not use is 0 or empty.
+The layout carries no version: a worker and its coordinator must come from
+the same pktm version.
 
 Tags::
 
-    0 REGISTER       worker -> coordinator: u32 pid
-                     coordinator -> worker: u32 worker_id, manifest path
-    1 TASK_ASSIGN    u32 map task id
-    2 TASK_DONE      u32 map task id, u8 status, u16 detail len, detail
-    3 REDUCE_ASSIGN  u32 partition id
-    4 REDUCE_DONE    u32 partition id, u8 status, u16 detail len, detail
-    5 SHUTDOWN       (empty)
+    0 REGISTER       worker -> coordinator: ident = pid
+                     coordinator -> worker: ident = worker id,
+                                            detail = manifest path
+    1 TASK_ASSIGN    ident = map task id
+    2 TASK_DONE      ident = map task id, status, detail
+    3 REDUCE_ASSIGN  ident = partition id
+    4 REDUCE_DONE    ident = partition id, status, detail
+    5 SHUTDOWN       nothing
 
-Status 0 means success; 1 carries a failure description in ``detail``, and
-the task may be retried; 2 (map tasks only) means ``map_fn``'s output broke
-the map contract, which a retry cannot mend, so the job fails at once.
+:data:`REPLY` names the one tag that answers each assignment.  Status 0
+means success; 1 carries a failure description in ``detail``, and the task
+may be retried; 2 (map tasks only) means ``map_fn``'s output broke the map
+contract, which a retry cannot mend, so the job fails at once.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ REDUCE_ASSIGN = 3
 REDUCE_DONE = 4
 SHUTDOWN = 5
 
+_TAGS = frozenset(range(6))
+REPLY = {TASK_ASSIGN: TASK_DONE, REDUCE_ASSIGN: REDUCE_DONE}
+
 _LEN = struct.Struct("<I")
-_U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
+_HEAD = struct.Struct("<BIBH")    # tag, ident, status, detail length
 MAX_FRAME = 1 << 20
 
 STATUS_OK = 0
@@ -54,55 +61,34 @@ class Message:
     detail: str = ""      # failure description or manifest path
 
     def encode(self) -> bytes:
-        if self.tag == SHUTDOWN:
-            payload = bytes([self.tag])
-        elif self.tag == REGISTER:
-            text = self.detail.encode("utf-8")
-            payload = (bytes([self.tag]) + _U32.pack(self.ident)
-                       + _U16.pack(len(text)) + text)
-        elif self.tag in (TASK_ASSIGN, REDUCE_ASSIGN):
-            payload = bytes([self.tag]) + _U32.pack(self.ident)
-        elif self.tag in (TASK_DONE, REDUCE_DONE):
-            text = self.detail.encode("utf-8")
-            payload = (bytes([self.tag]) + _U32.pack(self.ident)
-                       + bytes([self.status]) + _U16.pack(len(text)) + text)
-        else:
+        if self.tag not in _TAGS:
             raise ProtocolError(f"unknown message tag {self.tag}")
-        return _LEN.pack(len(payload)) + payload
+        text = self.detail.encode("utf-8")
+        try:
+            head = _HEAD.pack(self.tag, self.ident, self.status, len(text))
+        except struct.error as exc:
+            raise ProtocolError(f"cannot encode tag {self.tag}: {exc}") from None
+        return _LEN.pack(_HEAD.size + len(text)) + head + text
 
 
 def decode_payload(payload: bytes) -> Message:
+    """Parse one frame's payload; anything malformed raises
+    :class:`ProtocolError`."""
     if not payload:
         raise ProtocolError("empty payload")
-    tag = payload[0]
-    body = payload[1:]
+    if payload[0] not in _TAGS:
+        raise ProtocolError(f"unknown message tag {payload[0]}")
+    if len(payload) < _HEAD.size:
+        raise ProtocolError(f"short payload of {len(payload)} bytes")
+    tag, ident, status, n = _HEAD.unpack_from(payload)
+    if len(payload) != _HEAD.size + n:
+        raise ProtocolError(f"tag {tag} declares {n} detail bytes but "
+                            f"carries {len(payload) - _HEAD.size}")
     try:
-        if tag == SHUTDOWN:
-            if body:
-                raise ProtocolError(f"tag {tag} carries unexpected body")
-            return Message(tag)
-        if tag == REGISTER:
-            ident = _U32.unpack_from(body, 0)[0]
-            n = _U16.unpack_from(body, 4)[0]
-            text = body[6:6 + n].decode("utf-8")
-            if len(body) != 6 + n:
-                raise ProtocolError("REGISTER length mismatch")
-            return Message(tag, ident=ident, detail=text)
-        if tag in (TASK_ASSIGN, REDUCE_ASSIGN):
-            if len(body) != 4:
-                raise ProtocolError(f"tag {tag} body must be 4 bytes")
-            return Message(tag, ident=_U32.unpack_from(body, 0)[0])
-        if tag in (TASK_DONE, REDUCE_DONE):
-            ident = _U32.unpack_from(body, 0)[0]
-            status = body[4]
-            n = _U16.unpack_from(body, 5)[0]
-            text = body[7:7 + n].decode("utf-8")
-            if len(body) != 7 + n:
-                raise ProtocolError(f"tag {tag} length mismatch")
-            return Message(tag, ident=ident, status=status, detail=text)
-    except struct.error as exc:
-        raise ProtocolError(f"short body for tag {tag}: {exc}") from None
-    raise ProtocolError(f"unknown message tag {tag}")
+        detail = payload[_HEAD.size:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"tag {tag} detail is not UTF-8: {exc}") from None
+    return Message(tag, ident, status, detail)
 
 
 def parse_hostport(text: str) -> tuple[str, int]:

@@ -4,6 +4,8 @@ import pytest
 
 from pktm import OffsetBinning, VelocityModel
 from pktm.cli import main
+from pktm.mapreduce import JobConfig
+from pktm.pipeline import migrate_survey
 from pktm.storage import (
     read_image,
     read_survey,
@@ -262,6 +264,48 @@ class TestConfigFile:
                    "--candidates", "2000"])
         assert rc == 0
         assert "best 2000.0" in capsys.readouterr().out
+
+    def test_config_beats_default(self, tmp_path, capsys):
+        """``--tolerance`` defaults to 1, which takes the loop to 2000 m/s
+        (test_loop_converges); a config tolerance of 50 lags accepts the
+        first velocity."""
+        survey = synth(tmp_path)
+        cfg = tmp_path / "loop.cfg"
+        cfg.write_text("tolerance = 50\n")
+        rc = main(["loop", "--config", str(cfg), "--input", str(survey),
+                   "--grid", GRID, "--offset-edges", EDGES,
+                   "--aperture", "500", "--weight", "obliquity",
+                   "--v0", "1700", "--candidates", "1700,1850,2000,2150"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "final_velocity 1700.0 converged yes" in out
+        assert out.count("iteration ") == 1
+
+    def test_engine_options_from_config_flags_and_defaults(
+            self, tmp_path, monkeypatch):
+        import pktm.cli
+
+        seen = []
+
+        def spy(survey, job, config, **kw):
+            seen.append(config)
+            return migrate_survey(survey, job, config, **kw)
+
+        monkeypatch.setattr(pktm.cli, "migrate_survey", spy)
+        survey = synth(tmp_path)
+        cfg = tmp_path / "migrate.cfg"
+        cfg.write_text(f"grid = {GRID}\noffset-edges = {EDGES}\n"
+                       "aperture = 500\nvconst = 2000\nmode = threaded\n"
+                       "partitions = 3\ncombiner = on\nchunk-size = 9\n")
+        rc = main(["migrate", "--config", str(cfg), "--input", str(survey),
+                   "--output", str(tmp_path / "o.img"), "--chunk-size", "5"])
+        assert rc == 0
+        defaults = JobConfig()
+        assert seen == [JobConfig(
+            mode="threaded", n_partitions=3, combiner_enabled=True,
+            chunk_size=5, n_workers=defaults.n_workers,
+            task_timeout=defaults.task_timeout,
+            max_task_retries=defaults.max_task_retries)]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         survey = synth(tmp_path)

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from pktm.mapreduce import (
     JobConfig,
     JobError,
     KeyedTotals,
+    protocol,
     reassemble_image,
     run_job,
 )
@@ -31,6 +33,7 @@ from pktm.mapreduce.engine import (
     execute_map_task,
     execute_reduce_task,
 )
+from pktm.mapreduce.protocol import Message, recv_message, send_message
 from pktm.mapreduce.spill import SpillFormatError, read_partition_file
 
 
@@ -655,6 +658,29 @@ class Standby:
             assert not self.thread.is_alive()
 
 
+def lying_worker(port, assigns):
+    """Register with the job on ``port``, then answer the first assignment
+    with a ``TASK_DONE`` whose one detail byte, 0xff, is not UTF-8."""
+    deadline = time.monotonic() + 30.0
+    while True:
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+            break
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
+    with sock:
+        send_message(sock, Message(protocol.REGISTER, ident=os.getpid()))
+        recv_message(sock)          # the manifest path, left unread
+        assign = recv_message(sock)
+        assigns.append(assign)
+        sock.sendall(struct.pack("<IBIBH", 9, protocol.TASK_DONE,
+                                 assign.ident, protocol.STATUS_OK, 1)
+                     + b"\xff")
+        sock.recv(1)                # until the coordinator hangs up
+
+
 class TestExternalWorker:
     def test_connect_worker_matches_serial(self, spill_dir,
                                            worker_import_path):
@@ -676,6 +702,46 @@ class TestExternalWorker:
         assert [e.kind for e in events].count("worker_registered") == 1
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
+
+    def test_worker_with_a_non_utf8_reply_is_dropped(self, spill_dir):
+        """A worker whose reply does not decode is lost, like one that
+        hangs up: with no worker left, the job fails at once."""
+        port, events, assigns, raised = free_port(), [], [], []
+
+        def job():
+            try:
+                run_job(RECORDS, toy_map, mp_config(spill_dir,
+                                                    max_task_retries=2),
+                        listen=f"127.0.0.1:{port}", spawn_workers=0,
+                        observer=events.append)
+            except Exception as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=job, daemon=True)
+        liar = threading.Thread(target=lying_worker, args=(port, assigns),
+                                daemon=True)
+        start = time.monotonic()
+        runner.start()
+        liar.start()
+        runner.join(timeout=10.0)
+        elapsed = time.monotonic() - start
+        hung = runner.is_alive()
+        if hung:
+            # an honest worker ends the job, so that no runner thread is
+            # left to hang the interpreter's exit
+            from pktm.mapreduce.worker import worker_main
+
+            threading.Thread(target=worker_main, args=(f"127.0.0.1:{port}",),
+                             daemon=True).start()
+            runner.join(timeout=60.0)
+        liar.join(timeout=10.0)
+        assert not hung, "the job still waits on the lying worker"
+        assert elapsed < 5.0
+        assert [m.tag for m in assigns] == [protocol.TASK_ASSIGN]
+        assert len(raised) == 1 and isinstance(raised[0], JobError)
+        kinds = [e.kind for e in events]
+        assert kinds.count("worker_registered") == 1
+        assert kinds.count("worker_lost") == 1
 
 
     def test_standby_worker_exits_cleanly(self, spill_dir,

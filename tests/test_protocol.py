@@ -53,11 +53,25 @@ class TestEncodeDecode:
         assert back.status == protocol.STATUS_FAILED
         assert back.detail == "ValueError('no')"
 
-    def test_empty_body_tags(self):
+    def test_header_only_frame(self):
         back = roundtrip(Message(protocol.SHUTDOWN))
-        assert back.tag == protocol.SHUTDOWN
-        # frame = 4-byte length + 1-byte tag
-        assert len(Message(protocol.SHUTDOWN).encode()) == 5
+        assert back == Message(protocol.SHUTDOWN)
+        # frame = 4-byte length + 8-byte header, no detail
+        assert len(Message(protocol.SHUTDOWN).encode()) == 12
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    @pytest.mark.parametrize("detail", ["", "x", "/tmp/manifest.pkl",
+                                        "départ — 失败"])
+    def test_every_tag_has_one_layout(self, tag, detail):
+        msg = Message(tag, ident=2**32 - 1, status=protocol.STATUS_REJECTED,
+                      detail=detail)
+        frame = msg.encode()
+        text = detail.encode("utf-8")
+        assert len(frame) == 4 + 8 + len(text)
+        assert frame[4:12] == struct.pack("<BIBH", tag, 2**32 - 1,
+                                          protocol.STATUS_REJECTED, len(text))
+        assert frame[12:] == text
+        assert roundtrip(msg) == msg
 
     def test_former_heartbeat_tag_is_unknown(self):
         with pytest.raises(ProtocolError, match="unknown message tag 6"):
@@ -82,12 +96,14 @@ class TestEncodeDecode:
         with pytest.raises(ProtocolError):
             decode_payload(b"")
 
-    def test_body_on_bodyless_tag(self):
-        with pytest.raises(ProtocolError):
-            decode_payload(bytes([protocol.SHUTDOWN]) + b"x")
+    def test_detail_beyond_declared_length(self):
+        # a SHUTDOWN header declaring no detail, followed by one byte
+        payload = struct.pack("<BIBH", protocol.SHUTDOWN, 0, 0, 0) + b"x"
+        with pytest.raises(ProtocolError, match="declares 0 detail bytes"):
+            decode_payload(payload)
 
     def test_short_body(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="short payload"):
             decode_payload(bytes([protocol.TASK_ASSIGN]) + b"\x01")
 
     def test_length_mismatch_in_detail(self):
@@ -95,6 +111,45 @@ class TestEncodeDecode:
         body = struct.pack("<IBH", 1, 0, 5) + b"ab"
         with pytest.raises(ProtocolError):
             decode_payload(bytes([protocol.TASK_DONE]) + body)
+
+    @pytest.mark.parametrize("tag", [6, 7, 255])
+    def test_unknown_tag_with_full_header(self, tag):
+        with pytest.raises(ProtocolError, match=f"unknown message tag {tag}"):
+            decode_payload(struct.pack("<BIBH", tag, 0, 0, 0))
+
+    def test_detail_not_utf8(self):
+        # a worker that lies: its reply's detail is not UTF-8
+        payload = struct.pack("<BIBH", protocol.TASK_DONE, 0, 0, 1) + b"\xff"
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            decode_payload(payload)
+
+    def test_overlong_detail_encode(self):
+        with pytest.raises(ProtocolError):
+            Message(protocol.TASK_DONE, detail="x" * 2**16).encode()
+
+    @given(st.binary(max_size=40))
+    def test_any_bytes_decode_or_protocol_error(self, payload):
+        """Whatever a peer sends, decoding yields a Message or raises
+        ProtocolError, never anything else."""
+        try:
+            msg = decode_payload(payload)
+        except ProtocolError:
+            return
+        assert isinstance(msg, Message)
+        assert msg.encode()[4:] == payload
+
+    @given(st.sampled_from(ALL_TAGS), st.integers(0, 2**32 - 1),
+           st.integers(0, 255), st.binary(max_size=20))
+    def test_any_detail_bytes_decode_or_protocol_error(self, tag, ident,
+                                                       status, detail):
+        """Well-framed payloads with arbitrary detail bytes, most of them
+        not UTF-8, reach the detail check that random bytes rarely do."""
+        payload = struct.pack("<BIBH", tag, ident, status, len(detail)) + detail
+        try:
+            msg = decode_payload(payload)
+        except ProtocolError:
+            return
+        assert msg.detail.encode("utf-8") == detail
 
     @given(st.sampled_from([protocol.TASK_DONE, protocol.REDUCE_DONE]),
            st.integers(0, 2**32 - 1), st.integers(0, 1),
