@@ -21,7 +21,7 @@ import numpy as np
 from .kirchhoff import MigrationJob, forward_model, stack_offsets
 from .mapreduce import ContractViolationError, JobConfig, JobError
 from .mapreduce.engine import MODES
-from .mapreduce.protocol import ProtocolError, parse_hostport
+from .mapreduce.protocol import CONNECT_TIMEOUT, ProtocolError, parse_hostport
 from .model import (
     GridSpec,
     ImageGrid,
@@ -165,11 +165,6 @@ def _add_engine(p: _Parser) -> None:
     p.add_argument("--spill-dir", metavar="DIR",
                    help="root for intermediate spill files "
                         "(default $PKTM_SPILL_DIR, then system temp)")
-    p.add_argument("--spawn-workers", type=int, metavar="N",
-                   help="worker processes to spawn in multiprocess mode "
-                        "(0 waits for external workers)")
-    p.add_argument("--listen", type=_hostport, metavar="HOST:PORT",
-                   help="coordinator bind address for multiprocess mode")
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -215,6 +210,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_kernel(p)
     _add_geometry(p)
     _add_engine(p)
+    p.add_argument("--listen", type=_hostport, metavar="HOST:PORT",
+                   help="multiprocess mode: start no workers; run --workers "
+                        "tasks at once on `pktm worker --connect` processes")
 
     p = sub("demig", "model traces from an image (exact migration transpose)")
     p.add_argument("--input", metavar="FILE", help="image file to read")
@@ -273,7 +271,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("worker", "run a migration worker process")
     p.add_argument("--connect", type=_hostport, metavar="HOST:PORT",
-                   help="coordinator address")
+                   help=f"coordinator address; waits up to {CONNECT_TIMEOUT:g} s")
 
     return parser, registry
 
@@ -413,9 +411,7 @@ def _cmd_migrate(args) -> int:
     job = MigrationJob(grid, vel, _kernel_params(args), binning)
     survey = read_survey(args.input, binning)
     config = _job_config(args)
-    image = migrate_survey(survey, job, config,
-                           listen=args.listen,
-                           spawn_workers=args.spawn_workers)
+    image = migrate_survey(survey, job, config, listen=args.listen)
     write_image(args.output, image)
     print(f"wrote image ({grid.n_offset_bins} bins, {grid.nx} x {grid.ntau}) "
           f"to {args.output}")

@@ -33,17 +33,18 @@ reduce on each map task's unsorted output and emits the digits unrounded.
 One scheduler, :func:`_retry_threaded`, runs every mode: all map tasks,
 then all reduce tasks, on runner threads with one retry budget.  Only the
 runner differs.  Serial and threaded runners run the task body in this
-process.  A multiprocess job has one runner per worker slot (one per local
-worker, or ``n_workers`` when it starts none), which hands its task to an
-idle worker and waits for the reply (see :class:`_WorkerPool`).
+process.  A multiprocess job has ``n_workers`` runners, one per task slot,
+each of which hands its task to an idle worker and waits for the reply (see
+:class:`_WorkerPool`).
 
-A multiprocess job forks its local workers before any runner thread
-starts, so each one starts with numpy and pktm already imported.  Forking
-a process that runs other threads can deadlock the child, so when another
-Python thread is alive, or the platform has no ``os.fork``, each local
-worker is a fresh ``python -m pktm worker --connect`` interpreter instead.
-Either way the job reaps its own children.  Workers started elsewhere
-against ``listen`` use that same entry point.
+A multiprocess job forks ``n_workers`` local workers before any runner
+thread starts, so each one starts with numpy and pktm already imported.
+Forking a process that runs other threads can deadlock the child, so when
+another Python thread is alive, or the platform has no ``os.fork``, each
+local worker is a fresh ``python -m pktm worker --connect`` interpreter
+instead.  Either way the job reaps its own children.  A job given
+``listen`` starts none: it serves ``pktm worker --connect`` processes
+started elsewhere, which may start before it listens.
 
 Forking stays the default although Python 3.12+ warns on every forked
 start: numpy's OpenBLAS keeps a thread alive that ``threading`` does not
@@ -87,7 +88,6 @@ from .spill import read_columns, write_columns
 MODES = ("serial", "threaded", "multiprocess")
 
 SPILL_DIR_ENV = "PKTM_SPILL_DIR"
-_REGISTRATION_TIMEOUT = 30.0
 _ACCEPT_POLL = 0.05     # seconds a runner waits in accept between checks
 _JOB_SEQ = 0
 
@@ -411,16 +411,16 @@ class _WorkerPool:
     """The worker processes of a multiprocess job and their connections.
 
     Making the pool writes the manifest, the pickled :class:`_Tasks`, then
-    opens the listener and starts the local workers, before any runner
-    thread exists.  :meth:`run_task` is the task runner of
-    :func:`_retry_threaded`: it runs one task on an idle registered worker,
-    or registers the next worker that connects.  It reports
-    ``worker_registered`` before the worker's first task and
+    opens the listener and, unless it listens on a given address, starts
+    the local workers, before any runner thread exists.  :meth:`run_task`
+    is the task runner of :func:`_retry_threaded`: it runs one task on an
+    idle registered worker, or registers the next worker that connects.
+    It reports ``worker_registered`` before the worker's first task and
     ``worker_lost`` when a worker fails it.
     """
 
     def __init__(self, tasks: _Tasks, config: JobConfig, listen: str | None,
-                 spawn_workers: int | None, observer: Observer | None):
+                 observer: Observer | None):
         self.task_timeout = config.task_timeout
         self.manifest = str(tasks.spill / "manifest.pkl")
         with open(self.manifest, "wb") as f:
@@ -438,19 +438,18 @@ class _WorkerPool:
         self._closed = False
         self._aborted = False
         self._started = time.monotonic()
-        n_spawn = config.n_workers if spawn_workers is None else spawn_workers
-        self.n_slots = n_spawn or config.n_workers
+        n_local = 0 if listen else config.n_workers
         self.procs: list = []   # multiprocessing.Process | _SpawnedWorker
         host, port = self.listener.getsockname()[:2]
         connect = f"{host}:{port}"
         if hasattr(os, "fork") and threading.active_count() == 1:
             fork = multiprocessing.get_context("fork")
-            for _ in range(n_spawn):
+            for _ in range(n_local):
                 proc = fork.Process(target=self._forked_worker, args=(connect,))
                 proc.start()
                 self.procs.append(proc)
         else:
-            self.procs.extend(_SpawnedWorker(connect) for _ in range(n_spawn))
+            self.procs.extend(_SpawnedWorker(connect) for _ in range(n_local))
 
     def _forked_worker(self, connect: str) -> None:
         """Body of a forked local worker: drop the job's listener, silence
@@ -591,9 +590,9 @@ class _WorkerPool:
         if self.procs or self._ever_registered:
             raise _Fatal(JobError(
                 "all workers exited with tasks still outstanding"))
-        if time.monotonic() - self._started > _REGISTRATION_TIMEOUT:
-            raise _Fatal(JobError(
-                f"no worker registered within {_REGISTRATION_TIMEOUT:.0f}s"))
+        if time.monotonic() - self._started > protocol.CONNECT_TIMEOUT:
+            raise _Fatal(JobError("no worker registered within "
+                                  f"{protocol.CONNECT_TIMEOUT:g}s"))
 
     def abort(self) -> None:
         """The job has failed: wake every runner waiting on a worker."""
@@ -665,7 +664,6 @@ def run_job(
     config: JobConfig,
     *,
     listen: str | None = None,
-    spawn_workers: int | None = None,
     observer: Observer | None = None,
 ) -> KeyedTotals:
     """Execute one MapReduce job and return globally key-ordered totals.
@@ -674,6 +672,9 @@ def run_job(
     pair and be deterministic; in multiprocess mode both it and the records
     must be picklable.  The reduced key stream is checked to be strictly
     ascending before it is returned.
+
+    A multiprocess job given ``listen`` fails when no worker has
+    registered there within :data:`~.protocol.CONNECT_TIMEOUT` seconds.
 
     ``observer`` receives each :class:`JobEvent`, one call at a time, on
     the scheduler thread and, in a multiprocess job, on the runner
@@ -690,16 +691,16 @@ def run_job(
     spill.mkdir(parents=True, exist_ok=False)
     tasks = _Tasks(list(records), map_fn, config.n_partitions,
                    config.combiner_enabled, config.chunk_size, spill)
+    n_slots = 1 if config.mode == "serial" else config.n_workers
     pool = None
     if config.mode == "multiprocess":
-        pool = _WorkerPool(tasks, config, listen, spawn_workers, observer)
+        pool = _WorkerPool(tasks, config, listen, observer)
         run_map = functools.partial(pool.run_task, protocol.TASK_ASSIGN)
         run_reduce = functools.partial(pool.run_task, protocol.REDUCE_ASSIGN)
-        n_slots, observer, abort = pool.n_slots, pool.notify, pool.abort
+        observer, abort = pool.notify, pool.abort
     else:
         keep_task_memory()
         run_map, run_reduce = tasks.run_map, tasks.run_reduce
-        n_slots = 1 if config.mode == "serial" else config.n_workers
         abort = None
     try:
         _retry_threaded("map", range(tasks.n_map_tasks), run_map, n_slots,

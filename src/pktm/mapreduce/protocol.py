@@ -4,6 +4,7 @@ Every message is one length-prefixed frame: u32 little-endian payload size,
 then the payload.  Every payload has one layout, whatever its tag: u8 tag,
 u32 ident, u8 status, u16 detail length (``<BIBH``, 8 bytes), then the
 detail as UTF-8 bytes.  A field that a tag does not use is 0 or empty.
+A frame that declares more than :data:`MAX_FRAME` bytes is refused unread.
 The layout carries no version: a worker and its coordinator must come from
 the same pktm version.
 
@@ -42,7 +43,8 @@ REPLY = {TASK_ASSIGN: TASK_DONE, REDUCE_ASSIGN: REDUCE_DONE}
 
 _LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<BIBH")    # tag, ident, status, detail length
-MAX_FRAME = 1 << 20
+MAX_FRAME = _HEAD.size + 0xFFFF    # the longest payload the layout encodes
+CONNECT_TIMEOUT = 30.0    # seconds a worker retries a refused connect
 
 STATUS_OK = 0
 STATUS_FAILED = 1

@@ -10,8 +10,8 @@ the wire layout carries no version.
 
 :func:`worker_main` is the body of every worker: the coordinator calls it in
 the workers it forks, and ``pktm worker --connect`` calls it in fresh
-interpreters (the coordinator's fallback when it cannot fork, and external
-workers of a ``--listen`` job).
+interpreters (the coordinator's fallback when it cannot fork, and the
+workers of a ``--listen`` job, which forks none).
 """
 
 from __future__ import annotations
@@ -19,19 +19,31 @@ from __future__ import annotations
 import os
 import pickle
 import socket
+import time
 
 from . import protocol
 from .engine import MapOutputError
 from .heap import keep_task_memory
 
 _DETAIL_LIMIT = 1000
+_RETRY = 0.05    # seconds between connect attempts
 
 
 def worker_main(connect: str) -> int:
-    """Serve one coordinator; returns a process exit code."""
+    """Serve one coordinator, retrying a refused connect for up to
+    :data:`~.protocol.CONNECT_TIMEOUT` seconds; returns an exit code."""
     keep_task_memory()
-    sock = socket.create_connection(protocol.parse_hostport(connect),
-                                    timeout=30.0)
+    address = protocol.parse_hostport(connect)
+    deadline = time.monotonic() + protocol.CONNECT_TIMEOUT
+    while True:
+        try:
+            sock = socket.create_connection(
+                address, timeout=max(deadline - time.monotonic(), _RETRY))
+            break
+        except ConnectionRefusedError:
+            if time.monotonic() + _RETRY > deadline:
+                raise
+            time.sleep(_RETRY)
     sock.settimeout(None)
     try:
         protocol.send_message(

@@ -56,7 +56,6 @@ def migrate_survey(
     config: JobConfig | None = None,
     *,
     listen: str | None = None,
-    spawn_workers: int | None = None,
     observer: Observer | None = None,
 ) -> ImageGrid:
     """Migrate a survey as one MapReduce job (serial engine by default).
@@ -69,5 +68,5 @@ def migrate_survey(
         config = JobConfig()
     totals = run_job(
         map_order(survey, job.binning), MigrationMapFn(job), config,
-        listen=listen, spawn_workers=spawn_workers, observer=observer)
+        listen=listen, observer=observer)
     return reassemble_image(totals, job.grid)

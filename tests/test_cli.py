@@ -1,10 +1,12 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
+import time
+
 import numpy as np
 import pytest
 
 from pktm import OffsetBinning, VelocityModel
 from pktm.cli import main
-from pktm.mapreduce import JobConfig
+from pktm.mapreduce import JobConfig, protocol
 from pktm.pipeline import migrate_survey
 from pktm.storage import (
     read_image,
@@ -101,10 +103,14 @@ class TestExitCodes:
                    "--velocity", str(vfile)])
         assert rc == 2
 
-    def test_worker_cannot_connect(self, capsys):
-        # nothing listens on this port; connection is refused immediately
+    def test_worker_cannot_connect(self, capsys, monkeypatch):
+        # nothing listens on this port: each connect is refused at once,
+        # and the worker retries it until the deadline has passed
+        monkeypatch.setattr(protocol, "CONNECT_TIMEOUT", 0.3)
+        start = time.monotonic()
         assert main(["worker", "--connect", "127.0.0.1:1"]) == 4
-        assert "error:" in capsys.readouterr().err
+        assert 0.25 <= time.monotonic() - start < 10.0
+        assert "error: worker connection failed" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -203,6 +209,22 @@ class TestScanAndLoop:
         out = capsys.readouterr().out
         assert "final_velocity 2000.0" in out
         assert "converged yes" in out
+
+    @pytest.mark.parametrize("command", ["scan", "loop"])
+    def test_listen_is_migrate_only(self, command, tmp_path, capsys):
+        """Each velocity is its own job, and a worker exits after one job,
+        so external workers cannot serve a scan: only migrate listens."""
+        argv = [command, "--input", str(synth(tmp_path)), "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                "--candidates", "2000"]
+        if command == "loop":
+            argv += ["--v0", "2000"]
+        assert main(argv + ["--listen", "127.0.0.1:47999"]) == 2
+        assert "unrecognized arguments: --listen" in capsys.readouterr().err
+        cfg = tmp_path / "listen.cfg"
+        cfg.write_text("listen = 127.0.0.1:47999\n")
+        assert main(argv + ["--config", str(cfg)]) == 3
+        assert "unknown config keys: listen" in capsys.readouterr().err
 
 
 class TestAdjointAndEstimate:

@@ -92,6 +92,11 @@ class KillOnceMap:
         return toy_map(record)
 
 
+def kill_self_map(record):
+    """SIGKILL whatever process maps a record: no worker outlives a task."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class StallOnceMap:
     """Stall well past the task timeout the first time record 0 is mapped."""
 
@@ -477,8 +482,8 @@ def assert_reaped(pids):
             os.kill(pid, 0)
 
 
-def mp_config(spill_dir, **kw):
-    return JobConfig(n_partitions=5, n_workers=2, mode="multiprocess",
+def mp_config(spill_dir, n_workers=2, **kw):
+    return JobConfig(n_partitions=5, n_workers=n_workers, mode="multiprocess",
                      chunk_size=7, spill_dir=spill_dir, **kw)
 
 
@@ -537,6 +542,14 @@ class TestLocalWorkerStart:
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
         assert_reaped(pids)
+
+
+def test_job_whose_map_kills_every_local_worker_fails(spill_dir,
+                                                      worker_import_path):
+    """Two workers, each killed by its first task: no task has used up its
+    retries, but no worker is left to run them."""
+    with pytest.raises(JobError, match="all workers exited"):
+        run_job(RECORDS, kill_self_map, mp_config(spill_dir))
 
 
 def test_runner_threads_share_the_pool(spill_dir, worker_import_path):
@@ -609,19 +622,16 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
+def worker_command(port):
+    return [sys.executable, "-m", "pktm", "worker",
+            "--connect", f"127.0.0.1:{port}"]
+
+
 def launch_worker(port, codes):
     """Run ``pktm worker --connect`` against ``port`` and append its exit
-    code, retrying while the job is not listening yet (exit code 4)."""
-    deadline = time.monotonic() + 30.0
-    while True:
-        rc = subprocess.run(
-            [sys.executable, "-m", "pktm", "worker",
-             "--connect", f"127.0.0.1:{port}"],
-            capture_output=True, timeout=120).returncode
-        if rc != 4 or time.monotonic() > deadline:
-            break
-        time.sleep(0.05)
-    codes.append(rc)
+    code; the worker waits for the job to listen."""
+    codes.append(subprocess.run(worker_command(port), capture_output=True,
+                                timeout=120).returncode)
 
 
 class Standby:
@@ -693,8 +703,7 @@ class TestExternalWorker:
             events = []
             got = run_job(RECORDS, toy_map,
                           mp_config(spill_dir),
-                          listen=f"127.0.0.1:{port}", spawn_workers=0,
-                          observer=events.append)
+                          listen=f"127.0.0.1:{port}", observer=events.append)
         finally:
             launcher.join(timeout=60.0)
         assert not launcher.is_alive()
@@ -702,6 +711,40 @@ class TestExternalWorker:
         assert [e.kind for e in events].count("worker_registered") == 1
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
+
+    def test_worker_started_before_its_coordinator(self, spill_dir,
+                                                   worker_import_path):
+        """A ``pktm worker`` started a second before the job listens waits
+        for it, serves the whole job and exits 0."""
+        port = free_port()
+        base = run(spill=spill_dir)
+        worker = subprocess.Popen(worker_command(port),
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, text=True)
+        try:
+            time.sleep(1.0)      # the worker's connects are refused
+            assert worker.poll() is None, worker.communicate()[1]
+            got = run_job(RECORDS, toy_map, mp_config(spill_dir),
+                          listen=f"127.0.0.1:{port}")
+            err = worker.communicate(timeout=60.0)[1]
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+        assert worker.returncode == 0, err
+        assert got.keys.tobytes() == base.keys.tobytes()
+        assert got.totals.tobytes() == base.totals.tobytes()
+        assert os.listdir(spill_dir) == []
+
+    def test_listen_job_that_no_worker_joins_fails(self, spill_dir,
+                                                   monkeypatch):
+        monkeypatch.setattr(protocol, "CONNECT_TIMEOUT", 0.3)
+        start = time.monotonic()
+        with pytest.raises(JobError,
+                           match="no worker registered within 0.3s"):
+            run_job(RECORDS, toy_map, mp_config(spill_dir),
+                    listen=f"127.0.0.1:{free_port()}")
+        assert time.monotonic() - start < 10.0
 
     def test_worker_with_a_non_utf8_reply_is_dropped(self, spill_dir):
         """A worker whose reply does not decode is lost, like one that
@@ -712,8 +755,7 @@ class TestExternalWorker:
             try:
                 run_job(RECORDS, toy_map, mp_config(spill_dir,
                                                     max_task_retries=2),
-                        listen=f"127.0.0.1:{port}", spawn_workers=0,
-                        observer=events.append)
+                        listen=f"127.0.0.1:{port}", observer=events.append)
             except Exception as exc:
                 raised.append(exc)
 
@@ -748,7 +790,7 @@ class TestExternalWorker:
                                           worker_import_path, monkeypatch):
         """A worker beyond the job's one slot stands by unused: when the job
         ends it is registered and shut down, and exits with 0."""
-        port, events = free_port(), []
+        port, codes, events = free_port(), [], []
         standby = Standby(monkeypatch)
 
         def observe(event):
@@ -757,12 +799,16 @@ class TestExternalWorker:
                 standby.start(port)
 
         base = run(spill=spill_dir)
+        launcher = threading.Thread(target=launch_worker, args=(port, codes))
+        launcher.start()
         try:
-            got = run_job(RECORDS, paced_toy_map, mp_config(spill_dir),
-                          listen=f"127.0.0.1:{port}", spawn_workers=1,
-                          observer=observe)
+            got = run_job(RECORDS, paced_toy_map,
+                          mp_config(spill_dir, n_workers=1),
+                          listen=f"127.0.0.1:{port}", observer=observe)
         finally:
+            launcher.join(timeout=60.0)
             standby.join()
+        assert codes == [0]
         assert standby.codes == [0]
         assert [e.kind for e in events].count("worker_registered") == 1
         assert got.keys.tobytes() == base.keys.tobytes()
@@ -788,8 +834,7 @@ class TestExternalWorker:
         launcher.start()
         try:
             got = run_job(RECORDS, KillOnceMap(str(tmp_path / "killed")), cfg,
-                          listen=f"127.0.0.1:{port}", spawn_workers=0,
-                          observer=observe)
+                          listen=f"127.0.0.1:{port}", observer=observe)
         finally:
             launcher.join(timeout=60.0)
             standby.join()
@@ -829,8 +874,7 @@ class TestExternalWorker:
         launcher.start()
         try:
             got = run_job(records, toy_map, cfg,
-                          listen=f"127.0.0.1:{port}", spawn_workers=0,
-                          observer=observe)
+                          listen=f"127.0.0.1:{port}", observer=observe)
         finally:
             launcher.join(timeout=60.0)
             standby.join()

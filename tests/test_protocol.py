@@ -207,6 +207,33 @@ class TestSocketHelpers:
             a.close()
             b.close()
 
+    def test_longest_frame_is_read(self):
+        """A detail of 0xFFFF bytes, the longest the layout encodes, makes
+        a payload of exactly MAX_FRAME bytes, and it is read back."""
+        a, b = self.pair()
+        try:
+            msg = Message(protocol.TASK_DONE, ident=3, detail="x" * 0xFFFF)
+            frame = msg.encode()
+            assert len(frame) == 4 + protocol.MAX_FRAME
+            writer = threading.Thread(target=a.sendall, args=(frame,))
+            writer.start()
+            assert recv_message(b) == msg
+            writer.join()
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_one_byte_over_the_limit_is_refused_unread(self):
+        a, b = self.pair()
+        try:
+            a.sendall(struct.pack("<I", protocol.MAX_FRAME + 1) + b"payload")
+            with pytest.raises(ProtocolError, match="exceeds limit"):
+                recv_message(b)
+            assert b.recv(16) == b"payload"   # no payload byte was read
+        finally:
+            a.close()
+            b.close()
+
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=10),
            st.integers(1, 7))
     def test_any_chunking_reassembles(self, idents, chunk):
