@@ -405,6 +405,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_migrate(args) -> int:
     _require(args, "input", "output", "grid", "offset-edges", "aperture")
+    if args.listen is not None and args.mode != "multiprocess":
+        raise _UsageError("--listen needs --mode multiprocess")
     vel = _velocity_model(args)
     binning = _binning(args)
     grid = _grid(args, binning.n_bins)
@@ -546,7 +548,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # a subcommand hands the flags it does not take back up to the
+            # top level; report them with the subcommand's usage
+            registry.get(args.command, parser).error(
+                "unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command is None:

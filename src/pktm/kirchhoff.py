@@ -6,6 +6,10 @@ common-offset image for the trace's offset bin.  ``forward_model`` is the
 exact transpose (same aperture, binning, weights, and interpolation
 coefficients), so the pair passes a machine-precision dot-product test.
 Both read DSR times and weights from the job's :class:`LegTable`.
+:class:`StencilCache` keeps the interpolation stencils and weights of
+recently migrated trace geometries for the MapReduce map function, which
+reads them instead of recomputing; ``migrate_trace``, ``forward_model``
+and the serial path never read it.
 
 Per-cell totals are correctly rounded exact sums of all contributions
 (see :mod:`pktm.exactsum`), which makes the serial path bit-identical to any
@@ -16,8 +20,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .traveltime import KernelParams, WeightMode, leg_times_grid
 
 # Memory one job's leg table may take in one process.  Surface positions on
 # a lattice commensurate with the grid share most distances (the benchmark
-# grids need 199 rows and 40 index vectors, 1.15 MB); positions off the
+# grids need 259 rows and 40 index vectors, 1.51 MB); positions off the
 # lattice share none, and past the budget their legs are computed for each
 # trace instead.  With 400 traces at such positions on the benchmark grid,
 # a threaded 5-velocity scan peaked at 79 MB with this budget, 78 MB with
@@ -51,8 +56,11 @@ class LegTable:
     Row r holds, along the tau axis, the leg time
     ``T = leg_times_grid(d, tau, v)`` for one exact lateral distance d and,
     under obliquity weighting, its cosine ``(tau/2) / T`` (1 where T = 0).
-    Each surface position s seen so far maps to the nx rows of its
-    distances ``|x_ix - s|``.  Every entry comes from the expression that
+    The table's x axis is the grid's, extended by :attr:`pad` columns past
+    either edge, so that a trace clipped at an edge still has rows over its
+    whole aperture (see :class:`StencilCache`).  Each surface position s
+    seen so far maps to the rows of its distances ``|x - s|`` along that
+    axis.  Every entry comes from the expression that
     :func:`~pktm.traveltime.one_way_time` and :func:`~pktm.traveltime.weight`
     evaluate for one cell, so reading the table changes no bit of any
     kernel output.
@@ -62,8 +70,14 @@ class LegTable:
     process builds its own as traces arrive.
     """
 
-    def __init__(self, grid: GridSpec, vel: VelocityModel, weight_mode: WeightMode):
-        self._x = grid.x_axis()
+    def __init__(self, grid: GridSpec, vel: VelocityModel, weight_mode: WeightMode,
+                 aperture: float = 0.0):
+        # an aperture wider than the grid is clipped to it: windows then
+        # end at the extended axis, which costs hits, not bits
+        self.pad = min(grid.nx, math.ceil(aperture / grid.dx))
+        # the grid's own columns hold exactly GridSpec.x_axis()
+        self.x = grid.x_min + np.arange(
+            -self.pad, grid.nx + self.pad, dtype=np.float64) * grid.dx
         self._tau = grid.tau_axis()
         self._v = np.asarray(vel(self._tau), dtype=np.float64)
         self._obliquity = weight_mode is WeightMode.OBLIQUITY
@@ -75,7 +89,7 @@ class LegTable:
         self._cosines: np.ndarray | None = None
         self._lock = threading.Lock()
         self._row_of: dict[float, int] = {}          # distance -> row
-        self._rows_at: dict[float, np.ndarray] = {}  # position -> nx rows
+        self._rows_at: dict[float, np.ndarray] = {}  # position -> rows along x
         self._bytes = 0
         self._full = False
 
@@ -83,16 +97,26 @@ class LegTable:
     def n_rows(self) -> int:
         return len(self._row_of)
 
-    def legs(self, s: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Leg times and cosines from surface position ``s`` to the image
-        columns ``[lo, hi)``, as new (hi - lo, ntau) arrays the caller may
-        overwrite.  The cosines are None under unit weighting."""
+    def rows(self, s: float) -> np.ndarray | None:
+        """Row of each column of the extended x axis for surface position
+        ``s``; None once the budget is spent and ``s`` is new."""
         with self._lock:
             rows = self._rows_at.get(s)
             if rows is None and not self._full:
                 rows = self._add(s)
+        return rows
+
+    def legs(self, s: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Leg times and cosines from surface position ``s`` to the image
+        columns ``[lo, hi)``, as new (hi - lo, ntau) arrays the caller may
+        overwrite.  Columns count from the grid's first, and may reach
+        :attr:`pad` columns past either edge.  The cosines are None under
+        unit weighting."""
+        rows = self.rows(s)
+        lo += self.pad
+        hi += self.pad
         if rows is None:
-            return self._compute(np.abs(self._x[lo:hi] - s))
+            return self._compute(np.abs(self.x[lo:hi] - s))
         r = rows[lo:hi]  # an index array, so the gathers below copy
         return self._times[r], None if self._cosines is None else self._cosines[r]
 
@@ -106,10 +130,10 @@ class LegTable:
     def _add(self, s: float) -> np.ndarray | None:
         """Index position ``s``, adding rows for its new distances; None
         (and no more positions) once that would pass the budget."""
-        dist, inverse = np.unique(np.abs(self._x - s), return_inverse=True)
+        dist, inverse = np.unique(np.abs(self.x - s), return_inverse=True)
         dist = dist.tolist()
         fresh = [d for d in dist if d not in self._row_of]
-        added = len(fresh) * self._row_bytes + self._x.size * 8
+        added = len(fresh) * self._row_bytes + self.x.size * 8
         if self._bytes + added > self._budget:
             self._full = True
             return None
@@ -157,7 +181,7 @@ class MigrationJob:
 
     def _new_table(self) -> None:
         object.__setattr__(self, "leg_table", LegTable(
-            self.grid, self.vel, self.params.weight_mode))
+            self.grid, self.vel, self.params.weight_mode, self.params.aperture))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -242,16 +266,22 @@ def _stencil(
     return i, np.minimum(i + 1, n - 1), uc - i, valid
 
 
-def _accepted_columns(header: TraceHeader, job: MigrationJob) -> tuple[int, int]:
-    """Image columns ``[lo, hi)`` whose x lies within the midpoint aperture.
-
-    The x axis ascends, so the accepted columns are contiguous.
-    """
+def _aperture_span(
+    x: np.ndarray, header: TraceHeader, aperture: float
+) -> tuple[int, int]:
+    """Indices ``[a, b)`` of the positions ``x`` within the aperture of the
+    trace midpoint, (0, 0) when there are none.  ``x`` ascends, so they are
+    contiguous."""
     mid = 0.5 * (header.source_x + header.receiver_x)
-    ix = np.flatnonzero(np.abs(job.grid.x_axis() - mid) <= job.params.aperture)
+    ix = np.flatnonzero(np.abs(x - mid) <= aperture)
     if ix.size == 0:
         return 0, 0
     return int(ix[0]), int(ix[-1]) + 1
+
+
+def _accepted_columns(header: TraceHeader, job: MigrationJob) -> tuple[int, int]:
+    """Image columns ``[lo, hi)`` whose x lies within the midpoint aperture."""
+    return _aperture_span(job.grid.x_axis(), header, job.params.aperture)
 
 
 def _kernel_grids(
@@ -268,22 +298,22 @@ def _kernel_grids(
     return t, w
 
 
-def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
-    """Scatter one trace into keyed image-cell contributions.
+def _emit(values: np.ndarray, grid: GridSpec, b: int, lo: int) -> Contributions:
+    """Key the nonzero ``values`` of the (column in ``[lo, ...)``, tau)
+    cells of bin ``b``."""
+    values = values.reshape(-1)
+    keep = values != 0.0
+    # the accepted cells of one bin are one run of consecutive ordinals
+    ordinals = np.flatnonzero(keep).astype(np.uint64)
+    ordinals += np.uint64((b * grid.nx + lo) * grid.ntau)
+    return Contributions(ordinals, values[keep])
 
-    The trace feeds the offset bin containing its |source-receiver| distance
-    (empty output if no bin matches).  Every in-aperture cell receives
-    weight * interpolated amplitude at the DSR time; exact zeros are elided.
-    Emission order is ascending (lateral, tau), i.e. ascending cell key.
-    """
-    grid = job.grid
+
+def _migrate_columns(
+    trace: Trace, job: MigrationJob, b: int, lo: int, hi: int
+) -> Contributions:
+    """:func:`migrate_trace` of the accepted columns ``[lo, hi)``."""
     h = trace.header
-    b = job.binning.bin_of(h.offset)
-    if b is None:
-        return Contributions.empty()
-    lo, hi = _accepted_columns(h, job)
-    if lo == hi:
-        return Contributions.empty()
     t, w = _kernel_grids(h, job, lo, hi)
     samples = np.asarray(trace.samples, dtype=np.float64)
     i, j, frac, valid = _stencil(t, h.t0, h.dt, samples.shape[0])
@@ -297,12 +327,232 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
         values = np.where(valid, values, 0.0)
     if w is not None:
         values *= w
-    values = values.reshape(-1)
-    keep = values != 0.0
-    # the accepted cells of one bin are one run of consecutive ordinals
-    ordinals = np.flatnonzero(keep).astype(np.uint64)
-    ordinals += np.uint64((b * grid.nx + lo) * grid.ntau)
-    return Contributions(ordinals, values[keep])
+    return _emit(values, job.grid, b, lo)
+
+
+def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
+    """Scatter one trace into keyed image-cell contributions.
+
+    The trace feeds the offset bin containing its |source-receiver| distance
+    (empty output if no bin matches).  Every in-aperture cell receives
+    weight * interpolated amplitude at the DSR time; exact zeros are elided.
+    Emission order is ascending (lateral, tau), i.e. ascending cell key.
+    """
+    b = job.binning.bin_of(trace.header.offset)
+    if b is None:
+        return Contributions.empty()
+    lo, hi = _accepted_columns(trace.header, job)
+    if lo == hi:
+        return Contributions.empty()
+    return _migrate_columns(trace, job, b, lo, hi)
+
+
+# Memory one job's stencil cache may take in one process.  A full entry of
+# the benchmark grid (61 columns x 351 times x 24 bytes) takes 514 KB, so
+# this holds 6.  In map order the 400-trace scan survey cycles through 5
+# geometries per offset bin, up to mirror images (20 in all).  Served by 2
+# threads it hit 87% of its lookups with this budget, 66% with 2 MiB and
+# 90% with 4 MiB, and a threaded 5-velocity scan peaked about 1 MB higher
+# for each MiB.
+STENCIL_BUDGET_BYTES = 3 * 2**20
+
+# Every _PROBE_LOOKUPS lookups, a cache that has hit fewer than
+# _MIN_HIT_RATE of all its lookups switches off for the rest of its job.
+_PROBE_LOOKUPS = 64
+_MIN_HIT_RATE = 0.25
+
+# An entry used within this many lookups is not evicted; a new stencil is
+# not stored instead.  A cycle of more geometries than the budget holds then
+# keeps hitting the ones it holds, where plain LRU would evict each entry
+# just before its next use.
+_IN_USE_LOOKUPS = 16
+
+# Keys missed once and remembered; a key's second miss stores its stencil.
+_SEEN_KEYS = 64
+
+
+class _Stencil(NamedTuple):
+    """The cached part of :func:`migrate_trace` for one aperture window, as
+    read-only (columns, ntau) arrays: the interpolation stencil (``j`` is
+    ``i + 1``, or ``i`` on a one-sample trace) and the weights, zero where
+    the mask of :func:`_stencil` is False (None: unit weights, no mask)."""
+
+    i: np.ndarray
+    frac: np.ndarray
+    w: np.ndarray | None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self if a is not None)
+
+
+_STORE = object()
+
+
+def _make_stencil(
+    header: TraceHeader, job: MigrationJob, lo: int, hi: int, n: int,
+    flip: bool,
+) -> _Stencil:
+    """The stencil of columns ``[lo, hi)``, in reverse column order when
+    ``flip``."""
+    t, w = _kernel_grids(header, job, lo, hi)
+    if flip:
+        t = t[::-1]
+        w = None if w is None else np.ascontiguousarray(w[::-1])
+    i, _, frac, valid = _stencil(t, header.t0, header.dt, n)
+    if valid is not None:
+        # outside the trace _stencil reads s[0] at frac 0, which a Trace
+        # holds finite, so a zero weight elides the cell as the mask does;
+        # a unit weight changes no bit
+        w = np.where(valid, 1.0 if w is None else w, 0.0)
+    stencil = _Stencil(i, frac, w)
+    for a in stencil:
+        if a is not None:
+            a.setflags(write=False)
+    return stencil
+
+
+class StencilCache:
+    """Interpolation stencils of the trace geometries that one process
+    migrated last, read by :class:`~pktm.pipeline.MigrationMapFn`.
+
+    A stencil is what :func:`migrate_trace` derives from a header before it
+    reads a sample: the DSR times and weights of the trace's aperture
+    window (four leg gathers, a sum and a product), and the sample index
+    and fraction of each time.  A hit reads them as views and only gathers,
+    blends and weights the samples.
+
+    The key is the pair of leg-table row vectors over the trace's
+    *unclipped* aperture window (sorted, as the DSR sum and the weight
+    product commute), with t0, dt and the sample count.  Equal keys read
+    equal table entries through the same arithmetic, so a hit is
+    bit-identical to recomputing, and a trace clipped at a grid edge reads
+    its columns of an unclipped entry.  A window whose rows, read
+    backwards, are another's (the geometry reflected about its midpoint)
+    shares that entry and reads its columns in reverse.  Each valid cell is
+    interpolated alike on either branch of :func:`_stencil`, so a window
+    whose own times all lie inside the trace may read an entry that needed
+    the mask.
+
+    A key is stored on its second miss among the last ``_SEEN_KEYS``, so a
+    geometry seen once costs only its key.  Entries live within
+    ``STENCIL_BUDGET_BYTES``, least recently used first out, but never one
+    used within the last ``_IN_USE_LOOKUPS`` lookups.  Geometries recur
+    within a few traces in map order (:func:`~pktm.pipeline.map_order`),
+    and rarely in file order or at surface positions off the grid's
+    lattice.  A cache that has hit fewer than ``_MIN_HIT_RATE`` of its
+    lookups at a multiple of ``_PROBE_LOOKUPS`` switches off for the rest
+    of its job: every later trace goes straight to :func:`migrate_trace`.
+
+    Threads may share a cache: its maps and counts are guarded by a lock,
+    and stored arrays are never written.  Each process builds its own.
+    """
+
+    def __init__(self, job: MigrationJob):
+        self._job = job
+        self._lock = threading.Lock()   # guards every field below
+        # key -> (stencil, lookup count at its last use), least recent first
+        self._entries: OrderedDict[tuple, tuple[_Stencil, int]] = OrderedDict()
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._bytes = 0
+        self.enabled = True
+        self.lookups = 0
+        self.hits = 0
+
+    def migrate(self, trace: Trace) -> Contributions:
+        """:func:`migrate_trace` of ``trace``, bit for bit, reading the
+        trace's stencil from the cache where it can."""
+        job = self._job
+        if not self.enabled:
+            return migrate_trace(trace, job)
+        h = trace.header
+        b = job.binning.bin_of(h.offset)
+        if b is None:
+            return Contributions.empty()
+        table = job.leg_table
+        # the unclipped window [ulo, uhi) along the table's axis; the grid
+        # columns in it are the ones _accepted_columns finds
+        a, z = _aperture_span(table.x, h, job.params.aperture)
+        ulo, uhi = a - table.pad, z - table.pad
+        lo, hi = max(ulo, 0), min(uhi, job.grid.nx)
+        if lo >= hi:
+            return Contributions.empty()
+        rows_s, rows_r = table.rows(h.source_x), table.rows(h.receiver_x)
+        if rows_s is None or rows_r is None:
+            return _migrate_columns(trace, job, b, lo, hi)
+        rows_s, rows_r = rows_s[a:z], rows_r[a:z]
+        legs = sorted((rows_s.tobytes(), rows_r.tobytes()))
+        # the window read backwards: a geometry and its reflection share
+        # one entry, stored in the orientation whose key sorts first
+        mirror = sorted((rows_s[::-1].tobytes(), rows_r[::-1].tobytes()))
+        flip = mirror < legs
+        samples = np.asarray(trace.samples, dtype=np.float64)
+        n = samples.shape[0]
+        # t0 is >= 0, and +0.0 and -0.0 (equal keys) give equal times
+        key = (h.t0, h.dt, n, *(mirror if flip else legs))
+        stencil = self._lookup(key)
+        if stencil is None:
+            return _migrate_columns(trace, job, b, lo, hi)
+        if stencil is _STORE:
+            stencil = _make_stencil(h, job, ulo, uhi, n, flip)
+            self._store(key, stencil)
+        width = uhi - ulo
+        cut = (slice(width - (hi - ulo), width - (lo - ulo)) if flip
+               else slice(lo - ulo, hi - ulo))
+        i, frac = stencil.i[cut], stencil.frac[cut]
+        # migrate_trace's blend, reading s[j] = s[i + 1] through a view
+        values = samples[i]
+        values *= 1.0 - frac
+        right = (samples[1:] if n > 1 else samples)[i]
+        right *= frac
+        values += right
+        if stencil.w is not None:
+            values *= stencil.w[cut]
+        return _emit(values[::-1] if flip else values, job.grid, b, lo)
+
+    def _lookup(self, key: tuple) -> "_Stencil | object | None":
+        """The entry of ``key``; :data:`_STORE` when the caller should make
+        and store it; None when it should migrate without the cache."""
+        with self._lock:
+            if not self.enabled:
+                return None
+            self.lookups += 1
+            entry = self._entries.get(key)
+            found = None
+            if entry is not None:
+                found = entry[0]
+                self._entries[key] = (found, self.lookups)
+                self._entries.move_to_end(key)
+                self.hits += 1
+            elif key in self._seen:
+                del self._seen[key]
+                found = _STORE
+            else:
+                self._seen[key] = None
+                if len(self._seen) > _SEEN_KEYS:
+                    self._seen.popitem(last=False)
+            if (self.lookups % _PROBE_LOOKUPS == 0
+                    and self.hits < _MIN_HIT_RATE * self.lookups):
+                self.enabled = False
+                self._entries.clear()
+                self._seen.clear()
+                self._bytes = 0
+            return found
+
+    def _store(self, key: tuple, stencil: _Stencil) -> None:
+        size = stencil.nbytes
+        with self._lock:
+            if (not self.enabled or key in self._entries
+                    or size > STENCIL_BUDGET_BYTES):
+                return
+            while self._bytes + size > STENCIL_BUDGET_BYTES:
+                oldest, (old, last_use) = next(iter(self._entries.items()))
+                if self.lookups - last_use < _IN_USE_LOOKUPS:
+                    return
+                del self._entries[oldest]
+                self._bytes -= old.nbytes
+            self._entries[key] = (stencil, self.lookups)
+            self._bytes += size
 
 
 def forward_model(

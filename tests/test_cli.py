@@ -45,7 +45,11 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["estimate", "--bogus", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pktm estimate ")
+        assert "error: unrecognized arguments: --bogus 1" in err
+        assert main(["--bogus"]) == 2
+        assert capsys.readouterr().err.startswith("usage: pktm [-h] COMMAND")
 
     @pytest.mark.parametrize("argv,message", [
         (["worker", "--connect", "localhost"],
@@ -167,6 +171,26 @@ class TestMigrateAndDemig:
                             "--combiner", "on"]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
+    @pytest.mark.parametrize("mode", [None, "serial", "threaded"])
+    def test_listen_needs_multiprocess_mode(self, mode, tmp_path, capsys):
+        """Only a multiprocess job serves external workers, so --listen in
+        any other mode, from a flag or from a config file, is a usage
+        error, not a flag silently ignored."""
+        argv = ["migrate", "--input", str(synth(tmp_path)),
+                "--output", str(tmp_path / "o.img"), "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                "--vconst", "2000"]
+        if mode:
+            argv += ["--mode", mode]
+        cfg = tmp_path / "listen.cfg"
+        cfg.write_text("listen = 127.0.0.1:47999\n")
+        for extra in (["--listen", "127.0.0.1:47999"], ["--config", str(cfg)]):
+            assert main(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: pktm migrate ")
+            assert "error: --listen needs --mode multiprocess" in err
+        assert not (tmp_path / "o.img").exists()
+
     def test_demig_roundtrip_runs(self, tmp_path):
         survey = synth(tmp_path)
         image_path = tmp_path / "o.img"
@@ -220,7 +244,9 @@ class TestScanAndLoop:
         if command == "loop":
             argv += ["--v0", "2000"]
         assert main(argv + ["--listen", "127.0.0.1:47999"]) == 2
-        assert "unrecognized arguments: --listen" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --listen" in err
+        assert err.startswith(f"usage: pktm {command} ")
         cfg = tmp_path / "listen.cfg"
         cfg.write_text("listen = 127.0.0.1:47999\n")
         assert main(argv + ["--config", str(cfg)]) == 3

@@ -243,9 +243,11 @@ class TestLegTable:
         for s in (0.0, 50.0, 500.0, 1000.0, 25.0):
             h = TraceHeader(0, s, s, 0.0, 0.004, 101)
             migrate_trace(Trace(h, np.ones(101)), job)
-        # distances 0, 50, ..., 1000 from the lattice points, and
-        # 25, 75, ..., 975 from 25
-        assert job.leg_table.n_rows == 21 + 20
+        # the table's axis reaches the 400 m aperture past either edge,
+        # -400 to 1400 m: distances 0, 50, ..., 1400 from the lattice
+        # points, and 25, 75, ..., 1375 from 25
+        assert job.leg_table.pad == 8
+        assert job.leg_table.n_rows == 29 + 28
 
     def test_spent_budget_computes_legs_per_trace(self, monkeypatch):
         """Past its budget the table indexes no more positions, and the

@@ -1,12 +1,14 @@
 import pickle
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pktm import kirchhoff
 from pktm import (
+    GridSpec,
     JobConfig,
     KernelParams,
     MigrationJob,
@@ -16,6 +18,7 @@ from pktm import (
     TraceHeader,
     VelocityModel,
     WeightMode,
+    make_acquisition,
     migrate_survey,
     migrate_survey_serial,
     migrate_trace,
@@ -49,17 +52,21 @@ class TestMigrationMapFn:
 
 
 class TestLegTableLifetime:
-    """A job's leg table is never shipped and dies with its job."""
+    """A job's leg table and stencil cache are never shipped, and the table
+    dies with its job."""
 
     def test_pickle_is_unchanged_by_migrating(self, small_survey, small_job):
         job = fresh_job(small_job)
         fn = MigrationMapFn(job)
         before = pickle.dumps(fn)
-        for trace in small_survey.traces[:8]:
+        for trace in small_survey.traces[:8] * 3:
             fn(trace)
         assert job.leg_table.n_rows > 0
+        assert fn.stencils.hits > 0
         assert pickle.dumps(fn) == before
-        assert pickle.loads(before).job.leg_table.n_rows == 0
+        restored = pickle.loads(before)
+        assert restored.job.leg_table.n_rows == 0
+        assert restored.stencils.lookups == 0
 
     def test_table_dies_with_its_job(self, small_survey, small_job, spill_dir):
         job = fresh_job(small_job)
@@ -74,7 +81,7 @@ class TestLegTableLifetime:
                                                     spill_dir, monkeypatch):
         """Every trace of this survey brings two new surface positions, so
         the threads add rows to the shared table all through the map (the
-        budget is raised to hold all 13 MB of them).  A race need not show
+        budget is raised to hold all 21 MB of them).  A race need not show
         in one run, so three jobs each build their table."""
         monkeypatch.setattr(kirchhoff, "TABLE_BUDGET_BYTES", 32 * 2**20)
         binning = OffsetBinning((0.0, 400.0, 800.0, 1600.0))
@@ -85,13 +92,17 @@ class TestLegTableLifetime:
         oracle = migrate_survey_serial(survey, fresh_job(job))
         config = JobConfig(mode="threaded", n_workers=4, chunk_size=1,
                            spill_dir=spill_dir)
-        # one row per distinct distance: a lost or doubled row shows here
+        # one row per distinct distance along the table's axis, which
+        # reaches the aperture past either grid edge: a lost or doubled
+        # row shows here
         x = small_grid.x_axis()
+        pad = job.leg_table.pad
+        x_table = small_grid.x_min + np.arange(-pad, x.size + pad) * small_grid.dx
         distances = {float(d) for t in survey
                      if np.any(np.abs(x - 0.5 * (t.header.source_x + t.header.receiver_x))
                                <= job.params.aperture)
                      for s in (t.header.source_x, t.header.receiver_x)
-                     for d in np.abs(x - s)}
+                     for d in np.abs(x_table - s)}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -102,6 +113,196 @@ class TestLegTableLifetime:
                 assert job.leg_table.n_rows == len(distances)
         finally:
             sys.setswitchinterval(interval)
+
+
+# --------------------------------------------------------------------------
+# the stencil cache of MigrationMapFn
+# --------------------------------------------------------------------------
+
+def assert_cached_matches(fn, traces):
+    """Run ``traces`` through ``fn`` in order; each output must equal an
+    uncached migrate_trace on a job of its own, bit for bit."""
+    reference = fresh_job(fn.job)
+    for trace in traces:
+        keys, values = fn(trace)
+        c = migrate_trace(trace, reference)
+        assert keys.tobytes() == c.ordinals.tobytes()
+        assert values.tobytes() == c.values.tobytes()
+
+
+def lattice_job(nx=51, aperture=200.0, dtau=0.004, ntau=101,
+                weight=WeightMode.OBLIQUITY):
+    """A 20 m grid from x = 0, one offset bin, 2000 m/s."""
+    grid = GridSpec(0.0, 20.0, nx, 0.0, dtau, ntau, 1)
+    return MigrationJob(grid, VelocityModel.constant(2000.0),
+                        KernelParams(aperture, weight), OffsetBinning((0.0, 1000.0)))
+
+
+def trace_at(sx, rx, rng, t0=0.0, dt=0.004, n=160, trace_id=0):
+    return Trace(TraceHeader(trace_id, sx, rx, t0, dt, n), rng.standard_normal(n))
+
+
+class TestStencilCache:
+    @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
+    def test_clipped_and_swapped_traces_hit_one_entry(self, weight):
+        """Offset 100 m about midpoints 500, 40 and 980 m on a 0-1000 m grid
+        with a 200 m aperture: one geometry, unclipped, clipped at the
+        left edge and at the right, and with source and receiver swapped."""
+        rng = np.random.default_rng(11)
+        fn = MigrationMapFn(lattice_job(weight=weight))
+        interior = [trace_at(450.0, 550.0, rng) for _ in range(2)]
+        assert_cached_matches(fn, interior)   # seen, then stored
+        assert fn.stencils.hits == 0
+        others = [trace_at(-10.0, 90.0, rng), trace_at(930.0, 1030.0, rng),
+                  trace_at(550.0, 450.0, rng), trace_at(90.0, -10.0, rng)]
+        assert_cached_matches(fn, others)
+        assert fn.stencils.hits == len(others)
+        # the same geometry on other time axes: other stencils, no hit
+        assert_cached_matches(fn, [trace_at(450.0, 550.0, rng, t0=0.002),
+                                   trace_at(450.0, 550.0, rng, dt=0.002),
+                                   trace_at(450.0, 550.0, rng, n=100)])
+        assert fn.stencils.hits == len(others)
+
+    @pytest.mark.parametrize("first", [455.0, 465.0])
+    def test_mirrored_geometries_share_an_entry(self, first):
+        """Offset 100 m about midpoints 5 m and 15 m past a column: each
+        window is the other's seen from the other side.  Whichever stores
+        the entry, both, clipped at either edge and with source and
+        receiver swapped, read it."""
+        rng = np.random.default_rng(16)
+        fn = MigrationMapFn(lattice_job())
+        assert_cached_matches(fn, [trace_at(first, first + 100.0, rng)
+                                   for _ in range(2)])
+        others = [trace_at(455.0, 555.0, rng), trace_at(465.0, 565.0, rng),
+                  trace_at(565.0, 465.0, rng), trace_at(-5.0, 95.0, rng),
+                  trace_at(5.0, 105.0, rng), trace_at(925.0, 1025.0, rng),
+                  trace_at(1035.0, 935.0, rng)]
+        assert_cached_matches(fn, others)
+        assert fn.stencils.hits == len(others)
+        assert len(fn.stencils._entries) == 1
+
+    def test_clipped_trace_stores_the_unclipped_window(self):
+        rng = np.random.default_rng(12)
+        fn = MigrationMapFn(lattice_job())
+        assert_cached_matches(fn, [trace_at(-10.0, 90.0, rng) for _ in range(2)])
+        assert_cached_matches(fn, [trace_at(450.0, 550.0, rng),
+                                   trace_at(1030.0, 930.0, rng)])
+        assert fn.stencils.hits == 2
+
+    @pytest.mark.parametrize("t0", [0.0, 0.0005])
+    def test_sub_window_without_the_mask_of_its_entry(self, t0):
+        """Zero offset 7 m past a column: the window reaches 187 m to one
+        side and 193 m to the other.  The trace ends between the two DSR
+        times at tau = 0.1 s, so the full window needs the mask, while a
+        trace clipped at the grid edge keeps only its 187 m side, whose
+        times all lie inside the trace."""
+        rng = np.random.default_rng(13)
+        job = lattice_job(nx=30, ntau=26)
+        ref = fresh_job(job)
+        n = 216 - int(t0 > 0)   # the last sample at 0.215 s
+
+        def trace(mid):
+            return trace_at(mid, mid, rng, t0=t0, dt=0.001, n=n)
+
+        # the grid ends at 580 m; 313 and 13 m mirror 307 and 567 m
+        inner, edge, mirrored_edge = trace(307.0), trace(567.0), trace(13.0)
+        for t, masked in ((inner, True), (edge, False), (mirrored_edge, False)):
+            lo, hi = kirchhoff._accepted_columns(t.header, ref)
+            dsr, _ = kirchhoff._kernel_grids(t.header, ref, lo, hi)
+            valid = kirchhoff._stencil(dsr, t0, 0.001, n)[3]
+            assert (valid is not None) == masked
+        fn = MigrationMapFn(job)
+        assert_cached_matches(fn, [inner, inner, edge, trace(307.0),
+                                   trace(313.0), mirrored_edge])
+        assert fn.stencils.hits == 4
+
+    @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
+    def test_one_sample_traces(self, weight):
+        """A zero-offset trace over a column has DSR time tau there, so a
+        t0 on the tau axis puts a cell on its sample."""
+        job = lattice_job(weight=weight)
+        t0 = float(job.grid.tau_axis()[40])
+        traces = [Trace(TraceHeader(i, x, x, t0, 0.004, 1), np.array([1.5 + i]))
+                  for i, x in enumerate((500.0, 500.0, 300.0, 0.0, 1000.0))]
+        fn = MigrationMapFn(job)
+        assert_cached_matches(fn, traces)
+        assert fn.stencils.hits == 3
+        assert all(fn(t)[0].size > 0 for t in traces)
+
+    def test_off_lattice_survey_with_the_table_budget_spent(self, monkeypatch):
+        """Past the leg table's budget a trace has no key and is migrated
+        without the cache; traces whose positions the table holds still
+        hit."""
+        binning = OffsetBinning((0.0, 500.0, 2000.0))
+        grid = GridSpec(0.0, 40.0, 24, 0.0, 0.004, 40, 2)
+        job = MigrationJob(grid, VelocityModel(((0.0, 1600.0), (1.0, 2600.0))),
+                           KernelParams(350.0, WeightMode.OBLIQUITY), binning)
+        survey = random_survey(np.random.default_rng(8), binning,
+                               n_traces=12, n_samples=80)
+        for trace in survey:
+            migrate_trace(trace, job)
+        # room for the rows of about four positions
+        monkeypatch.setattr(kirchhoff, "TABLE_BUDGET_BYTES",
+                            4 * (grid.nx + 2 * 9) * grid.ntau * 16)
+        fn = MigrationMapFn(fresh_job(job))
+        assert_cached_matches(fn, list(survey) * 3)
+        assert fn.stencils.hits > 0
+        assert 0 < fn.job.leg_table.n_rows < job.leg_table.n_rows
+
+    def test_threads_sharing_one_cache(self, small_survey, small_job,
+                                       monkeypatch):
+        """4 threads, switching every microsecond, migrate the survey three
+        times through one map function whose budget holds about three
+        entries, so they store and evict all along."""
+        monkeypatch.setattr(kirchhoff, "STENCIL_BUDGET_BYTES", 3 * 41 * 201 * 24)
+        traces = map_order(small_survey, small_job.binning)
+        reference = fresh_job(small_job)
+        want = [migrate_trace(t, reference) for t in traces]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                fn = MigrationMapFn(fresh_job(small_job))
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(fn, traces * 3))
+                for (keys, values), c in zip(got, want * 3):
+                    assert keys.tobytes() == c.ordinals.tobytes()
+                    assert values.tobytes() == c.values.tobytes()
+                assert fn.stencils.hits > 0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_file_order_switches_the_cache_off(self):
+        """The 800-trace survey of the multiprocess benchmark in file
+        (source-major) order: its geometries recur too far apart to hit,
+        so the cache switches off after its first 64 lookups."""
+        headers = make_acquisition(40, 50.0, 50.0, 20, 100.0, 100.0,
+                                   0.0, 0.004, 501)
+        rng = np.random.default_rng(14)
+        traces = [Trace(h, rng.standard_normal(501)) for h in headers]
+        job = MigrationJob(GridSpec(0.0, 20.0, 101, 0.0, 0.004, 351, 4),
+                           VelocityModel.constant(2000.0),
+                           KernelParams(600.0, WeightMode.OBLIQUITY),
+                           OffsetBinning((0.0, 500.0, 1000.0, 1500.0, 2000.0)))
+        fn = MigrationMapFn(job)
+        assert_cached_matches(fn, traces)
+        assert not fn.stencils.enabled
+        assert fn.stencils.lookups == 64
+        assert fn.stencils.hits < 16
+
+    def test_stored_arrays_are_read_only(self):
+        rng = np.random.default_rng(15)
+        for weight in (WeightMode.UNIT, WeightMode.OBLIQUITY):
+            fn = MigrationMapFn(lattice_job(weight=weight))
+            for _ in range(2):
+                fn(trace_at(450.0, 550.0, rng))
+            stencil, _ = next(iter(fn.stencils._entries.values()))
+            arrays = [a for a in stencil if a is not None]
+            assert len(arrays) == (3 if weight is WeightMode.OBLIQUITY else 2)
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0
 
 
 class TestMigrateSurvey:
