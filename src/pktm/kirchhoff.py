@@ -6,10 +6,12 @@ common-offset image for the trace's offset bin.  ``forward_model`` is the
 exact transpose (same aperture, binning, weights, and interpolation
 coefficients), so the pair passes a machine-precision dot-product test.
 Both read DSR times and weights from the job's :class:`LegTable`.
-:class:`StencilCache` keeps the interpolation stencils and weights of
-recently migrated trace geometries for the MapReduce map function, which
-reads them instead of recomputing; ``migrate_trace``, ``forward_model``
-and the serial path never read it.
+Migration makes one stencil per trace (the sample index, interpolation
+fraction and weight of each cell) and blends the samples through it.  The
+job's :class:`StencilCache` keeps the stencils of recently migrated trace
+geometries for the MapReduce map function, which blends from them instead
+of recomputing; ``migrate_trace``, ``forward_model`` and the serial path
+never read it.
 
 Per-cell totals are correctly rounded exact sums of all contributions
 (see :mod:`pktm.exactsum`), which makes the serial path bit-identical to any
@@ -162,8 +164,10 @@ class LegTable:
 class MigrationJob:
     """Fixed operands of one migration: target grid, velocity, kernel knobs.
 
-    ``leg_table`` is the job's :class:`LegTable`, empty until the job's
-    first trace; a pickled job arrives with an empty one.
+    ``leg_table`` and ``stencils`` are the job's :class:`LegTable` and
+    :class:`StencilCache` in this process, empty until its first trace.  A
+    cache key holds row ids of this table, so the two are made together
+    and never pickled: a pickled job arrives with empty ones.
     """
 
     grid: GridSpec
@@ -177,20 +181,21 @@ class MigrationJob:
                 f"grid has {self.grid.n_offset_bins} offset bins, "
                 f"binning defines {self.binning.n_bins}"
             )
-        self._new_table()
+        self._new_state()
 
-    def _new_table(self) -> None:
+    def _new_state(self) -> None:
         object.__setattr__(self, "leg_table", LegTable(
             self.grid, self.vel, self.params.weight_mode, self.params.aperture))
+        object.__setattr__(self, "stencils", StencilCache())
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["leg_table"]
+        del state["leg_table"], state["stencils"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._new_table()
+        self._new_state()
 
 
 @dataclass(frozen=True)
@@ -309,27 +314,6 @@ def _emit(values: np.ndarray, grid: GridSpec, b: int, lo: int) -> Contributions:
     return Contributions(ordinals, values[keep])
 
 
-def _migrate_columns(
-    trace: Trace, job: MigrationJob, b: int, lo: int, hi: int
-) -> Contributions:
-    """:func:`migrate_trace` of the accepted columns ``[lo, hi)``."""
-    h = trace.header
-    t, w = _kernel_grids(h, job, lo, hi)
-    samples = np.asarray(trace.samples, dtype=np.float64)
-    i, j, frac, valid = _stencil(t, h.t0, h.dt, samples.shape[0])
-    # (1 - frac) * s[i] + frac * s[j], as interp_sample, without temporaries
-    values = samples[i]
-    values *= 1.0 - frac
-    right = samples[j]
-    right *= frac
-    values += right
-    if valid is not None:
-        values = np.where(valid, values, 0.0)
-    if w is not None:
-        values *= w
-    return _emit(values, job.grid, b, lo)
-
-
 def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     """Scatter one trace into keyed image-cell contributions.
 
@@ -338,44 +322,24 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     weight * interpolated amplitude at the DSR time; exact zeros are elided.
     Emission order is ascending (lateral, tau), i.e. ascending cell key.
     """
-    b = job.binning.bin_of(trace.header.offset)
+    h = trace.header
+    b = job.binning.bin_of(h.offset)
     if b is None:
         return Contributions.empty()
-    lo, hi = _accepted_columns(trace.header, job)
+    lo, hi = _accepted_columns(h, job)
     if lo == hi:
         return Contributions.empty()
-    return _migrate_columns(trace, job, b, lo, hi)
-
-
-# Memory one job's stencil cache may take in one process.  A full entry of
-# the benchmark grid (61 columns x 351 times x 24 bytes) takes 514 KB, so
-# this holds 6.  In map order the 400-trace scan survey cycles through 5
-# geometries per offset bin, up to mirror images (20 in all).  Served by 2
-# threads it hit 87% of its lookups with this budget, 66% with 2 MiB and
-# 90% with 4 MiB, and a threaded 5-velocity scan peaked about 1 MB higher
-# for each MiB.
-STENCIL_BUDGET_BYTES = 3 * 2**20
-
-# Every _PROBE_LOOKUPS lookups, a cache that has hit fewer than
-# _MIN_HIT_RATE of all its lookups switches off for the rest of its job.
-_PROBE_LOOKUPS = 64
-_MIN_HIT_RATE = 0.25
-
-# An entry used within this many lookups is not evicted; a new stencil is
-# not stored instead.  A cycle of more geometries than the budget holds then
-# keeps hitting the ones it holds, where plain LRU would evict each entry
-# just before its next use.
-_IN_USE_LOOKUPS = 16
-
-# Keys missed once and remembered; a key's second miss stores its stencil.
-_SEEN_KEYS = 64
+    samples = np.asarray(trace.samples, dtype=np.float64)
+    stencil = _make_stencil(h, job, lo, hi, samples.shape[0])
+    return _emit(_blend(samples, stencil), job.grid, b, lo)
 
 
 class _Stencil(NamedTuple):
-    """The cached part of :func:`migrate_trace` for one aperture window, as
-    read-only (columns, ntau) arrays: the interpolation stencil (``j`` is
-    ``i + 1``, or ``i`` on a one-sample trace) and the weights, zero where
-    the mask of :func:`_stencil` is False (None: unit weights, no mask)."""
+    """What :func:`migrate_trace` derives from a header for the columns of
+    one aperture window before it reads a sample, as read-only
+    (columns, ntau) arrays: the sample index and interpolation fraction of
+    each cell's DSR time, and its weight, zero where the mask of
+    :func:`_stencil` is False (None: unit weights, no mask)."""
 
     i: np.ndarray
     frac: np.ndarray
@@ -386,15 +350,12 @@ class _Stencil(NamedTuple):
         return sum(a.nbytes for a in self if a is not None)
 
 
-_STORE = object()
-
-
 def _make_stencil(
     header: TraceHeader, job: MigrationJob, lo: int, hi: int, n: int,
-    flip: bool,
+    flip: bool = False,
 ) -> _Stencil:
-    """The stencil of columns ``[lo, hi)``, in reverse column order when
-    ``flip``."""
+    """The stencil of columns ``[lo, hi)`` on an ``n``-sample trace, in
+    reverse column order when ``flip``."""
     t, w = _kernel_grids(header, job, lo, hi)
     if flip:
         t = t[::-1]
@@ -412,15 +373,48 @@ def _make_stencil(
     return stencil
 
 
+def _blend(samples: np.ndarray, stencil: _Stencil,
+           cut: slice = slice(None)) -> np.ndarray:
+    """``w * ((1 - frac) * s[i] + frac * s[i + 1])`` over the columns
+    ``cut`` of ``stencil``, as :func:`interp_sample` computes it for one
+    time, in a new array.  A one-sample trace reads s[0] twice (its frac
+    is 0)."""
+    i, frac = stencil.i[cut], stencil.frac[cut]
+    values = samples[i]
+    values *= 1.0 - frac
+    # s[i + 1] through a view, without an index array of its own
+    right = (samples[1:] if samples.shape[0] > 1 else samples)[i]
+    right *= frac
+    values += right
+    if stencil.w is not None:
+        values *= stencil.w[cut]
+    return values
+
+
+# Memory one job's stencil cache may take in one process.  A full entry of
+# the benchmark grid (61 columns x 351 times x 24 bytes) takes 514 KB, so
+# this holds 6.  In map order the 400-trace scan survey cycles through 5
+# geometries per offset bin, up to mirror images (20 in all).  Served by 2
+# threads, a 5-velocity scan of it hit 94% of its lookups with this budget,
+# 74-77% with 2 MiB, 93-94% with 2.5 MiB and 95% with 4 MiB.
+STENCIL_BUDGET_BYTES = 3 * 2**20
+
+# Every _PROBE_LOOKUPS lookups, a cache that has hit fewer than
+# _MIN_HIT_RATE of all its lookups switches off for the rest of its job.
+_PROBE_LOOKUPS = 64
+_MIN_HIT_RATE = 0.25
+
+
 class StencilCache:
     """Interpolation stencils of the trace geometries that one process
     migrated last, read by :class:`~pktm.pipeline.MigrationMapFn`.
 
-    A stencil is what :func:`migrate_trace` derives from a header before it
-    reads a sample: the DSR times and weights of the trace's aperture
-    window (four leg gathers, a sum and a product), and the sample index
-    and fraction of each time.  A hit reads them as views and only gathers,
-    blends and weights the samples.
+    A stencil (:class:`_Stencil`) is what :func:`migrate_trace` derives
+    from a header before it reads a sample: the DSR times and weights of
+    the trace's aperture window (four leg gathers, a sum and a product),
+    and the sample index and fraction of each time.  A hit reads them as
+    views, and :func:`_blend` then only gathers, blends and weights the
+    samples, as :func:`migrate_trace` does.
 
     The key is the pair of leg-table row vectors over the trace's
     *unclipped* aperture window (sorted, as the DSR sum and the weight
@@ -434,35 +428,33 @@ class StencilCache:
     whose own times all lie inside the trace may read an entry that needed
     the mask.
 
-    A key is stored on its second miss among the last ``_SEEN_KEYS``, so a
-    geometry seen once costs only its key.  Entries live within
-    ``STENCIL_BUDGET_BYTES``, least recently used first out, but never one
-    used within the last ``_IN_USE_LOOKUPS`` lookups.  Geometries recur
-    within a few traces in map order (:func:`~pktm.pipeline.map_order`),
-    and rarely in file order or at surface positions off the grid's
-    lattice.  A cache that has hit fewer than ``_MIN_HIT_RATE`` of its
-    lookups at a multiple of ``_PROBE_LOOKUPS`` switches off for the rest
-    of its job: every later trace goes straight to :func:`migrate_trace`.
+    Every miss makes the stencil of the unclipped window, stores it and
+    blends from it.  Entries live within ``STENCIL_BUDGET_BYTES``, least
+    recently used first out.  Geometries recur within a few traces in map
+    order (:func:`~pktm.pipeline.map_order`), and rarely in file order or
+    at surface positions off the grid's lattice.  A cache that has hit
+    fewer than ``_MIN_HIT_RATE`` of its lookups at a multiple of
+    ``_PROBE_LOOKUPS`` switches off for the rest of its job: every later
+    trace goes straight to :func:`migrate_trace`.
 
-    Threads may share a cache: its maps and counts are guarded by a lock,
-    and stored arrays are never written.  Each process builds its own.
+    A key holds row ids of one process's leg table, so a cache belongs to
+    one job's table: :class:`MigrationJob` makes and drops the two
+    together.  :meth:`migrate` takes the job as an argument, so the cache
+    holds no reference back to it.  Threads may share a cache: its map and
+    counts are guarded by a lock, and stored arrays are never written.
     """
 
-    def __init__(self, job: MigrationJob):
-        self._job = job
+    def __init__(self):
         self._lock = threading.Lock()   # guards every field below
-        # key -> (stencil, lookup count at its last use), least recent first
-        self._entries: OrderedDict[tuple, tuple[_Stencil, int]] = OrderedDict()
-        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Stencil] = OrderedDict()  # LRU first
         self._bytes = 0
         self.enabled = True
         self.lookups = 0
         self.hits = 0
 
-    def migrate(self, trace: Trace) -> Contributions:
+    def migrate(self, trace: Trace, job: MigrationJob) -> Contributions:
         """:func:`migrate_trace` of ``trace``, bit for bit, reading the
         trace's stencil from the cache where it can."""
-        job = self._job
         if not self.enabled:
             return migrate_trace(trace, job)
         h = trace.header
@@ -479,7 +471,7 @@ class StencilCache:
             return Contributions.empty()
         rows_s, rows_r = table.rows(h.source_x), table.rows(h.receiver_x)
         if rows_s is None or rows_r is None:
-            return _migrate_columns(trace, job, b, lo, hi)
+            return migrate_trace(trace, job)
         rows_s, rows_r = rows_s[a:z], rows_r[a:z]
         legs = sorted((rows_s.tobytes(), rows_r.tobytes()))
         # the window read backwards: a geometry and its reflection share
@@ -492,52 +484,30 @@ class StencilCache:
         key = (h.t0, h.dt, n, *(mirror if flip else legs))
         stencil = self._lookup(key)
         if stencil is None:
-            return _migrate_columns(trace, job, b, lo, hi)
-        if stencil is _STORE:
             stencil = _make_stencil(h, job, ulo, uhi, n, flip)
             self._store(key, stencil)
         width = uhi - ulo
         cut = (slice(width - (hi - ulo), width - (lo - ulo)) if flip
                else slice(lo - ulo, hi - ulo))
-        i, frac = stencil.i[cut], stencil.frac[cut]
-        # migrate_trace's blend, reading s[j] = s[i + 1] through a view
-        values = samples[i]
-        values *= 1.0 - frac
-        right = (samples[1:] if n > 1 else samples)[i]
-        right *= frac
-        values += right
-        if stencil.w is not None:
-            values *= stencil.w[cut]
+        values = _blend(samples, stencil, cut)
         return _emit(values[::-1] if flip else values, job.grid, b, lo)
 
-    def _lookup(self, key: tuple) -> "_Stencil | object | None":
-        """The entry of ``key``; :data:`_STORE` when the caller should make
-        and store it; None when it should migrate without the cache."""
+    def _lookup(self, key: tuple) -> _Stencil | None:
+        """The entry of ``key``, None on a miss."""
         with self._lock:
             if not self.enabled:
                 return None
             self.lookups += 1
-            entry = self._entries.get(key)
-            found = None
-            if entry is not None:
-                found = entry[0]
-                self._entries[key] = (found, self.lookups)
+            stencil = self._entries.get(key)
+            if stencil is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-            elif key in self._seen:
-                del self._seen[key]
-                found = _STORE
-            else:
-                self._seen[key] = None
-                if len(self._seen) > _SEEN_KEYS:
-                    self._seen.popitem(last=False)
             if (self.lookups % _PROBE_LOOKUPS == 0
                     and self.hits < _MIN_HIT_RATE * self.lookups):
                 self.enabled = False
                 self._entries.clear()
-                self._seen.clear()
                 self._bytes = 0
-            return found
+            return stencil
 
     def _store(self, key: tuple, stencil: _Stencil) -> None:
         size = stencil.nbytes
@@ -546,12 +516,9 @@ class StencilCache:
                     or size > STENCIL_BUDGET_BYTES):
                 return
             while self._bytes + size > STENCIL_BUDGET_BYTES:
-                oldest, (old, last_use) = next(iter(self._entries.items()))
-                if self.lookups - last_use < _IN_USE_LOOKUPS:
-                    return
-                del self._entries[oldest]
+                _, old = self._entries.popitem(last=False)
                 self._bytes -= old.nbytes
-            self._entries[key] = (stencil, self.lookups)
+            self._entries[key] = stencil
             self._bytes += size
 
 

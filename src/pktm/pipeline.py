@@ -15,9 +15,10 @@ combiner keeps 0.23 of its records instead of 0.72.  Exact sums make the
 order invisible in the image.
 
 The same order brings traces of one geometry close together, which is what
-the map function's :class:`~pktm.kirchhoff.StencilCache` reuses: 3 MiB per
-job and process, bit-identical by construction, and switched off for the
-rest of a job whose traces rarely hit it (file order, for one).
+the map function reuses through the job's
+:class:`~pktm.kirchhoff.StencilCache`: 3 MiB per job and process,
+bit-identical by construction, and switched off for the rest of a job
+whose traces rarely hit it (file order, for one).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kirchhoff import MigrationJob, StencilCache
+from .kirchhoff import MigrationJob
 from .mapreduce import JobConfig, reassemble_image, run_job
 from .mapreduce.engine import Observer
 from .model import ImageGrid, OffsetBinning, Survey, Trace
@@ -38,30 +39,14 @@ class MigrationMapFn:
     """Picklable per-trace map function for distributed migration.
 
     It emits what :func:`~pktm.kirchhoff.migrate_trace` emits, bit for bit,
-    through ``stencils``, the job's :class:`~pktm.kirchhoff.StencilCache`
-    in this process.  Like the job's leg table, the cache is never pickled:
-    a pickled map function arrives with an empty one.
+    through the job's :class:`~pktm.kirchhoff.StencilCache` in this
+    process, which is never pickled.
     """
 
     job: MigrationJob
 
-    def __post_init__(self):
-        self._new_cache()
-
-    def _new_cache(self) -> None:
-        object.__setattr__(self, "stencils", StencilCache(self.job))
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["stencils"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._new_cache()
-
     def __call__(self, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-        c = self.stencils.migrate(trace)
+        c = self.job.stencils.migrate(trace, self.job)
         return c.ordinals, c.values
 
 

@@ -52,8 +52,8 @@ class TestMigrationMapFn:
 
 
 class TestLegTableLifetime:
-    """A job's leg table and stencil cache are never shipped, and the table
-    dies with its job."""
+    """A job's leg table and stencil cache are never shipped, and both die
+    with their job."""
 
     def test_pickle_is_unchanged_by_migrating(self, small_survey, small_job):
         job = fresh_job(small_job)
@@ -62,20 +62,26 @@ class TestLegTableLifetime:
         for trace in small_survey.traces[:8] * 3:
             fn(trace)
         assert job.leg_table.n_rows > 0
-        assert fn.stencils.hits > 0
+        assert job.stencils.hits > 0
         assert pickle.dumps(fn) == before
         restored = pickle.loads(before)
         assert restored.job.leg_table.n_rows == 0
-        assert restored.stencils.lookups == 0
+        assert restored.job.stencils.lookups == 0
+        assert not restored.job.stencils._entries
 
     def test_table_dies_with_its_job(self, small_survey, small_job, spill_dir):
+        """Without a collection: a reference cycle between the job and
+        its cache would keep both alive here."""
         job = fresh_job(small_job)
         config = JobConfig(mode="threaded", n_workers=2, spill_dir=spill_dir)
         migrate_survey(small_survey, job, config)
         table = weakref.ref(job.leg_table)
+        stencils = weakref.ref(job.stencils)
         assert table().n_rows > 0
+        assert stencils().lookups > 0
         del job
         assert table() is None
+        assert stencils() is None
 
     def test_threads_growing_one_table_match_serial(self, small_grid,
                                                     spill_dir, monkeypatch):
@@ -151,17 +157,45 @@ class TestStencilCache:
         rng = np.random.default_rng(11)
         fn = MigrationMapFn(lattice_job(weight=weight))
         interior = [trace_at(450.0, 550.0, rng) for _ in range(2)]
-        assert_cached_matches(fn, interior)   # seen, then stored
-        assert fn.stencils.hits == 0
+        assert_cached_matches(fn, interior)   # stored, then read
+        assert fn.job.stencils.hits == 1
         others = [trace_at(-10.0, 90.0, rng), trace_at(930.0, 1030.0, rng),
                   trace_at(550.0, 450.0, rng), trace_at(90.0, -10.0, rng)]
         assert_cached_matches(fn, others)
-        assert fn.stencils.hits == len(others)
+        assert fn.job.stencils.hits == 1 + len(others)
         # the same geometry on other time axes: other stencils, no hit
         assert_cached_matches(fn, [trace_at(450.0, 550.0, rng, t0=0.002),
                                    trace_at(450.0, 550.0, rng, dt=0.002),
                                    trace_at(450.0, 550.0, rng, n=100)])
-        assert fn.stencils.hits == len(others)
+        assert fn.job.stencils.hits == 1 + len(others)
+
+    def test_least_recently_used_entry_is_evicted(self, monkeypatch):
+        """A budget of three entries and a cycle of three geometries
+        (offsets 100, 200 and 300 m about one midpoint): each is stored at
+        its first sighting and read on every later pass.  A fourth then
+        evicts the least recently used."""
+        entry = 21 * 101 * 24   # 21 columns x 101 times x (i, frac, w)
+        monkeypatch.setattr(kirchhoff, "STENCIL_BUDGET_BYTES", 3 * entry)
+        rng = np.random.default_rng(17)
+        fn = MigrationMapFn(lattice_job())
+
+        def geometry(offset):
+            return trace_at(500.0 - offset / 2, 500.0 + offset / 2, rng)
+
+        cycle = [100.0, 200.0, 300.0]
+        assert_cached_matches(fn, [geometry(o) for o in cycle])
+        cache = fn.job.stencils
+        assert (cache.hits, cache._bytes) == (0, 3 * entry)
+        for n_pass in (1, 2):
+            assert_cached_matches(fn, [geometry(o) for o in cycle])
+            assert cache.hits == 3 * n_pass
+        assert_cached_matches(fn, [geometry(400.0)])   # evicts 100 m
+        assert_cached_matches(fn, [geometry(100.0)])   # evicts 200 m
+        assert cache.hits == 6
+        assert_cached_matches(fn, [geometry(o) for o in (300.0, 400.0, 100.0)])
+        assert cache.hits == 9
+        assert_cached_matches(fn, [geometry(200.0)])
+        assert (cache.hits, cache.lookups) == (9, 15)
 
     @pytest.mark.parametrize("first", [455.0, 465.0])
     def test_mirrored_geometries_share_an_entry(self, first):
@@ -178,8 +212,8 @@ class TestStencilCache:
                   trace_at(5.0, 105.0, rng), trace_at(925.0, 1025.0, rng),
                   trace_at(1035.0, 935.0, rng)]
         assert_cached_matches(fn, others)
-        assert fn.stencils.hits == len(others)
-        assert len(fn.stencils._entries) == 1
+        assert fn.job.stencils.hits == 1 + len(others)
+        assert len(fn.job.stencils._entries) == 1
 
     def test_clipped_trace_stores_the_unclipped_window(self):
         rng = np.random.default_rng(12)
@@ -187,7 +221,7 @@ class TestStencilCache:
         assert_cached_matches(fn, [trace_at(-10.0, 90.0, rng) for _ in range(2)])
         assert_cached_matches(fn, [trace_at(450.0, 550.0, rng),
                                    trace_at(1030.0, 930.0, rng)])
-        assert fn.stencils.hits == 2
+        assert fn.job.stencils.hits == 3
 
     @pytest.mark.parametrize("t0", [0.0, 0.0005])
     def test_sub_window_without_the_mask_of_its_entry(self, t0):
@@ -214,7 +248,7 @@ class TestStencilCache:
         fn = MigrationMapFn(job)
         assert_cached_matches(fn, [inner, inner, edge, trace(307.0),
                                    trace(313.0), mirrored_edge])
-        assert fn.stencils.hits == 4
+        assert fn.job.stencils.hits == 5
 
     @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
     def test_one_sample_traces(self, weight):
@@ -226,7 +260,7 @@ class TestStencilCache:
                   for i, x in enumerate((500.0, 500.0, 300.0, 0.0, 1000.0))]
         fn = MigrationMapFn(job)
         assert_cached_matches(fn, traces)
-        assert fn.stencils.hits == 3
+        assert fn.job.stencils.hits == 4
         assert all(fn(t)[0].size > 0 for t in traces)
 
     def test_off_lattice_survey_with_the_table_budget_spent(self, monkeypatch):
@@ -246,7 +280,7 @@ class TestStencilCache:
                             4 * (grid.nx + 2 * 9) * grid.ntau * 16)
         fn = MigrationMapFn(fresh_job(job))
         assert_cached_matches(fn, list(survey) * 3)
-        assert fn.stencils.hits > 0
+        assert fn.job.stencils.hits > 0
         assert 0 < fn.job.leg_table.n_rows < job.leg_table.n_rows
 
     def test_threads_sharing_one_cache(self, small_survey, small_job,
@@ -268,7 +302,7 @@ class TestStencilCache:
                 for (keys, values), c in zip(got, want * 3):
                     assert keys.tobytes() == c.ordinals.tobytes()
                     assert values.tobytes() == c.values.tobytes()
-                assert fn.stencils.hits > 0
+                assert fn.job.stencils.hits > 0
         finally:
             sys.setswitchinterval(interval)
 
@@ -286,9 +320,9 @@ class TestStencilCache:
                            OffsetBinning((0.0, 500.0, 1000.0, 1500.0, 2000.0)))
         fn = MigrationMapFn(job)
         assert_cached_matches(fn, traces)
-        assert not fn.stencils.enabled
-        assert fn.stencils.lookups == 64
-        assert fn.stencils.hits < 16
+        assert not fn.job.stencils.enabled
+        assert fn.job.stencils.lookups == 64
+        assert fn.job.stencils.hits < 16
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(15)
@@ -296,7 +330,7 @@ class TestStencilCache:
             fn = MigrationMapFn(lattice_job(weight=weight))
             for _ in range(2):
                 fn(trace_at(450.0, 550.0, rng))
-            stencil, _ = next(iter(fn.stencils._entries.values()))
+            stencil = next(iter(fn.job.stencils._entries.values()))
             arrays = [a for a in stencil if a is not None]
             assert len(arrays) == (3 if weight is WeightMode.OBLIQUITY else 2)
             for a in arrays:
