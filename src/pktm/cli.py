@@ -497,10 +497,11 @@ def _cmd_adjoint_test(args) -> int:
 
     modeled = forward_model(image, headers, job)
     migrated = migrate_survey_serial(Survey(data, binning), job)
-    lhs = sum(float(np.dot(a.samples, b.samples))
-              for a, b in zip(modeled, data))
+    lhs = sum((float(np.dot(a.samples, b.samples))
+               for a, b in zip(modeled, data)), 0.0)
     rhs = float(np.sum(migrated.values * image.values))
-    rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
+    # both sides are 0 when no trace reaches the image
+    rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs)) if lhs != rhs else 0.0
     print(f"<Lm,d> {lhs!r}")
     print(f"<m,L'd> {rhs!r}")
     print(f"relative_error {rel!r}")

@@ -3,15 +3,14 @@ offset stacking, and a serial whole-survey reference path.
 
 Migration scatters each trace sample along its diffraction isochron into the
 common-offset image for the trace's offset bin.  ``forward_model`` is the
-exact transpose (same aperture, binning, weights, and interpolation
-coefficients), so the pair passes a machine-precision dot-product test.
-Both read DSR times and weights from the job's :class:`LegTable`.
-Migration makes one stencil per trace (the sample index, interpolation
-fraction and weight of each cell) and blends the samples through it.  The
-job's :class:`StencilCache` keeps the stencils of recently migrated trace
-geometries for the MapReduce map function, which blends from them instead
-of recomputing; ``migrate_trace``, ``forward_model`` and the serial path
-never read it.
+exact transpose, so the pair passes a machine-precision dot-product test.
+Both read one window and one stencil per trace (the sample index,
+interpolation fraction and weight of each cell, from the job's
+:class:`LegTable`): migration blends the samples through it and modeling
+spreads cell values back through it.  The job's :class:`StencilCache`
+keeps the stencils of recently migrated trace geometries for the MapReduce
+map function, which blends from them instead of recomputing;
+``migrate_trace``, ``forward_model`` and the serial path never read it.
 
 Per-cell totals are correctly rounded exact sums of all contributions
 (see :mod:`pktm.exactsum`), which makes the serial path bit-identical to any
@@ -59,8 +58,9 @@ class LegTable:
     ``T = leg_times_grid(d, tau, v)`` for one exact lateral distance d and,
     under obliquity weighting, its cosine ``(tau/2) / T`` (1 where T = 0).
     The table's x axis is the grid's, extended by :attr:`pad` columns past
-    either edge, so that a trace clipped at an edge still has rows over its
-    whole aperture (see :class:`StencilCache`).  Each surface position s
+    either edge: :func:`_window` finds each trace's aperture window on it,
+    and a trace clipped at an edge still has rows over its whole window
+    (see :class:`StencilCache`).  Each surface position s
     seen so far maps to the rows of its distances ``|x - s|`` along that
     axis.  Every entry comes from the expression that
     :func:`~pktm.traveltime.one_way_time` and :func:`~pktm.traveltime.weight`
@@ -243,64 +243,24 @@ def interp_sample(trace: Trace, t: float) -> float:
     return (1.0 - frac) * float(s[i]) + frac * float(s[i + 1])
 
 
-def _stencil(
-    t: np.ndarray, t0: float, dt: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Linear-interpolation stencil of times ``t`` on an ``n``-sample trace.
-
-    Returns (i, j, frac, valid): the amplitude at t is
-    ``(1 - frac) * s[i] + frac * s[j]`` where ``valid`` and zero elsewhere,
-    as :func:`interp_sample` computes it for one time.  ``valid`` is None
-    when every time lies within the trace and before its last sample, which
-    spares the caller its masking.
-    A one-sample trace is valid only at t0 exactly, where i = j = 0 and
-    frac = 0.  Migration reads through the stencil and modeling scatters
-    through it, so the pair is an exact transpose.
-    """
-    u = t - t0
-    u /= dt
-    if n >= 2 and u.min() >= 0.0 and u.max() < n - 1:
-        # every time lies before the last sample, so floor(u) <= n - 2
-        i = np.floor(u)
-        u -= i
-        i = i.astype(np.int64)
-        return i, i + 1, u, None
-    valid = (u >= 0.0) & (u <= n - 1)
-    uc = np.where(valid, u, 0.0)
-    i = np.minimum(np.floor(uc).astype(np.int64), max(n - 2, 0))
-    return i, np.minimum(i + 1, n - 1), uc - i, valid
-
-
-def _aperture_span(
-    x: np.ndarray, header: TraceHeader, aperture: float
-) -> tuple[int, int]:
-    """Indices ``[a, b)`` of the positions ``x`` within the aperture of the
-    trace midpoint, (0, 0) when there are none.  ``x`` ascends, so they are
-    contiguous."""
-    mid = 0.5 * (header.source_x + header.receiver_x)
-    ix = np.flatnonzero(np.abs(x - mid) <= aperture)
-    if ix.size == 0:
-        return 0, 0
-    return int(ix[0]), int(ix[-1]) + 1
-
-
-def _accepted_columns(header: TraceHeader, job: MigrationJob) -> tuple[int, int]:
-    """Image columns ``[lo, hi)`` whose x lies within the midpoint aperture."""
-    return _aperture_span(job.grid.x_axis(), header, job.params.aperture)
-
-
-def _kernel_grids(
-    header: TraceHeader, job: MigrationJob, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """DSR times and weights (None under unit weighting) on the
-    (column in ``[lo, hi)``, tau) grid."""
+def _window(header: TraceHeader, job: MigrationJob) -> tuple[int, int, int] | None:
+    """``(b, lo, hi)``: a trace's offset bin and the columns ``[lo, hi)``
+    of the leg table's axis (counted from the grid's first) within its
+    midpoint aperture, unclipped; None when no bin or no grid column
+    accepts the trace.  The axis holds the grid's columns bit for bit."""
+    b = job.binning.bin_of(header.offset)
+    if b is None:
+        return None
     table = job.leg_table
-    t, w = table.legs(header.source_x, lo, hi)
-    t_r, w_r = table.legs(header.receiver_x, lo, hi)
-    t += t_r
-    if w is not None:
-        w *= w_r
-    return t, w
+    mid = 0.5 * (header.source_x + header.receiver_x)
+    # the axis ascends, so the accepted columns are contiguous
+    ix = np.flatnonzero(np.abs(table.x - mid) <= job.params.aperture)
+    if ix.size == 0:
+        return None
+    lo, hi = int(ix[0]) - table.pad, int(ix[-1]) + 1 - table.pad
+    if hi <= 0 or lo >= job.grid.nx:
+        return None
+    return b, lo, hi
 
 
 def _emit(values: np.ndarray, grid: GridSpec, b: int, lo: int) -> Contributions:
@@ -322,24 +282,39 @@ def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     weight * interpolated amplitude at the DSR time; exact zeros are elided.
     Emission order is ascending (lateral, tau), i.e. ascending cell key.
     """
+    return _migrate(trace, job, None)
+
+
+def _migrate(trace: Trace, job: MigrationJob,
+             cache: StencilCache | None) -> Contributions:
+    """:func:`migrate_trace`, through the stencil of the trace's unclipped
+    window where ``cache`` supplies one."""
     h = trace.header
-    b = job.binning.bin_of(h.offset)
-    if b is None:
+    window = _window(h, job)
+    if window is None:
         return Contributions.empty()
-    lo, hi = _accepted_columns(h, job)
-    if lo == hi:
-        return Contributions.empty()
+    b, ulo, uhi = window
+    lo, hi = max(ulo, 0), min(uhi, job.grid.nx)
     samples = np.asarray(trace.samples, dtype=np.float64)
-    stencil = _make_stencil(h, job, lo, hi, samples.shape[0])
-    return _emit(_blend(samples, stencil), job.grid, b, lo)
+    n = samples.shape[0]
+    cached = None if cache is None else cache.fetch(h, job, ulo, uhi, n)
+    if cached is None:
+        stencil, flip = _make_stencil(h, job, lo, hi, n), False
+        ulo, uhi = lo, hi
+    else:
+        stencil, flip = cached
+    # the stencil covers [ulo, uhi), in reverse column order when flip
+    cut = slice(uhi - hi, uhi - lo) if flip else slice(lo - ulo, hi - ulo)
+    values = _blend(samples, stencil, cut)
+    return _emit(values[::-1] if flip else values, job.grid, b, lo)
 
 
 class _Stencil(NamedTuple):
     """What :func:`migrate_trace` derives from a header for the columns of
     one aperture window before it reads a sample, as read-only
     (columns, ntau) arrays: the sample index and interpolation fraction of
-    each cell's DSR time, and its weight, zero where the mask of
-    :func:`_stencil` is False (None: unit weights, no mask)."""
+    each cell's DSR time, and its weight, zero where the time lies outside
+    the trace (None: unit weights, every time inside)."""
 
     i: np.ndarray
     frac: np.ndarray
@@ -355,15 +330,35 @@ def _make_stencil(
     flip: bool = False,
 ) -> _Stencil:
     """The stencil of columns ``[lo, hi)`` on an ``n``-sample trace, in
-    reverse column order when ``flip``."""
-    t, w = _kernel_grids(header, job, lo, hi)
+    reverse column order when ``flip``.  Every operator reads its sample
+    indices, fractions and mask from here: migration through
+    :func:`_blend` and modeling through :func:`_spread`, so the pair is an
+    exact transpose.  A one-sample trace is inside only at t0 exactly,
+    where i = 0 and frac = 0."""
+    # DSR times and weights (None under unit weighting)
+    t, w = job.leg_table.legs(header.source_x, lo, hi)
+    t_r, w_r = job.leg_table.legs(header.receiver_x, lo, hi)
+    t += t_r
+    if w is not None:
+        w *= w_r
     if flip:
         t = t[::-1]
         w = None if w is None else np.ascontiguousarray(w[::-1])
-    i, _, frac, valid = _stencil(t, header.t0, header.dt, n)
-    if valid is not None:
-        # outside the trace _stencil reads s[0] at frac 0, which a Trace
-        # holds finite, so a zero weight elides the cell as the mask does;
+    u = t - header.t0
+    u /= header.dt
+    if n >= 2 and u.min() >= 0.0 and u.max() < n - 1:
+        # every time lies before the last sample, so floor(u) <= n - 2
+        i = np.floor(u)
+        u -= i
+        i = i.astype(np.int64)
+        frac = u
+    else:
+        valid = (u >= 0.0) & (u <= n - 1)
+        u = np.where(valid, u, 0.0)
+        i = np.minimum(np.floor(u).astype(np.int64), max(n - 2, 0))
+        frac = u - i
+        # outside the trace the cell reads s[0] at frac 0, which a Trace
+        # holds finite, so a zero weight elides the cell as a mask does;
         # a unit weight changes no bit
         w = np.where(valid, 1.0 if w is None else w, 0.0)
     stencil = _Stencil(i, frac, w)
@@ -373,8 +368,7 @@ def _make_stencil(
     return stencil
 
 
-def _blend(samples: np.ndarray, stencil: _Stencil,
-           cut: slice = slice(None)) -> np.ndarray:
+def _blend(samples: np.ndarray, stencil: _Stencil, cut: slice) -> np.ndarray:
     """``w * ((1 - frac) * s[i] + frac * s[i + 1])`` over the columns
     ``cut`` of ``stencil``, as :func:`interp_sample` computes it for one
     time, in a new array.  A one-sample trace reads s[0] twice (its frac
@@ -389,6 +383,18 @@ def _blend(samples: np.ndarray, stencil: _Stencil,
     if stencil.w is not None:
         values *= stencil.w[cut]
     return values
+
+
+def _spread(samples: np.ndarray, stencil: _Stencil, values: np.ndarray) -> None:
+    """The transpose of :func:`_blend`: add each cell's ``(1 - frac) * w *
+    value`` to s[i] and then its ``frac * w * value`` to s[i + 1], in the
+    C order of the cells, into ``samples`` in place."""
+    if stencil.w is not None:
+        values = stencil.w * values
+    # np.add.at is fastest on 1-D operands
+    i, frac, values = (a.reshape(-1) for a in (stencil.i, stencil.frac, values))
+    np.add.at(samples, i, (1.0 - frac) * values)
+    np.add.at(samples[1:] if samples.shape[0] > 1 else samples, i, frac * values)
 
 
 # Memory one job's stencil cache may take in one process.  A full entry of
@@ -424,9 +430,9 @@ class StencilCache:
     its columns of an unclipped entry.  A window whose rows, read
     backwards, are another's (the geometry reflected about its midpoint)
     shares that entry and reads its columns in reverse.  Each valid cell is
-    interpolated alike on either branch of :func:`_stencil`, so a window
-    whose own times all lie inside the trace may read an entry that needed
-    the mask.
+    interpolated alike on either branch of :func:`_make_stencil`, so a
+    window whose own times all lie inside the trace may read an entry that
+    needed the mask.
 
     Every miss makes the stencil of the unclipped window, stores it and
     blends from it.  Entries live within ``STENCIL_BUDGET_BYTES``, least
@@ -455,42 +461,34 @@ class StencilCache:
     def migrate(self, trace: Trace, job: MigrationJob) -> Contributions:
         """:func:`migrate_trace` of ``trace``, bit for bit, reading the
         trace's stencil from the cache where it can."""
+        return _migrate(trace, job, self)
+
+    def fetch(self, header: TraceHeader, job: MigrationJob, lo: int, hi: int,
+              n: int) -> tuple[_Stencil, bool] | None:
+        """The stencil of a trace's unclipped window ``[lo, hi)`` (see
+        :func:`_window`) on its ``n`` samples, and whether its columns run
+        in reverse; None when the cache is off or the leg table holds no
+        rows for the trace's positions.  A miss makes and stores it."""
         if not self.enabled:
-            return migrate_trace(trace, job)
-        h = trace.header
-        b = job.binning.bin_of(h.offset)
-        if b is None:
-            return Contributions.empty()
+            return None
         table = job.leg_table
-        # the unclipped window [ulo, uhi) along the table's axis; the grid
-        # columns in it are the ones _accepted_columns finds
-        a, z = _aperture_span(table.x, h, job.params.aperture)
-        ulo, uhi = a - table.pad, z - table.pad
-        lo, hi = max(ulo, 0), min(uhi, job.grid.nx)
-        if lo >= hi:
-            return Contributions.empty()
-        rows_s, rows_r = table.rows(h.source_x), table.rows(h.receiver_x)
+        rows_s, rows_r = table.rows(header.source_x), table.rows(header.receiver_x)
         if rows_s is None or rows_r is None:
-            return migrate_trace(trace, job)
+            return None
+        a, z = lo + table.pad, hi + table.pad
         rows_s, rows_r = rows_s[a:z], rows_r[a:z]
         legs = sorted((rows_s.tobytes(), rows_r.tobytes()))
         # the window read backwards: a geometry and its reflection share
         # one entry, stored in the orientation whose key sorts first
         mirror = sorted((rows_s[::-1].tobytes(), rows_r[::-1].tobytes()))
         flip = mirror < legs
-        samples = np.asarray(trace.samples, dtype=np.float64)
-        n = samples.shape[0]
         # t0 is >= 0, and +0.0 and -0.0 (equal keys) give equal times
-        key = (h.t0, h.dt, n, *(mirror if flip else legs))
+        key = (header.t0, header.dt, n, *(mirror if flip else legs))
         stencil = self._lookup(key)
         if stencil is None:
-            stencil = _make_stencil(h, job, ulo, uhi, n, flip)
+            stencil = _make_stencil(header, job, lo, hi, n, flip)
             self._store(key, stencil)
-        width = uhi - ulo
-        cut = (slice(width - (hi - ulo), width - (lo - ulo)) if flip
-               else slice(lo - ulo, hi - ulo))
-        values = _blend(samples, stencil, cut)
-        return _emit(values[::-1] if flip else values, job.grid, b, lo)
+        return stencil, flip
 
     def _lookup(self, key: tuple) -> _Stencil | None:
         """The entry of ``key``, None on a miss."""
@@ -527,33 +525,22 @@ def forward_model(
 ) -> list[Trace]:
     """Exact transpose of migration: spread image energy onto predicted times.
 
-    For each header, every cell accepted by the same aperture/bin rules
-    contributes weight * cell value, split between the two samples that
-    bracket its DSR time with the interpolation weights migration uses.
-    Output samples are float64 (quantize on write if single precision is
-    wanted).
+    For each header, every grid cell of the window migration reads spreads
+    weight * cell value through migration's stencil (:func:`_spread`),
+    split between the two samples that bracket its DSR time.  Output
+    samples are float64 (quantize on write if single precision is wanted).
     """
     if image.spec != job.grid:
         raise ConfigurationError("image geometry does not match job grid")
     out: list[Trace] = []
     for h in survey_geometry:
-        n = h.n_samples
-        samples = np.zeros(n, dtype=np.float64)
-        b = job.binning.bin_of(h.offset)
-        if b is not None:
-            lo, hi = _accepted_columns(h, job)
-            if lo < hi:
-                t, w = _kernel_grids(h, job, lo, hi)
-                vals = image.values[b, lo:hi, :]
-                if w is not None:
-                    vals = w * vals
-                i, j, frac, valid = _stencil(t, h.t0, h.dt, n)
-                if valid is None:  # np.add.at is fastest on 1-D operands
-                    i, j, frac, vals = (a.reshape(-1) for a in (i, j, frac, vals))
-                else:
-                    i, j, frac, vals = i[valid], j[valid], frac[valid], vals[valid]
-                np.add.at(samples, i, (1.0 - frac) * vals)
-                np.add.at(samples, j, frac * vals)
+        samples = np.zeros(h.n_samples, dtype=np.float64)
+        window = _window(h, job)
+        if window is not None:
+            b, lo, hi = window
+            lo, hi = max(lo, 0), min(hi, job.grid.nx)
+            _spread(samples, _make_stencil(h, job, lo, hi, h.n_samples),
+                    image.values[b, lo:hi, :])
         out.append(Trace(h, samples))
     return out
 

@@ -180,9 +180,9 @@ def imaging_loop(
 
     Each pass migrates with the current velocity, measures per-bin lags at
     the strongest lateral position, and stops once the largest magnitude is
-    within ``lag_tolerance`` samples.  Otherwise the candidate scan picks
-    the next velocity; a scan that cannot improve on the current velocity
-    ends the loop unconverged.
+    within ``lag_tolerance`` samples.  Otherwise the candidate scan, run
+    once per call, picks the next velocity; a scan that cannot improve on
+    the current velocity ends the loop unconverged.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -191,6 +191,7 @@ def imaging_loop(
         raise ValueError(f"initial velocity must be finite and > 0, got {vel}")
     iterations: list[LoopIteration] = []
     converged = False
+    scan = None
     for it in range(max_iterations):
         job = MigrationJob(grid, VelocityModel.constant(vel), params, binning)
         image = _migrate(survey, job, config)
@@ -201,8 +202,9 @@ def imaging_loop(
                 it, vel, focus, rmo.max_abs_lag, rmo.lags, False, vel))
             converged = True
             break
-        scan = constant_velocity_scan(
-            survey, grid, params, binning, candidates, config)
+        if scan is None:  # the scan does not depend on the velocity
+            scan = constant_velocity_scan(
+                survey, grid, params, binning, candidates, config)
         iterations.append(LoopIteration(
             it, vel, focus, rmo.max_abs_lag, rmo.lags, True,
             scan.best_velocity))

@@ -267,6 +267,17 @@ class TestAdjointAndEstimate:
         assert rc == 4
         assert "error: adjoint mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["--traces", "0"],
+                                      ["--samples", "1", "--traces", "5"]])
+    def test_adjoint_test_with_both_sides_zero_passes(self, capsys, args):
+        """No trace, or one-sample traces whose one time lies above every
+        cell: both inner products are 0."""
+        assert main(["adjoint-test", *args]) == 0
+        out = capsys.readouterr().out
+        assert "<Lm,d> 0.0" in out and "<m,L'd> 0.0" in out
+        assert "relative_error 0.0" in out
+        assert "pass" in out
+
     def test_estimate_prints_flops(self, capsys):
         assert main(["estimate", "--image-points", "1e9",
                      "--traces", "1e7"]) == 0

@@ -327,6 +327,48 @@ class TestAdjointPair:
         rhs = float(np.sum(migrated.values * image.values))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
 
+    @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
+    @pytest.mark.parametrize("aperture", [50.0, 500.0])
+    def test_modeling_matrix_is_the_transpose_of_migration(self, weight,
+                                                          aperture):
+        """Migration's matrix, column by column from unit-spike traces, and
+        modeling's, column by column from unit-spike images, are exact
+        transposes, bit for bit.  A 500 m aperture is wider than the
+        140 m grid."""
+        grid = GridSpec(0.0, 20.0, 8, 0.0, 0.004, 12, 2)
+        binning = OffsetBinning((0.0, 60.0, 200.0))
+        job = MigrationJob(grid, VelocityModel(((0.0, 1600.0), (1.0, 2600.0))),
+                           KernelParams(aperture, weight), binning)
+        headers = [TraceHeader(i, sx, rx, t0, dt, n) for i, (sx, rx, t0, dt, n)
+                   in enumerate([
+                       (60.0, 80.0, 0.0, 0.004, 30),      # on the lattice
+                       (40.0, 40.0, 0.02, 0.004, 1),      # one sample, on tau
+                       (100.0, 100.0, 0.0, 0.004, 6),     # ends within the window
+                       (30.0, 50.0, 0.006, 0.003, 25),    # t0 > 0
+                       (13.7, 91.3, 0.0, 0.0037, 40),     # off the lattice
+                       (-30.0, 10.0, 0.0, 0.004, 30),     # clipped at x = 0
+                       (130.0, 170.0, 0.0, 0.004, 30),    # clipped at x = 140
+                       (80.0, 60.0, 0.0, 0.004, 30),      # source and receiver swapped
+                       (55.0, 75.0, 0.0, 0.004, 30),      # mirror images about
+                       (65.0, 85.0, 0.0, 0.004, 30),      # a column
+                       (0.0, 300.0, 0.0, 0.004, 30),      # in no bin
+                   ])]
+        starts = np.cumsum([0] + [h.n_samples for h in headers])
+        migration = np.zeros((grid.n_cells, starts[-1]))
+        for h, start in zip(headers, starts):
+            for j in range(h.n_samples):
+                c = migrate_trace(Trace(h, np.eye(h.n_samples)[j]), job)
+                migration[c.ordinals.astype(np.int64), start + j] = c.values
+        modeling = np.zeros((starts[-1], grid.n_cells))
+        for cell in range(grid.n_cells):
+            spike = np.zeros(grid.n_cells)
+            spike[cell] = 1.0
+            image = ImageGrid(grid, spike.reshape(2, 8, 12))
+            modeling[:, cell] = np.concatenate(
+                [t.samples for t in forward_model(image, headers, job)])
+        assert np.count_nonzero(migration) > 200
+        assert modeling.tobytes() == np.ascontiguousarray(migration.T).tobytes()
+
     def test_forward_checks_grid(self):
         job = tiny_job()
         other = GridSpec(0.0, 50.0, 22, 0.0, 0.004, 101, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pktm import velocity
 from pktm import (
     GridSpec,
     ImageGrid,
@@ -224,6 +225,27 @@ class TestImagingLoop:
         assert not report.converged
         assert len(report.iterations) == 1
         assert report.final_velocity == 1500.0
+
+    def test_scans_at_most_once(self, monkeypatch):
+        """A tolerance no lag meets: the scan picks 2000 m/s, the loop
+        moves there, and the second pass reuses the first scan's pick."""
+        scans = []
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args)
+            return constant_velocity_scan(*args, **kwargs)
+
+        monkeypatch.setattr(velocity, "constant_velocity_scan", counting_scan)
+        report = imaging_loop(
+            diffractor_survey(), SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
+            initial_velocity=1700.0,
+            candidates=[1700.0, 1850.0, 2000.0, 2150.0],
+            lag_tolerance=-1, max_iterations=5)
+        assert len(scans) == 1
+        assert [(i.velocity, i.scanned, i.next_velocity)
+                for i in report.iterations] == [(1700.0, True, 2000.0),
+                                                (2000.0, True, 2000.0)]
+        assert (report.final_velocity, report.converged) == (2000.0, False)
 
     def test_rejects_bad_arguments(self):
         survey = diffractor_survey(n_samples=160)
