@@ -54,7 +54,6 @@ from .velocity import (
     focus_metric,
     imaging_loop,
     residual_moveout,
-    update_velocity,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "run_job",
     "stack_offsets",
     "synth_survey",
-    "update_velocity",
     "weight",
     "within_aperture",
 ]

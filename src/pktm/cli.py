@@ -232,14 +232,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_geometry(p)
     _add_engine(p)
 
-    p = sub("loop", "iterate migration and velocity updates to convergence")
+    p = sub("loop", "migrate at --v0; if moveout exceeds --tolerance, "
+                    "scan once and check the pick")
     p.add_argument("--input", metavar="FILE")
     p.add_argument("--v0", type=float, metavar="V", help="starting velocity")
     p.add_argument("--candidates", type=_floats_csv, metavar="V1,V2,...")
     p.add_argument("--tolerance", type=int, default=1, metavar="SAMPLES",
                    help="largest acceptable residual-moveout lag")
-    p.add_argument("--max-iterations", type=int, default=10, metavar="N",
-                   help="velocity updates before giving up")
     p.add_argument("--max-lag", type=int, default=20, metavar="SAMPLES",
                    help="largest residual-moveout lag searched")
     p.add_argument("--report", metavar="FILE", help="CSV report to write")
@@ -462,8 +461,7 @@ def _cmd_loop(args) -> int:
     config = _job_config(args)
     report = imaging_loop(
         survey, grid, _kernel_params(args), binning, args.v0, args.candidates,
-        lag_tolerance=args.tolerance, max_iterations=args.max_iterations,
-        max_lag=args.max_lag, config=config)
+        lag_tolerance=args.tolerance, max_lag=args.max_lag, config=config)
     for it in report.iterations:
         print(f"iteration {it.iteration} velocity {it.velocity!r} "
               f"max_abs_lag {it.max_abs_lag} next {it.next_velocity!r}")
@@ -480,6 +478,8 @@ def _cmd_adjoint_test(args) -> int:
 
     n_traces, n_samples, n_bins = args.traces, args.samples, args.bins
     nx, ntau, tol = args.nx, args.ntau, args.tolerance
+    if n_traces < 0:
+        raise ValueError(f"traces must be >= 0, got {n_traces}")
 
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(0.0, 25.0, nx, 0.0, 0.004, ntau, n_bins)

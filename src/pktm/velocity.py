@@ -9,7 +9,7 @@ strongest lateral position as residual moveout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +46,9 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class LoopIteration:
+    """One pass of the imaging loop.  ``scanned`` marks a pass that missed
+    tolerance, whose ``next_velocity`` is then the scan's pick."""
+
     iteration: int
     velocity: float
     focus: float
@@ -127,6 +130,16 @@ def _migrate(survey: Survey, job: MigrationJob, config: JobConfig | None) -> Ima
     return migrate_survey(survey, job, config)
 
 
+def _checked_candidates(candidates: Sequence[float]) -> list[float]:
+    """The candidate velocities as floats, each finite and > 0."""
+    cands = [float(v) for v in candidates]
+    if not cands:
+        raise ValueError("candidate list must not be empty")
+    if any(not (np.isfinite(v) and v > 0.0) for v in cands):
+        raise ValueError("candidate velocities must be finite and > 0")
+    return cands
+
+
 def constant_velocity_scan(
     survey: Survey,
     grid: GridSpec,
@@ -141,11 +154,7 @@ def constant_velocity_scan(
     Ties select the lower velocity.  ``progress`` (if given) receives each
     (velocity, metric) as soon as it is known.
     """
-    cands = [float(v) for v in candidates]
-    if not cands:
-        raise ValueError("candidate list must not be empty")
-    if any(not (np.isfinite(v) and v > 0.0) for v in cands):
-        raise ValueError("candidate velocities must be finite and > 0")
+    cands = _checked_candidates(candidates)
     metrics = []
     for v in cands:
         job = MigrationJob(grid, VelocityModel.constant(v), params, binning)
@@ -158,12 +167,6 @@ def constant_velocity_scan(
     return ScanResult(tuple(cands), tuple(metrics), best_velocity)
 
 
-def update_velocity(model: VelocityModel, best_velocity: float) -> VelocityModel:
-    """Replace a model with the single-knot constant picked by a scan."""
-    del model  # the scan picks an unconditional replacement
-    return VelocityModel.constant(best_velocity)
-
-
 def imaging_loop(
     survey: Survey,
     grid: GridSpec,
@@ -172,43 +175,40 @@ def imaging_loop(
     initial_velocity: float,
     candidates: Sequence[float],
     lag_tolerance: int = 1,
-    max_iterations: int = 10,
     max_lag: int = 20,
     config: JobConfig | None = None,
 ) -> LoopReport:
-    """Iterate migrate -> residual moveout -> rescan until panels align.
+    """Migrate, measure residual moveout, and scan once if panels misalign.
 
-    Each pass migrates with the current velocity, measures per-bin lags at
-    the strongest lateral position, and stops once the largest magnitude is
-    within ``lag_tolerance`` samples.  Otherwise the candidate scan, run
-    once per call, picks the next velocity; a scan that cannot improve on
-    the current velocity ends the loop unconverged.
+    A pass migrates at one velocity and measures per-bin lags at the
+    strongest lateral position; it converges once the largest magnitude is
+    within ``lag_tolerance`` samples.  If the pass at ``initial_velocity``
+    does not, the candidate scan picks a velocity and a second pass checks
+    it; a pick equal to the start velocity ends the loop unconverged.  The
+    scan ranks fixed candidates whatever the current velocity, so a second
+    scan would repeat the pick: the structure bounds the loop at two passes
+    and one scan, and it takes no iteration cap.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     vel = float(initial_velocity)
     if not (np.isfinite(vel) and vel > 0.0):
         raise ValueError(f"initial velocity must be finite and > 0, got {vel}")
-    iterations: list[LoopIteration] = []
-    converged = False
-    scan = None
-    for it in range(max_iterations):
-        job = MigrationJob(grid, VelocityModel.constant(vel), params, binning)
+    cands = _checked_candidates(candidates)
+
+    def migrate_pass(it: int, v: float) -> LoopIteration:
+        job = MigrationJob(grid, VelocityModel.constant(v), params, binning)
         image = _migrate(survey, job, config)
-        focus = focus_metric(stack_offsets(image))
         rmo = residual_moveout(image, max_lag=max_lag)
-        if rmo.max_abs_lag <= lag_tolerance:
-            iterations.append(LoopIteration(
-                it, vel, focus, rmo.max_abs_lag, rmo.lags, False, vel))
-            converged = True
-            break
-        if scan is None:  # the scan does not depend on the velocity
-            scan = constant_velocity_scan(
-                survey, grid, params, binning, candidates, config)
-        iterations.append(LoopIteration(
-            it, vel, focus, rmo.max_abs_lag, rmo.lags, True,
-            scan.best_velocity))
-        if scan.best_velocity == vel:
-            break
-        vel = scan.best_velocity
-    return LoopReport(tuple(iterations), vel, converged)
+        return LoopIteration(it, v, focus_metric(stack_offsets(image)),
+                             rmo.max_abs_lag, rmo.lags,
+                             rmo.max_abs_lag > lag_tolerance, v)
+
+    first = migrate_pass(0, vel)
+    if not first.scanned:
+        return LoopReport((first,), vel, True)
+    pick = constant_velocity_scan(
+        survey, grid, params, binning, cands, config).best_velocity
+    first = replace(first, next_velocity=pick)
+    if pick == vel:
+        return LoopReport((first,), vel, False)
+    second = migrate_pass(1, pick)
+    return LoopReport((first, second), pick, not second.scanned)

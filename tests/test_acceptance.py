@@ -277,7 +277,7 @@ def test_criterion_7_velocity_recovery(setup):
     loop = imaging_loop(
         setup.survey, setup.grid, setup.params, setup.binning,
         initial_velocity=1700.0, candidates=candidates,
-        lag_tolerance=1, max_iterations=6)
+        lag_tolerance=1)
     final_lags = loop.iterations[-1].lags
     elapsed = time.monotonic() - t0
 

@@ -252,6 +252,21 @@ class TestScanAndLoop:
         assert main(argv + ["--config", str(cfg)]) == 3
         assert "unknown config keys: listen" in capsys.readouterr().err
 
+    def test_loop_takes_no_max_iterations(self, tmp_path, capsys):
+        """The loop runs at most two passes and one scan, so it has no
+        iteration cap to set."""
+        argv = ["loop", "--input", str(synth(tmp_path)), "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                "--candidates", "2000", "--v0", "2000"]
+        assert main(argv + ["--max-iterations", "6"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --max-iterations" in err
+        assert err.startswith("usage: pktm loop ")
+        cfg = tmp_path / "loop.cfg"
+        cfg.write_text("max-iterations = 6\n")
+        assert main(argv + ["--config", str(cfg)]) == 3
+        assert "unknown config keys: max-iterations" in capsys.readouterr().err
+
 
 class TestAdjointAndEstimate:
     def test_adjoint_test_passes(self, capsys):
@@ -266,6 +281,16 @@ class TestAdjointAndEstimate:
                    "--nx", "24", "--ntau", "24", "--tolerance", "0"])
         assert rc == 4
         assert "error: adjoint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--traces", "-3"],
+                                      ["--samples", "0"],
+                                      ["--nx", "0"],
+                                      ["--bins", "0"]])
+    def test_adjoint_test_rejects_bad_sizes(self, capsys, args):
+        assert main(["adjoint-test", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "pass" not in captured.out
 
     @pytest.mark.parametrize("args", [["--traces", "0"],
                                       ["--samples", "1", "--traces", "5"]])

@@ -18,7 +18,6 @@ from pktm import (
     make_acquisition,
     residual_moveout,
     synth_survey,
-    update_velocity,
 )
 
 
@@ -183,14 +182,6 @@ class TestConstantVelocityScan:
                                    SCAN_PARAMS, SCAN_BINNING, [2000.0, -1.0])
 
 
-class TestUpdateVelocity:
-    def test_returns_constant_model(self):
-        old = VelocityModel(((0.0, 1500.0), (1.0, 3000.0)))
-        new = update_velocity(old, 2250.0)
-        assert new(0.0) == 2250.0
-        assert new(5.0) == 2250.0
-
-
 class TestImagingLoop:
     def test_converges_from_wrong_velocity(self):
         survey = diffractor_survey()
@@ -198,7 +189,7 @@ class TestImagingLoop:
             survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
             initial_velocity=1700.0,
             candidates=[1700.0, 1850.0, 2000.0, 2150.0],
-            lag_tolerance=1, max_iterations=5)
+            lag_tolerance=1)
         assert report.converged
         assert report.final_velocity == 2000.0
         assert report.iterations[0].scanned
@@ -210,7 +201,7 @@ class TestImagingLoop:
         report = imaging_loop(
             survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
             initial_velocity=2000.0, candidates=[1800.0, 2000.0, 2200.0],
-            lag_tolerance=1, max_iterations=5)
+            lag_tolerance=1)
         assert report.converged
         assert len(report.iterations) == 1
         assert report.final_velocity == 2000.0
@@ -221,38 +212,63 @@ class TestImagingLoop:
         report = imaging_loop(
             survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
             initial_velocity=1500.0, candidates=[1500.0],
-            lag_tolerance=0, max_iterations=4)
+            lag_tolerance=0)
         assert not report.converged
         assert len(report.iterations) == 1
         assert report.final_velocity == 1500.0
 
     def test_scans_at_most_once(self, monkeypatch):
         """A tolerance no lag meets: the scan picks 2000 m/s, the loop
-        moves there, and the second pass reuses the first scan's pick."""
+        moves there, and the second pass reuses the first scan's pick.
+        Two loop passes and the 4 candidates' migrations are all the
+        migrations there are."""
         scans = []
+        migrations = []
 
         def counting_scan(*args, **kwargs):
             scans.append(args)
             return constant_velocity_scan(*args, **kwargs)
 
+        def counting_migrate(survey, job, config):
+            migrations.append(job.vel(0.0))
+            return migrate(survey, job, config)
+
+        migrate = velocity._migrate
         monkeypatch.setattr(velocity, "constant_velocity_scan", counting_scan)
+        monkeypatch.setattr(velocity, "_migrate", counting_migrate)
         report = imaging_loop(
             diffractor_survey(), SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
             initial_velocity=1700.0,
             candidates=[1700.0, 1850.0, 2000.0, 2150.0],
-            lag_tolerance=-1, max_iterations=5)
+            lag_tolerance=-1)
         assert len(scans) == 1
         assert [(i.velocity, i.scanned, i.next_velocity)
                 for i in report.iterations] == [(1700.0, True, 2000.0),
                                                 (2000.0, True, 2000.0)]
         assert (report.final_velocity, report.converged) == (2000.0, False)
+        assert migrations == [1700.0, 1700.0, 1850.0, 2000.0, 2150.0, 2000.0]
 
     def test_rejects_bad_arguments(self):
         survey = diffractor_survey(n_samples=160)
         with pytest.raises(ValueError):
             imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
                          initial_velocity=-5.0, candidates=[2000.0])
-        with pytest.raises(ValueError):
-            imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
-                         initial_velocity=2000.0, candidates=[2000.0],
-                         max_iterations=0)
+
+    @pytest.mark.parametrize("candidates", [[], [-1.0], [float("nan")]])
+    @pytest.mark.parametrize("run", ["scan", "loop"])
+    def test_bad_candidates_fail_before_any_migration(
+            self, monkeypatch, run, candidates):
+        """At 2000 m/s the loop's first pass would converge and never
+        scan; the candidates are still checked, and first."""
+        migrations = []
+        monkeypatch.setattr(velocity, "_migrate",
+                            lambda *args: migrations.append(args))
+        survey = diffractor_survey(n_samples=160)
+        with pytest.raises(ValueError, match="candidate"):
+            if run == "scan":
+                constant_velocity_scan(survey, SCAN_GRID, SCAN_PARAMS,
+                                       SCAN_BINNING, candidates)
+            else:
+                imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
+                             initial_velocity=2000.0, candidates=candidates)
+        assert migrations == []
