@@ -21,7 +21,6 @@ from .mapreduce import (
     JobConfig,
     JobError,
     KeyedTotals,
-    reassemble_image,
     run_job,
 )
 from .model import (
@@ -35,7 +34,7 @@ from .model import (
     VelocityModel,
     estimate_flops,
 )
-from .pipeline import MigrationMapFn, migrate_survey
+from .pipeline import MigrationMapFn, migrate_survey, reassemble_image
 from .synthetics import RickerWavelet, Scatterer, make_acquisition, ricker, synth_survey
 from .traveltime import (
     KernelParams,

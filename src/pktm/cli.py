@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .kirchhoff import MigrationJob, forward_model, stack_offsets
+from .kirchhoff import MigrationJob, forward_model, migrate_survey_serial, stack_offsets
 from .mapreduce import ContractViolationError, JobConfig, JobError
 from .mapreduce.engine import MODES
 from .mapreduce.protocol import CONNECT_TIMEOUT, ProtocolError, parse_hostport
+from .mapreduce.worker import worker_main
 from .model import (
     GridSpec,
     ImageGrid,
@@ -474,12 +475,12 @@ def _cmd_loop(args) -> int:
 
 
 def _cmd_adjoint_test(args) -> int:
-    from .kirchhoff import migrate_survey_serial
-
     n_traces, n_samples, n_bins = args.traces, args.samples, args.bins
     nx, ntau, tol = args.nx, args.ntau, args.tolerance
     if n_traces < 0:
         raise ValueError(f"traces must be >= 0, got {n_traces}")
+    if n_samples < 1:
+        raise ValueError(f"samples must be >= 1, got {n_samples}")
 
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(0.0, 25.0, nx, 0.0, 0.004, ntau, n_bins)
@@ -524,7 +525,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_worker(args) -> int:
     _require(args, "connect")
-    from .mapreduce.worker import worker_main
     try:
         rc = worker_main(args.connect)
     except OSError as exc:

@@ -14,7 +14,6 @@ from .engine import (
     ContractViolationError,
     KeyedTotals,
     MapOutputError,
-    reassemble_image,
     run_job,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "ContractViolationError",
     "KeyedTotals",
     "MapOutputError",
-    "reassemble_image",
     "run_job",
 ]

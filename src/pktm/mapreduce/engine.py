@@ -1,5 +1,7 @@
 """Job orchestration: chunk records into map tasks, spill partitioned
 output, reduce each partition with exact sums, merge into key order.
+The engine moves uint64 keys and float64 values and never decodes a key:
+:func:`pktm.pipeline.reassemble_image` turns migration's keys into cells.
 
 Output is bit-identical across serial, threaded, and multiprocess modes and
 any worker count because nothing about scheduling reaches the arithmetic:
@@ -79,7 +81,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ..exactsum import exact_sums, grouped_expansions
-from ..model import GridSpec, ImageGrid
 from . import protocol
 from .heap import keep_task_memory
 from .partition import partitions_of
@@ -89,7 +90,6 @@ MODES = ("serial", "threaded", "multiprocess")
 
 SPILL_DIR_ENV = "PKTM_SPILL_DIR"
 _ACCEPT_POLL = 0.05     # seconds a runner waits in accept between checks
-_JOB_SEQ = 0
 
 
 class JobError(RuntimeError):
@@ -691,11 +691,9 @@ def run_job(
     ``manifest_bytes`` and ``worker_startup_s`` from it.  An exception
     raised by the observer fails the job.
     """
-    global _JOB_SEQ
     root = _resolve_spill_root(config)
-    _JOB_SEQ += 1
-    spill = root / f"job-{os.getpid()}-{_JOB_SEQ}-{int(time.monotonic_ns())}"
-    spill.mkdir(parents=True, exist_ok=False)
+    root.mkdir(parents=True, exist_ok=True)
+    spill = Path(tempfile.mkdtemp(prefix=f"job-{os.getpid()}-", dir=root))
     tasks = _Tasks(list(records), map_fn, config.n_partitions,
                    config.combiner_enabled, config.chunk_size, spill)
     n_slots = 1 if config.mode == "serial" else config.n_workers
@@ -722,21 +720,3 @@ def run_job(
     # directory behind for post-mortem inspection
     shutil.rmtree(spill, ignore_errors=True)
     return totals
-
-
-def reassemble_image(totals: KeyedTotals, grid: GridSpec) -> ImageGrid:
-    """Scatter reduced totals onto a grid; keys absent from the stream are 0.
-
-    Raises :class:`ContractViolationError` on duplicate, descending, or
-    out-of-range keys.
-    """
-    keys = totals.keys
-    if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
-        raise ContractViolationError("keys are not strictly ascending")
-    if keys.shape[0] and int(keys[-1]) >= grid.n_cells:
-        raise ContractViolationError(
-            f"key {int(keys[-1])} outside grid with {grid.n_cells} cells")
-    flat = np.zeros(grid.n_cells, dtype=np.float64)
-    flat[keys.astype(np.int64)] = totals.totals
-    return ImageGrid(grid, flat.reshape(
-        grid.n_offset_bins, grid.nx, grid.ntau))

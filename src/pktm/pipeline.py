@@ -1,7 +1,9 @@
 """Survey-scale migration through the MapReduce runtime.
 
 The map record is one trace, the map function is per-trace Kirchhoff
-scattering, and the reduced totals are scattered back onto the image grid.
+scattering, and :func:`reassemble_image` decodes each reduced key, a cell
+ordinal, and scatters its total onto the image grid; the engine only moves
+keys and values.
 Because per-key totals are exact sums, the result equals
 :func:`pktm.kirchhoff.migrate_survey_serial` bit for bit in every mode.
 
@@ -29,9 +31,9 @@ from typing import Iterable
 import numpy as np
 
 from .kirchhoff import MigrationJob
-from .mapreduce import JobConfig, reassemble_image, run_job
+from .mapreduce import ContractViolationError, JobConfig, KeyedTotals, run_job
 from .mapreduce.engine import Observer
-from .model import ImageGrid, OffsetBinning, Survey, Trace
+from .model import GridSpec, ImageGrid, OffsetBinning, Survey, Trace
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,24 @@ class MigrationMapFn:
     def __call__(self, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
         c = self.job.stencils.migrate(trace, self.job)
         return c.ordinals, c.values
+
+
+def reassemble_image(totals: KeyedTotals, grid: GridSpec) -> ImageGrid:
+    """Scatter reduced totals onto a grid; keys absent from the stream are 0.
+
+    Raises :class:`ContractViolationError` on duplicate, descending, or
+    out-of-range keys.
+    """
+    keys = totals.keys
+    if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
+        raise ContractViolationError("keys are not strictly ascending")
+    if keys.shape[0] and int(keys[-1]) >= grid.n_cells:
+        raise ContractViolationError(
+            f"key {int(keys[-1])} outside grid with {grid.n_cells} cells")
+    flat = np.zeros(grid.n_cells, dtype=np.float64)
+    flat[keys.astype(np.int64)] = totals.totals
+    return ImageGrid(grid, flat.reshape(
+        grid.n_offset_bins, grid.nx, grid.ntau))
 
 
 def map_order(traces: Iterable[Trace], binning: OffsetBinning) -> list[Trace]:

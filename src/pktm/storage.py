@@ -40,7 +40,6 @@ from .model import (
     TraceHeader,
     VelocityModel,
 )
-from .velocity import LoopReport, ScanResult
 
 TRACE_MAGIC = b"SMR1"
 IMAGE_MAGIC = b"SMI1"

@@ -17,6 +17,7 @@ import numpy as np
 from .kirchhoff import MigrationJob, migrate_survey_serial, stack_offsets
 from .mapreduce import JobConfig
 from .model import GridSpec, ImageGrid, OffsetBinning, Survey, VelocityModel
+from .pipeline import migrate_survey
 from .traveltime import KernelParams
 
 
@@ -126,7 +127,6 @@ def residual_moveout(
 def _migrate(survey: Survey, job: MigrationJob, config: JobConfig | None) -> ImageGrid:
     if config is None:
         return migrate_survey_serial(survey, job)
-    from .pipeline import migrate_survey
     return migrate_survey(survey, job, config)
 
 
@@ -193,6 +193,8 @@ def imaging_loop(
     if not (np.isfinite(vel) and vel > 0.0):
         raise ValueError(f"initial velocity must be finite and > 0, got {vel}")
     cands = _checked_candidates(candidates)
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
 
     def migrate_pass(it: int, v: float) -> LoopIteration:
         job = MigrationJob(grid, VelocityModel.constant(v), params, binning)

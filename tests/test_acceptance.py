@@ -37,11 +37,12 @@ from pktm import (
     make_acquisition,
     migrate_survey_serial,
     one_way_time,
+    reassemble_image,
     stack_offsets,
     synth_survey,
 )
 from pktm.exactsum import exact_sums, grouped_expansions
-from pktm.mapreduce import reassemble_image, run_job
+from pktm.mapreduce import run_job
 from pktm.storage import (
     StorageError,
     read_image,

@@ -267,6 +267,13 @@ class TestScanAndLoop:
         assert main(argv + ["--config", str(cfg)]) == 3
         assert "unknown config keys: max-iterations" in capsys.readouterr().err
 
+    def test_loop_rejects_negative_max_lag(self, tmp_path, capsys):
+        rc = main(["loop", "--input", str(synth(tmp_path)), "--grid", GRID,
+                   "--offset-edges", EDGES, "--aperture", "500",
+                   "--candidates", "2000", "--v0", "2000", "--max-lag", "-1"])
+        assert rc == 3
+        assert "error: max_lag must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestAdjointAndEstimate:
     def test_adjoint_test_passes(self, capsys):
@@ -290,6 +297,17 @@ class TestAdjointAndEstimate:
         assert main(["adjoint-test", *args]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert "pass" not in captured.out
+
+    @pytest.mark.parametrize("traces,samples", [(0, 0), (0, -1), (5, 0)])
+    def test_adjoint_test_rejects_samples_below_one(self, capsys, traces,
+                                                    samples):
+        """With no trace no header checks the sample count; it is checked
+        whatever the trace count."""
+        assert main(["adjoint-test", "--traces", str(traces),
+                     "--samples", str(samples)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: samples must be >= 1, got {samples}\n"
         assert "pass" not in captured.out
 
     @pytest.mark.parametrize("args", [["--traces", "0"],

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pktm import GridSpec, MigrationMapFn, migrate_survey_serial
+from pktm import MigrationMapFn, migrate_survey_serial, reassemble_image
 from pktm.mapreduce import (
-    ContractViolationError,
     JobConfig,
     JobError,
     KeyedTotals,
     protocol,
-    reassemble_image,
     run_job,
 )
 from pktm.mapreduce.engine import (
@@ -912,6 +911,33 @@ class TestSpillResolution:
         assert not env_root.exists()
         assert any(p.name.startswith("job-") for p in cfg_root.iterdir())
 
+    def test_concurrent_jobs_share_one_root(self, spill_dir):
+        """Jobs started at once on one root each spill to a directory of
+        their own and remove only that one."""
+        cfg = JobConfig(n_partitions=3, chunk_size=8, spill_dir=spill_dir)
+        want = run_job(RECORDS, toy_map, cfg)
+        start = threading.Barrier(4, timeout=30.0)
+
+        def job(_):
+            start.wait()
+            return run_job(RECORDS, toy_map, cfg)
+
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(job, range(4)))
+        for totals in got:
+            assert totals.keys.tobytes() == want.keys.tobytes()
+            assert totals.totals.tobytes() == want.totals.tobytes()
+        assert list(Path(spill_dir).iterdir()) == []
+
+    def test_job_directory_is_private(self, spill_dir):
+        """Only the job's own user may read or replace its spill files,
+        the multiprocess manifest among them."""
+        modes = []
+        cfg = JobConfig(n_partitions=2, chunk_size=8, spill_dir=spill_dir)
+        run_job(RECORDS, toy_map, cfg, observer=lambda event: modes.append(
+            job_dir(spill_dir).stat().st_mode & 0o777))
+        assert modes and set(modes) == {0o700}
+
 
 # --------------------------------------------------------------------------
 # pieces
@@ -1079,42 +1105,6 @@ class TestSpillLayout:
                         chunk_size=7, spill_dir=spill_dir)
         with pytest.raises(JobError, match=r"map_00003\.kvp: expected \d+ bytes"):
             run_job(RECORDS, toy_map, cfg, observer=truncate_after_map_phase)
-
-
-class TestReassembleImage:
-    GRID = GridSpec(0.0, 10.0, 3, 0.0, 0.01, 4, 2)   # 24 cells
-
-    def test_empty_totals_give_zero_image(self):
-        kt = KeyedTotals(np.array([], dtype=np.uint64), np.array([]))
-        image = reassemble_image(kt, self.GRID)
-        assert image.values.shape == (2, 3, 4)
-        assert not image.values.any()
-
-    def test_scatter_placement(self):
-        kt = KeyedTotals(np.array([0, 13, 23], dtype=np.uint64),
-                         np.array([1.0, -2.0, 3.0]))
-        image = reassemble_image(kt, self.GRID)
-        assert image.values[0, 0, 0] == 1.0
-        assert image.values[1, 0, 1] == -2.0     # ordinal 13 = (1,0,1)
-        assert image.values[1, 2, 3] == 3.0
-        assert np.count_nonzero(image.values) == 3
-
-    def test_duplicate_keys_rejected(self):
-        kt = KeyedTotals(np.array([4, 4], dtype=np.uint64),
-                         np.array([1.0, 2.0]))
-        with pytest.raises(ContractViolationError):
-            reassemble_image(kt, self.GRID)
-
-    def test_descending_keys_rejected(self):
-        kt = KeyedTotals(np.array([5, 3], dtype=np.uint64),
-                         np.array([1.0, 2.0]))
-        with pytest.raises(ContractViolationError):
-            reassemble_image(kt, self.GRID)
-
-    def test_out_of_range_key_rejected(self):
-        kt = KeyedTotals(np.array([24], dtype=np.uint64), np.array([1.0]))
-        with pytest.raises(ContractViolationError):
-            reassemble_image(kt, self.GRID)
 
 
 # --------------------------------------------------------------------------

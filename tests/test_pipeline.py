@@ -8,9 +8,11 @@ import pytest
 
 from pktm import kirchhoff
 from pktm import (
+    ContractViolationError,
     GridSpec,
     JobConfig,
     KernelParams,
+    KeyedTotals,
     MigrationJob,
     MigrationMapFn,
     OffsetBinning,
@@ -22,6 +24,7 @@ from pktm import (
     migrate_survey,
     migrate_survey_serial,
     migrate_trace,
+    reassemble_image,
 )
 from pktm.exactsum import grouped_expansions
 from pktm.pipeline import map_order
@@ -473,3 +476,39 @@ class TestMapOrderKeepsTheImage:
         in_file_order = kept(list(small_survey))
         in_map_order = kept(map_order(small_survey, small_job.binning))
         assert in_map_order < 0.6 * in_file_order
+
+
+class TestReassembleImage:
+    GRID = GridSpec(0.0, 10.0, 3, 0.0, 0.01, 4, 2)   # 24 cells
+
+    def test_empty_totals_give_zero_image(self):
+        kt = KeyedTotals(np.array([], dtype=np.uint64), np.array([]))
+        image = reassemble_image(kt, self.GRID)
+        assert image.values.shape == (2, 3, 4)
+        assert not image.values.any()
+
+    def test_scatter_placement(self):
+        kt = KeyedTotals(np.array([0, 13, 23], dtype=np.uint64),
+                         np.array([1.0, -2.0, 3.0]))
+        image = reassemble_image(kt, self.GRID)
+        assert image.values[0, 0, 0] == 1.0
+        assert image.values[1, 0, 1] == -2.0     # ordinal 13 = (1,0,1)
+        assert image.values[1, 2, 3] == 3.0
+        assert np.count_nonzero(image.values) == 3
+
+    def test_duplicate_keys_rejected(self):
+        kt = KeyedTotals(np.array([4, 4], dtype=np.uint64),
+                         np.array([1.0, 2.0]))
+        with pytest.raises(ContractViolationError):
+            reassemble_image(kt, self.GRID)
+
+    def test_descending_keys_rejected(self):
+        kt = KeyedTotals(np.array([5, 3], dtype=np.uint64),
+                         np.array([1.0, 2.0]))
+        with pytest.raises(ContractViolationError):
+            reassemble_image(kt, self.GRID)
+
+    def test_out_of_range_key_rejected(self):
+        kt = KeyedTotals(np.array([24], dtype=np.uint64), np.array([1.0]))
+        with pytest.raises(ContractViolationError):
+            reassemble_image(kt, self.GRID)

@@ -272,3 +272,13 @@ class TestImagingLoop:
                 imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
                              initial_velocity=2000.0, candidates=candidates)
         assert migrations == []
+
+    def test_negative_max_lag_fails_before_any_migration(self, monkeypatch):
+        migrations = []
+        monkeypatch.setattr(velocity, "_migrate",
+                            lambda *args: migrations.append(args))
+        with pytest.raises(ValueError, match="max_lag must be >= 0, got -1"):
+            imaging_loop(diffractor_survey(n_samples=160), SCAN_GRID,
+                         SCAN_PARAMS, SCAN_BINNING, initial_velocity=2000.0,
+                         candidates=[2000.0], max_lag=-1)
+        assert migrations == []
