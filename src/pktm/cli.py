@@ -36,6 +36,7 @@ from .model import (
 from .pipeline import migrate_survey
 from .storage import (
     StorageError,
+    check_gain,
     export_pgm,
     read_image,
     read_survey,
@@ -116,11 +117,6 @@ def _hostport(text: str) -> str:
 # option groups
 # ---------------------------------------------------------------------------
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", metavar="FILE",
-                   help="key=value option file; flags override it")
-
-
 def _add_velocity(p: _Parser) -> None:
     p.add_argument("--velocity", metavar="FILE",
                    help="velocity table file of 'tau vrms' lines")
@@ -137,14 +133,14 @@ def _add_kernel(p: _Parser, aperture: float | None = None,
                    help="amplitude weight applied along the isochron")
 
 
-def _add_geometry(p: _Parser) -> None:
+def _add_imaging(p: _Parser) -> None:
+    """The options of migrate, scan and loop that :func:`_setup` reads."""
+    p.add_argument("--input", metavar="FILE", help="trace file to read")
+    _add_kernel(p)
     p.add_argument("--grid", type=_grid_spec, metavar="SPEC",
                    help="image grid as x_min,dx,nx,tau_min,dtau,ntau")
     p.add_argument("--offset-edges", type=_floats_csv, metavar="E0,E1,...",
                    help="offset bin edges in meters; defines the bin count")
-
-
-def _add_engine(p: _Parser) -> None:
     job = JobConfig()
     p.add_argument("--mode", choices=MODES, default=job.mode,
                    help="execution mode")
@@ -159,7 +155,8 @@ def _add_engine(p: _Parser) -> None:
                    metavar="N", help="records per map task")
     p.add_argument("--task-timeout", type=float, default=job.task_timeout,
                    metavar="SECONDS",
-                   help="per-task deadline before reassignment")
+                   help="multiprocess mode: per-task deadline before "
+                        "reassignment")
     p.add_argument("--max-task-retries", type=int,
                    default=job.max_task_retries, metavar="N",
                    help="retries allowed per task beyond the first attempt")
@@ -178,7 +175,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         # subparsers inherit _Parser, so usage errors exit 2 uniformly
         p = subs.add_parser(name, help=help_text, allow_abbrev=False,
                             formatter_class=_Help)
-        _add_common(p)
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value option file; flags override it")
         registry[name] = p
         return p
 
@@ -201,16 +199,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_velocity(p)
 
     p = sub("migrate", "migrate a trace file to a common-offset image")
-    p.add_argument("--input", metavar="FILE", help="trace file to migrate")
+    _add_imaging(p)
     p.add_argument("--output", metavar="FILE", help="image file to write")
     p.add_argument("--export-pgm", metavar="FILE",
                    help="also write the stacked section as a PGM picture")
     p.add_argument("--gain", type=float, default=1.0,
                    help="display gain for the PGM export")
     _add_velocity(p)
-    _add_kernel(p)
-    _add_geometry(p)
-    _add_engine(p)
     p.add_argument("--listen", type=_hostport, metavar="HOST:PORT",
                    help="multiprocess mode: start no workers; run --workers "
                         "tasks at once on `pktm worker --connect` processes")
@@ -225,17 +220,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_kernel(p)
 
     p = sub("scan", "rank candidate constant velocities by stack focusing")
-    p.add_argument("--input", metavar="FILE")
+    _add_imaging(p)
     p.add_argument("--candidates", type=_floats_csv, metavar="V1,V2,...")
     p.add_argument("--report", metavar="FILE", help="CSV report to write")
-    _add_velocity(p)
-    _add_kernel(p)
-    _add_geometry(p)
-    _add_engine(p)
 
     p = sub("loop", "migrate at --v0; if moveout exceeds --tolerance, "
                     "scan once and check the pick")
-    p.add_argument("--input", metavar="FILE")
+    _add_imaging(p)
     p.add_argument("--v0", type=float, metavar="V", help="starting velocity")
     p.add_argument("--candidates", type=_floats_csv, metavar="V1,V2,...")
     p.add_argument("--tolerance", type=int, default=1, metavar="SAMPLES",
@@ -243,9 +234,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--max-lag", type=int, default=20, metavar="SAMPLES",
                    help="largest residual-moveout lag searched")
     p.add_argument("--report", metavar="FILE", help="CSV report to write")
-    _add_kernel(p)
-    _add_geometry(p)
-    _add_engine(p)
 
     p = sub("adjoint-test", "randomized migration/modeling dot-product test")
     p.add_argument("--traces", type=int, default=50, help="random traces")
@@ -360,8 +348,15 @@ def _kernel_params(args: argparse.Namespace) -> KernelParams:
                         weight_mode=WeightMode(args.weight))
 
 
-def _job_config(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
+def _setup(args: argparse.Namespace
+           ) -> tuple[Survey, GridSpec, KernelParams, OffsetBinning, JobConfig]:
+    """Build a job from the options of :func:`_add_imaging`, then read the
+    survey: reading it is the first large cost, so bad options fail first."""
+    binning = OffsetBinning(args.offset_edges)
+    x_min, dx, nx, tau_min, dtau, ntau = args.grid
+    grid = GridSpec(x_min, dx, nx, tau_min, dtau, ntau, binning.n_bins)
+    params = _kernel_params(args)
+    config = JobConfig(
         n_partitions=args.partitions,
         n_workers=args.workers,
         mode=args.mode,
@@ -371,15 +366,7 @@ def _job_config(args: argparse.Namespace) -> JobConfig:
         max_task_retries=args.max_task_retries,
         chunk_size=args.chunk_size,
     )
-
-
-def _binning(args: argparse.Namespace) -> OffsetBinning:
-    return OffsetBinning(args.offset_edges)
-
-
-def _grid(args: argparse.Namespace, n_offset_bins: int) -> GridSpec:
-    x_min, dx, nx, tau_min, dtau, ntau = args.grid
-    return GridSpec(x_min, dx, nx, tau_min, dtau, ntau, n_offset_bins)
+    return read_survey(args.input, binning), grid, params, binning, config
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +395,11 @@ def _cmd_migrate(args) -> int:
     if args.listen is not None and args.mode != "multiprocess":
         raise _UsageError("--listen needs --mode multiprocess")
     vel = _velocity_model(args)
-    binning = _binning(args)
-    grid = _grid(args, binning.n_bins)
-    job = MigrationJob(grid, vel, _kernel_params(args), binning)
-    survey = read_survey(args.input, binning)
-    config = _job_config(args)
-    image = migrate_survey(survey, job, config, listen=args.listen)
+    if args.export_pgm:
+        check_gain(args.gain)
+    survey, grid, params, binning, config = _setup(args)
+    image = migrate_survey(survey, MigrationJob(grid, vel, params, binning),
+                           config, listen=args.listen)
     write_image(args.output, image)
     print(f"wrote image ({grid.n_offset_bins} bins, {grid.nx} x {grid.ntau}) "
           f"to {args.output}")
@@ -426,7 +412,7 @@ def _cmd_migrate(args) -> int:
 def _cmd_demig(args) -> int:
     _require(args, "input", "geometry", "output", "offset-edges", "aperture")
     vel = _velocity_model(args)
-    binning = _binning(args)
+    binning = OffsetBinning(args.offset_edges)
     image = read_image(args.input)
     geometry = read_survey(args.geometry, binning)
     job = MigrationJob(image.spec, vel, _kernel_params(args), binning)
@@ -439,12 +425,9 @@ def _cmd_demig(args) -> int:
 
 def _cmd_scan(args) -> int:
     _require(args, "input", "grid", "offset-edges", "aperture", "candidates")
-    binning = _binning(args)
-    grid = _grid(args, binning.n_bins)
-    survey = read_survey(args.input, binning)
-    config = _job_config(args)
+    survey, grid, params, binning, config = _setup(args)
     result = constant_velocity_scan(
-        survey, grid, _kernel_params(args), binning, args.candidates, config,
+        survey, grid, params, binning, args.candidates, config,
         progress=lambda v, m: print(f"velocity {v!r} focus {m!r}"))
     print(f"best {result.best_velocity!r}")
     if args.report:
@@ -456,12 +439,9 @@ def _cmd_scan(args) -> int:
 def _cmd_loop(args) -> int:
     _require(args, "input", "grid", "offset-edges", "aperture", "v0",
              "candidates")
-    binning = _binning(args)
-    grid = _grid(args, binning.n_bins)
-    survey = read_survey(args.input, binning)
-    config = _job_config(args)
+    survey, grid, params, binning, config = _setup(args)
     report = imaging_loop(
-        survey, grid, _kernel_params(args), binning, args.v0, args.candidates,
+        survey, grid, params, binning, args.v0, args.candidates,
         lag_tolerance=args.tolerance, max_lag=args.max_lag, config=config)
     for it in report.iterations:
         print(f"iteration {it.iteration} velocity {it.velocity!r} "
@@ -481,6 +461,8 @@ def _cmd_adjoint_test(args) -> int:
         raise ValueError(f"traces must be >= 0, got {n_traces}")
     if n_samples < 1:
         raise ValueError(f"samples must be >= 1, got {n_samples}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(0.0, 25.0, nx, 0.0, 0.004, ntau, n_bins)

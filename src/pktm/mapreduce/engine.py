@@ -84,7 +84,9 @@ from ..exactsum import exact_sums, grouped_expansions
 from . import protocol
 from .heap import keep_task_memory
 from .partition import partitions_of
+from .protocol import MapOutputError
 from .spill import read_columns, write_columns
+from .worker import worker_main
 
 MODES = ("serial", "threaded", "multiprocess")
 
@@ -98,14 +100,6 @@ class JobError(RuntimeError):
 
 class ContractViolationError(ValueError):
     """Reduced output broke an ordering or uniqueness guarantee."""
-
-
-class MapOutputError(ValueError):
-    """``map_fn`` returned keys or values that break the map contract.
-
-    ``map_fn`` is deterministic, so running the task again would fail the
-    same way: the job fails at once instead of retrying it.
-    """
 
 
 @dataclass(frozen=True)
@@ -461,8 +455,6 @@ class _WorkerPool:
     def _forked_worker(self, connect: str) -> None:
         """Body of a forked local worker: drop the job's listener, silence
         stdout/stderr like the spawned interpreter, then serve."""
-        from .worker import worker_main
-
         self.listener.close()
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)

@@ -22,7 +22,8 @@ Tags::
 :data:`REPLY` names the one tag that answers each assignment.  Status 0
 means success; 1 carries a failure description in ``detail``, and the task
 may be retried; 2 (map tasks only) means ``map_fn``'s output broke the map
-contract, which a retry cannot mend, so the job fails at once.
+contract (:class:`MapOutputError`), which a retry cannot mend, so the job
+fails at once.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ CONNECT_TIMEOUT = 30.0    # seconds a worker retries a refused connect
 STATUS_OK = 0
 STATUS_FAILED = 1
 STATUS_REJECTED = 2
+
+
+class MapOutputError(ValueError):
+    """``map_fn`` returned keys or values that break the map contract.
+
+    ``map_fn`` is deterministic, so running the task again would fail the
+    same way: the job fails at once instead of retrying it.
+    """
 
 
 class ProtocolError(RuntimeError):

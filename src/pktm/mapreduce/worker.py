@@ -22,7 +22,6 @@ import socket
 import time
 
 from . import protocol
-from .engine import MapOutputError
 from .heap import keep_task_memory
 
 _DETAIL_LIMIT = 1000
@@ -71,7 +70,7 @@ def worker_main(connect: str) -> int:
             except Exception as exc:
                 # a retry cannot mend output that breaks the map contract
                 reply.status = (protocol.STATUS_REJECTED
-                                if isinstance(exc, MapOutputError)
+                                if isinstance(exc, protocol.MapOutputError)
                                 else protocol.STATUS_FAILED)
                 reply.detail = repr(exc)[:_DETAIL_LIMIT]
             protocol.send_message(sock, reply)

@@ -158,6 +158,8 @@ class VelocityModel:
         knots = tuple((float(t), float(v)) for t, v in self.knots)
         if not knots:
             raise ValueError("velocity model needs at least one knot")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in knots):
+            raise ValueError(f"knots must be finite, got {knots}")
         taus = [t for t, _ in knots]
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ValueError("knot times must be strictly increasing")

@@ -246,6 +246,12 @@ def read_velocity(path: str | Path) -> VelocityModel:
 # exports and reports
 # ---------------------------------------------------------------------------
 
+def check_gain(gain: float) -> None:
+    """Reject a PGM display gain that is not finite and > 0."""
+    if not (np.isfinite(gain) and gain > 0.0):
+        raise ValueError(f"gain must be finite and > 0, got {gain}")
+
+
 def export_pgm(path: str | Path, stacked: np.ndarray, gain: float = 1.0) -> None:
     """Write a stacked section as a binary PGM, time axis downward.
 
@@ -255,8 +261,7 @@ def export_pgm(path: str | Path, stacked: np.ndarray, gain: float = 1.0) -> None
     arr = np.asarray(stacked, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"stacked section must be 2-D, got {arr.ndim}-D")
-    if not (np.isfinite(gain) and gain > 0.0):
-        raise ValueError(f"gain must be finite and > 0, got {gain}")
+    check_gain(gain)
     max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
     if max_abs == 0.0:
         pixels = np.full(arr.shape, 128, dtype=np.uint8)

@@ -195,6 +195,8 @@ def imaging_loop(
     cands = _checked_candidates(candidates)
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if lag_tolerance < 0:
+        raise ValueError(f"lag_tolerance must be >= 0, got {lag_tolerance}")
 
     def migrate_pass(it: int, v: float) -> LoopIteration:
         job = MigrationJob(grid, VelocityModel.constant(v), params, binning)

@@ -96,6 +96,19 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_velocity_is_3(self, tmp_path, capsys):
+        """A nan velocity would migrate to an all-zero image."""
+        survey = synth(tmp_path)
+        vfile = tmp_path / "v.txt"
+        vfile.write_text("0.0 2000\n0.5 nan\n")
+        base = ["migrate", "--input", str(survey),
+                "--output", str(tmp_path / "o.img"),
+                "--grid", GRID, "--offset-edges", EDGES, "--aperture", "400"]
+        for velocity in (["--vconst", "nan"], ["--velocity", str(vfile)]):
+            assert main(base + velocity) == 3
+            assert "knots must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.img").exists()
+
     def test_both_velocity_sources_is_usage_error(self, tmp_path, capsys):
         survey = synth(tmp_path)
         vfile = tmp_path / "v.txt"
@@ -115,6 +128,66 @@ class TestExitCodes:
         assert main(["worker", "--connect", "127.0.0.1:1"]) == 4
         assert 0.25 <= time.monotonic() - start < 10.0
         assert "error: worker connection failed" in capsys.readouterr().err
+
+
+class TestSharedOptions:
+    """migrate, scan and loop build their job before reading the survey."""
+
+    COMMANDS = {
+        "migrate": ["--output", "o.img", "--vconst", "2000"],
+        "scan": ["--candidates", "2000", "--report", "r.csv"],
+        "loop": ["--v0", "2000", "--candidates", "2000", "--report", "r.csv"],
+    }
+
+    @pytest.fixture
+    def no_read(self, monkeypatch):
+        import pktm.cli
+
+        def read_survey(*args, **kwargs):
+            raise AssertionError("the survey was read")
+
+        monkeypatch.setattr(pktm.cli, "read_survey", read_survey)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("bad", [["--workers", "0"],
+                                     ["--partitions", "0"],
+                                     ["--chunk-size", "0"]])
+    def test_bad_engine_option_fails_before_the_read(
+            self, command, bad, tmp_path, monkeypatch, capsys, no_read):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--input", "survey.trc", "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                *self.COMMANDS[command], *bad]
+        assert main(argv) == 3
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_gain_fails_before_the_read(self, tmp_path, monkeypatch,
+                                            capsys, no_read):
+        monkeypatch.chdir(tmp_path)
+        assert main(["migrate", "--input", "survey.trc", "--grid", GRID,
+                     "--offset-edges", EDGES, "--aperture", "500",
+                     *self.COMMANDS["migrate"],
+                     "--gain", "0", "--export-pgm", "x.pgm"]) == 3
+        assert ("error: gain must be finite and > 0, got 0.0"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_takes_no_velocity(self, tmp_path, capsys):
+        """The scan migrates at its candidates only."""
+        argv = ["scan", "--input", "survey.trc", "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                "--candidates", "2000"]
+        for flag, value in (("--velocity", "v.txt"), ("--vconst", "1234")):
+            assert main(argv + [flag, value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: pktm scan ")
+            assert f"unrecognized arguments: {flag}" in err
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            assert main(argv + ["--config", str(cfg)]) == 3
+            assert (f"unknown config keys: {flag[2:]}"
+                    in capsys.readouterr().err)
 
 
 class TestSynth:
@@ -274,6 +347,16 @@ class TestScanAndLoop:
         assert rc == 3
         assert "error: max_lag must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_loop_rejects_negative_tolerance(self, tmp_path, capsys):
+        rc = main(["loop", "--input", str(synth(tmp_path)), "--grid", GRID,
+                   "--offset-edges", EDGES, "--aperture", "500",
+                   "--candidates", "2000", "--v0", "1700",
+                   "--tolerance", "-1"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "error: lag_tolerance must be >= 0, got -1" in captured.err
+        assert "iteration" not in captured.out
+
 
 class TestAdjointAndEstimate:
     def test_adjoint_test_passes(self, capsys):
@@ -288,6 +371,14 @@ class TestAdjointAndEstimate:
                    "--nx", "24", "--ntau", "24", "--tolerance", "0"])
         assert rc == 4
         assert "error: adjoint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_adjoint_test_rejects_bad_tolerance(self, capsys, tolerance):
+        assert main(["adjoint-test", "--tolerance", tolerance]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: tolerance must be finite and >= 0, "
+                                f"got {float(tolerance)}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("args", [["--traces", "-3"],
                                       ["--samples", "0"],

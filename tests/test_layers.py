@@ -99,9 +99,7 @@ def test_imports_run_down_the_layers():
     assert bad == []
 
 
-def test_only_the_engine_imports_inside_a_function():
-    """A worker process runs the engine's task bodies, so ``worker``
-    imports ``engine``; the engine's fork path imports ``worker`` late."""
-    late = {(a, b) for a, b, in_function in intra_package_imports()
-            if in_function}
-    assert late == {("mapreduce.engine", "mapreduce.worker")}
+def test_no_import_inside_a_function():
+    """Every pktm import is at module level, where the layer tests see it."""
+    assert [(a, b) for a, b, in_function in intra_package_imports()
+            if in_function] == []

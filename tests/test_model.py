@@ -130,6 +130,15 @@ class TestVelocityModel:
         with pytest.raises(ValueError):
             VelocityModel(((0.0, 0.0),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("field", ["time", "velocity"])
+    def test_knots_must_be_finite(self, field, bad):
+        """A nan velocity would migrate to an all-zero image."""
+        knot = (bad, 2000.0) if field == "time" else (1.0, bad)
+        with pytest.raises(ValueError, match="knots must be finite"):
+            VelocityModel(((0.0, 1500.0), knot))
+
     def test_vectorized_call(self):
         v = VelocityModel(((0.0, 1000.0), (2.0, 3000.0)))
         np.testing.assert_allclose(

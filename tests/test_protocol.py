@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pktm.mapreduce import protocol
+from pktm import mapreduce
+from pktm.mapreduce import engine, protocol
 from pktm.mapreduce.protocol import (
     Message,
     ProtocolError,
@@ -297,3 +298,10 @@ class TestParseHostport:
     def test_rejects(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_hostport(text)
+
+
+def test_map_output_error_is_one_class():
+    """Defined beside the status that carries it; the engine and the
+    package still export it."""
+    assert mapreduce.MapOutputError is protocol.MapOutputError
+    assert engine.MapOutputError is protocol.MapOutputError

@@ -218,9 +218,10 @@ class TestImagingLoop:
         assert report.final_velocity == 1500.0
 
     def test_scans_at_most_once(self, monkeypatch):
-        """A tolerance no lag meets: the scan picks 2000 m/s, the loop
-        moves there, and the second pass reuses the first scan's pick.
-        Two loop passes and the 4 candidates' migrations are all the
+        """Candidates short of the true 2000 m/s and a tolerance of 0: the
+        scan picks 1850 m/s, the loop moves there, its lag still exceeds
+        the tolerance, and the second pass reuses the first scan's pick.
+        Two loop passes and the 2 candidates' migrations are all the
         migrations there are."""
         scans = []
         migrations = []
@@ -238,15 +239,14 @@ class TestImagingLoop:
         monkeypatch.setattr(velocity, "_migrate", counting_migrate)
         report = imaging_loop(
             diffractor_survey(), SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
-            initial_velocity=1700.0,
-            candidates=[1700.0, 1850.0, 2000.0, 2150.0],
-            lag_tolerance=-1)
+            initial_velocity=1700.0, candidates=[1700.0, 1850.0],
+            lag_tolerance=0)
         assert len(scans) == 1
         assert [(i.velocity, i.scanned, i.next_velocity)
-                for i in report.iterations] == [(1700.0, True, 2000.0),
-                                                (2000.0, True, 2000.0)]
-        assert (report.final_velocity, report.converged) == (2000.0, False)
-        assert migrations == [1700.0, 1700.0, 1850.0, 2000.0, 2150.0, 2000.0]
+                for i in report.iterations] == [(1700.0, True, 1850.0),
+                                                (1850.0, True, 1850.0)]
+        assert (report.final_velocity, report.converged) == (1850.0, False)
+        assert migrations == [1700.0, 1700.0, 1850.0, 1850.0]
 
     def test_rejects_bad_arguments(self):
         survey = diffractor_survey(n_samples=160)
@@ -271,6 +271,19 @@ class TestImagingLoop:
             else:
                 imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
                              initial_velocity=2000.0, candidates=candidates)
+        assert migrations == []
+
+    def test_negative_tolerance_fails_before_any_migration(
+            self, monkeypatch):
+        """No lag can be below 0, so the loop could never converge."""
+        migrations = []
+        monkeypatch.setattr(velocity, "_migrate",
+                            lambda *args: migrations.append(args))
+        with pytest.raises(ValueError,
+                           match="lag_tolerance must be >= 0, got -1"):
+            imaging_loop(diffractor_survey(n_samples=160), SCAN_GRID,
+                         SCAN_PARAMS, SCAN_BINNING, initial_velocity=2000.0,
+                         candidates=[2000.0], lag_tolerance=-1)
         assert migrations == []
 
     def test_negative_max_lag_fails_before_any_migration(self, monkeypatch):
