@@ -15,13 +15,16 @@ Two representations are used:
 
 Two routes produce them:
 
-* one error-free extraction (Rump, Ogita and Oishi, "Accurate
-  Floating-Point Summation" I-II, SIAM J. Sci. Comput. 2008/2009) splits an
-  unsorted key stream's values into parts that ``np.bincount`` adds exactly
-  in any order, leaving a few exact digits per key.  :func:`exact_sums`, the
-  engine's reduce, rounds the digits the way ``math.fsum`` rounds its
-  partials; :func:`grouped_expansions`, the map-side combiner, emits them
-  unrounded.  Neither sorts its input.
+* error-free extraction (Rump, Ogita and Oishi, "Accurate Floating-Point
+  Summation" I-II, SIAM J. Sci. Comput. 2008/2009) splits an unsorted key
+  stream's values into parts that ``np.bincount`` adds exactly in any
+  order.  :func:`exact_sums`, the engine's reduce, certifies first and
+  extracts second: one extraction and an error bound prove most keys'
+  rounding at once, and only the keys that bound cannot prove go through
+  the full extraction, whose few exact digits per key it rounds the way
+  ``math.fsum`` rounds its partials.  :func:`grouped_expansions`, the
+  map-side combiner, emits the full extraction's digits unrounded.
+  Neither sorts its input.
 * :func:`grouped_fsum` calls ``math.fsum`` once per key on a key-sorted
   stream.  The serial reference migration uses it, which makes it the
   independent oracle the engine is checked against.
@@ -46,6 +49,10 @@ _DENSE_SPAN_FACTOR = 4
 # The level schedule of exact_sums needs 2**c >= (largest group) + 2 with
 # c <= 26; larger groups go to grouped_fsum.
 _MAX_COUNT_BITS = 26
+
+# 2**-53 * (1 + 2**-20): the unit roundoff, widened to cover the rounding of
+# the residual magnitudes' sum and of the bound's own products (_prove)
+_BOUND_SCALE = 2.0 ** -53 + 2.0 ** -73
 
 
 def _group_slices(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +157,27 @@ def _stream(keys, values) -> tuple[np.ndarray, np.ndarray]:
     return keys, values
 
 
+def _exponents(values: np.ndarray, g: np.ndarray, counts: np.ndarray):
+    """The scale of each group of a nonempty stream.
+
+    Returns (c, biased, top, direct): c = ceil(log2(n_max + 2)) for the
+    largest group, each record's biased exponent, each group's largest one,
+    and the mask of groups whose top level sigma_0 = 2**(c + e_g) stays
+    finite (no inf, nan or overflow risk).  No group is direct when c
+    exceeds 26.
+    """
+    c = (int(counts.max()) + 1).bit_length()
+    # biased exponent e + 1022 with |v| < 2**e; inf and nan read 2047
+    biased = (values.view(np.uint64) >> np.uint64(52)).astype(np.uint16)
+    biased &= np.uint16(0x7FF)
+    top = np.zeros(counts.shape[0], dtype=np.uint16)
+    np.maximum.at(top, g, biased)
+    direct = top <= 2045 - c
+    if c > _MAX_COUNT_BITS:
+        direct[:] = False
+    return c, biased, top, direct
+
+
 def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
     """Exact per-key digits of a nonempty unsorted stream, without sorting.
 
@@ -176,19 +204,12 @@ def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
     n = keys.shape[0]
     unique, g, counts = _group_ids(keys)
     n_groups = unique.shape[0]
-    c = (int(counts.max()) + 1).bit_length()
+    c, biased, top, direct = _exponents(values, g, counts)
     d = 53 - c
-    # biased exponent e + 1022 with |v| < 2**e; inf and nan read 2047
-    biased = (values.view(np.uint64) >> np.uint64(52)).astype(np.uint16)
-    biased &= np.uint16(0x7FF)
-    top = np.zeros(n_groups, dtype=np.uint16)
-    np.maximum.at(top, g, biased)
     level = top[g] - biased
     level //= np.uint16(d)
     n_levels = int(level.max()) + 3
-    # sigma_0 = 2**(c + e_g) must stay finite
-    direct = top <= 2045 - c
-    if c > _MAX_COUNT_BITS or n_groups * n_levels > max(2 * n, 1 << 16):
+    if n_groups * n_levels > max(2 * n, 1 << 16):
         direct[:] = False
     if not direct.any():
         return unique, g, counts, direct, np.zeros((0, n_groups)), np.zeros((0, 1))
@@ -226,28 +247,124 @@ def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
     return unique, g, counts, direct, digits.reshape(n_levels, n_groups), sigma
 
 
-def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-key correctly rounded exact sums over an unsorted record stream.
+def _residual_bound(counts: np.ndarray, absum: np.ndarray) -> np.ndarray:
+    """B = fl(fl(k * A) * 2**-53 (1 + 2**-20)) per group, k = count - 1:
+    a bound on the error of a group's residual sum (see :func:`_prove`)."""
+    bound = (counts - 1) * absum
+    bound *= _BOUND_SCALE
+    return bound
 
-    Returns (unique_keys, totals): keys strictly ascending, each total
-    bit-identical to ``math.fsum`` over that key's values.  A key whose
-    values cancel is kept with +0.0.  Keys the extraction does not take
-    (see :func:`_digit_table`: inf, nan, overflow risk, or a whole-input
-    fallback) are summed by :func:`grouped_fsum` in stream order, which also
-    raises ``math.fsum``'s errors.
+
+def _prove(tau1: np.ndarray, tau2: np.ndarray, absum: np.ndarray,
+           counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Round each group's tau1 + sum(r) and say where the rounding is proven.
+
+    tau1 is exact, tau2 = bincount(r) and A = bincount(|r|) over the group's
+    n_g residuals r.  Returns (h, sure) with (h, e) = TwoSum(tau1, tau2), so
+    that the exact sum is S = h + e + (sum(r) - tau2).  h is S correctly
+    rounded when |e| + |sum(r) - tau2| is strictly below half the gap from h
+    to its nearer neighbour: ulp(h), halved below a power of two.  ``sure``
+    compares fl(|e| + B) with fl(gap / 2), B from :func:`_residual_bound`
+    with k = n_g - 1, and the comparison is rigorous:
+
+    * With u = 2**-53, recursive summation in any order gives
+      |sum(r) - tau2| <= gamma_k sum|r|, gamma_k = k u / (1 - k u), and
+      A >= (1 - u)**k sum|r| >= (1 - k u) sum|r|, so the error is at most
+      R = k u A / (1 - k u)**2.  A float addition never underflows (a sum
+      below 2**-1022 is exact), so both bounds hold for subnormal residuals.
+    * If A < 2**-1022, every partial sum of |r| is below 2**-1022 and exact,
+      so every partial sum of r is too: the error is 0 <= B.  Otherwise
+      fl(k A) >= k A (1 - u), and since k < 2**26 (a direct group) makes
+      (1 - u)**2 (1 - k u)**2 (1 + 2**-20) > 1, y = fl(k A) 2**-53 (1 + 2**-20)
+      has y (1 - u) >= R: B = fl(y) >= R when y is normal.  A subnormal y
+      rounds to a multiple of 2**-1074 no smaller than every such multiple
+      <= y, and the error, a sum of float addition errors, is one of them.
+    * gap / 2 is exact unless gap is 2**-1074 (|h| <= 2**-1021), where it
+      reads 0 and nothing is certified.  Rounding is monotone, so
+      fl(|e| + B) < fl(gap / 2) implies |e| + B < gap / 2.
+
+    h == 0 has gap 0 and is never certified: the full extraction decides
+    between +0.0 and -0.0.
     """
-    keys, values = _stream(keys, values)
-    if keys.shape[0] == 0:
-        return keys.copy(), np.empty(0, dtype=np.float64)
+    h = tau1 + tau2
+    t = h - tau1
+    e = (tau1 - (h - t)) + (tau2 - t)
+    a = np.abs(h)
+    gap = np.minimum(np.spacing(a), a - np.nextafter(a, 0.0))
+    return h, np.abs(e) + _residual_bound(counts, absum) < 0.5 * gap
+
+
+def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
+    """Stage 1 of :func:`exact_sums`: one extraction and a proof per group.
+
+    Returns (h, sure): a candidate total per group and the mask of groups
+    whose h is proven to be the correctly rounded sum (see :func:`_prove`).
+    Each direct group (see :func:`_exponents`) is extracted once at
+    sigma_0 = 2**(c + e_g): q = (sigma_0 + v) - sigma_0 and r = v - q are
+    exact, and tau1 = bincount(q) is exact, as in :func:`_digit_table`.
+    """
+    n_groups = counts.shape[0]
+    c, biased, top, direct = _exponents(values, g, counts)
+    del biased
+    if not direct.any():
+        return np.zeros(n_groups), direct
+    # a group that is not direct extracts at 1.0, and its result is dropped
+    sigma = np.ldexp(1.0, np.where(direct, top.astype(np.int64) + (c - 1022), 0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.take(sigma, g)
+        q = s + values
+        q -= s
+        tau1 = np.bincount(g, weights=q, minlength=n_groups)
+        r = np.subtract(values, q, out=s)
+        del q
+        tau2 = np.bincount(g, weights=r, minlength=n_groups)
+        absum = np.bincount(g, weights=np.abs(r, out=r), minlength=n_groups)
+        del r
+        h, sure = _prove(tau1, tau2, absum, counts)
+    sure &= direct
+    return h, sure
+
+
+def _extract_sums(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Stage 2 of :func:`exact_sums`: per-key totals of a nonempty stream by
+    the full extraction, or by :func:`grouped_fsum` for keys it does not
+    take (see :func:`_digit_table`)."""
     unique, g, _, direct, digits, sigma = _digit_table(keys, values, keep_ids=False)
     if direct.all():
-        return unique, _round_levels(digits, sigma)
+        return _round_levels(digits, sigma)
     totals = np.empty(unique.shape[0], dtype=np.float64)
     off = np.flatnonzero(~direct[g])
     order = np.argsort(g[off], kind="stable")
     totals[~direct] = grouped_fsum(g[off][order], values[off][order])[1]
     if direct.any():
         totals[direct] = _round_levels(digits, sigma)[direct]
+    return totals
+
+
+def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key correctly rounded exact sums over an unsorted record stream.
+
+    Returns (unique_keys, totals): keys strictly ascending, each total
+    bit-identical to ``math.fsum`` over that key's values.  A key whose
+    values cancel is kept with +0.0.
+
+    Certify first, then extract: :func:`_certify` extracts every key once
+    and proves most totals from an error bound.  The keys it cannot prove
+    (a total near a rounding boundary, or 0, or at most 2**-1021) go through
+    the full extraction on their own records (:func:`_extract_sums`).  Keys
+    that no extraction takes (inf, nan, overflow risk, or a table limit;
+    see :func:`_digit_table`) are summed there by :func:`grouped_fsum` in
+    stream order, which also raises ``math.fsum``'s errors.
+    """
+    keys, values = _stream(keys, values)
+    if keys.shape[0] == 0:
+        return keys.copy(), np.empty(0, dtype=np.float64)
+    unique, g, counts = _group_ids(keys)
+    totals, sure = _certify(g, counts, values)
+    if not sure.all():
+        redo = ~sure[g]
+        del g
+        totals[~sure] = _extract_sums(keys[redo], values[redo])
     return unique, totals
 
 

@@ -26,11 +26,12 @@ are columnar, so the map side writes its sorted keys and values as they
 are, and reduce task p reads region p of every map file straight into one
 key array and one value array.  A reduce task never sorts:
 :func:`~pktm.exactsum.exact_sums` sums its unsorted partition by error-free
-extraction and returns the keys ascending.  The serial reference path sums with
+extraction, certifying most keys after one extraction and extracting the rest
+in full, and returns the keys ascending.  The serial reference path sums with
 :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
 engine is checked against an independent oracle.  The combiner,
-:func:`~pktm.exactsum.grouped_expansions`, runs the same extraction as the
-reduce on each map task's unsorted output and emits the digits unrounded.
+:func:`~pktm.exactsum.grouped_expansions`, runs the reduce's full extraction
+on each map task's unsorted output and emits the digits unrounded.
 
 One scheduler, :func:`_retry_threaded`, runs every mode: all map tasks,
 then all reduce tasks, on runner threads with one retry budget.  Only the

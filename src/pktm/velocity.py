@@ -131,12 +131,14 @@ def _migrate(survey: Survey, job: MigrationJob, config: JobConfig | None) -> Ima
 
 
 def _checked_candidates(candidates: Sequence[float]) -> list[float]:
-    """The candidate velocities as floats, each finite and > 0."""
+    """The candidate velocities as floats, each finite, > 0 and distinct."""
     cands = [float(v) for v in candidates]
     if not cands:
         raise ValueError("candidate list must not be empty")
     if any(not (np.isfinite(v) and v > 0.0) for v in cands):
         raise ValueError("candidate velocities must be finite and > 0")
+    if len(set(cands)) != len(cands):
+        raise ValueError(f"candidate velocities must be distinct, got {cands}")
     return cands
 
 

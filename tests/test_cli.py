@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from pktm import OffsetBinning, VelocityModel
+from pktm import OffsetBinning, VelocityModel, velocity
 from pktm.cli import main
 from pktm.mapreduce import JobConfig, protocol
 from pktm.pipeline import migrate_survey
@@ -346,6 +346,26 @@ class TestScanAndLoop:
                    "--candidates", "2000", "--v0", "2000", "--max-lag", "-1"])
         assert rc == 3
         assert "error: max_lag must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "loop"])
+    def test_duplicate_candidates_exit_3_before_any_migration(
+            self, command, tmp_path, capsys, monkeypatch):
+        """A repeated candidate would be migrated twice and both rows
+        marked selected."""
+        migrations = []
+        monkeypatch.setattr(velocity, "_migrate",
+                            lambda *args: migrations.append(args))
+        report = tmp_path / "dup.csv"
+        argv = [command, "--input", str(synth(tmp_path)), "--grid", GRID,
+                "--offset-edges", EDGES, "--aperture", "500",
+                "--candidates", "2000,2000", "--report", str(report)]
+        if command == "loop":
+            argv += ["--v0", "2000"]
+        assert main(argv) == 3
+        assert migrations == []
+        assert not report.exists()
+        assert ("error: candidate velocities must be distinct, got "
+                "[2000.0, 2000.0]") in capsys.readouterr().err
 
     def test_loop_rejects_negative_tolerance(self, tmp_path, capsys):
         rc = main(["loop", "--input", str(synth(tmp_path)), "--grid", GRID,

@@ -11,17 +11,20 @@ The reduction layer leans on three facts:
   returns or raises for that key by even one bit.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pktm import MigrationMapFn, exactsum
 from pktm.exactsum import (
     exact_sums,
     grouped_expansions,
     grouped_fsum,
 )
+from pktm.mapreduce.partition import partitions_of
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e300, max_value=1e300)
@@ -110,6 +113,19 @@ def assert_matches_fsum(keys, values):
     assert uk.tolist() == ek
     # tobytes tells -0.0 from +0.0
     assert totals.tobytes() == np.array(ev, dtype=np.float64).tobytes()
+
+
+def spy_on(monkeypatch, name):
+    """Record the keys each call of exactsum.<name> receives."""
+    calls = []
+    real = getattr(exactsum, name)
+
+    def spy(keys, values):
+        calls.append(np.asarray(keys).tolist())
+        return real(keys, values)
+
+    monkeypatch.setattr(exactsum, name, spy)
+    return calls
 
 
 def keyed(values_strategy, max_key=6, max_size=60):
@@ -224,16 +240,19 @@ class TestExactSums:
         values = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
         assert_matches_fsum(keys, values)
 
-    def test_many_sparse_wide_range_keys(self):
+    def test_many_sparse_wide_range_keys(self, monkeypatch):
         """Many small keys spread over ~2000 binades outgrow the level
-        table; they are summed by math.fsum instead, with the same bits."""
+        table; they are summed by math.fsum instead, with the same bits.
+        Their large values cancel, so no key is certified after one
+        extraction and all of them reach the table."""
+        fsum_calls = spy_on(monkeypatch, "grouped_fsum")
         rng = np.random.default_rng(6)
-        n = 100_000
-        keys = rng.integers(0, 2 ** 40, n, dtype=np.uint64) * 3
-        keys[n // 2:] = keys[:n // 2]
-        values = np.concatenate([np.full(n // 2, 1e300),
-                                 rng.uniform(1e-300, 2e-300, n // 2)])
+        n = 99_999
+        keys = np.tile(rng.integers(0, 2 ** 40, n // 3, dtype=np.uint64) * 3, 3)
+        values = np.concatenate([np.full(n // 3, 1e300), np.full(n // 3, -1e300),
+                                 rng.uniform(1e-300, 2e-300, n // 3)])
         assert_matches_fsum(keys, values)
+        assert [len(k) for k in fsum_calls] == [n]
 
     @given(keyed(st.sampled_from(
         [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
@@ -254,6 +273,143 @@ class TestExactSums:
                                 np.asarray(values, dtype=np.float64))
         assert uk.tolist() == expected[0]
         assert totals.tobytes() == np.array(expected[1], dtype=np.float64).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact_sums certifies first, then extracts: each case below names the stage
+# that decides it, and a spy on the full extraction shows which stage ran
+# ---------------------------------------------------------------------------
+
+def stage_two_keys(monkeypatch, keys, values):
+    """exact_sums against math.fsum; returns the keys sent to stage 2."""
+    calls = spy_on(monkeypatch, "_extract_sums")
+    assert_matches_fsum(keys, values)
+    return sorted({k for call in calls for k in call})
+
+
+ULP1 = 2.0 ** -52  # the gap above 1.0
+
+
+class TestCertifyThenExtract:
+    def test_plain_sums_are_certified(self, monkeypatch):
+        keys = [0, 0, 0, 1, 1, 2]
+        values = [0.1, 0.2, 0.3, 1e16, 1.5e-3, -7.25]
+        assert stage_two_keys(monkeypatch, keys, values) == []
+
+    def test_midpoint_with_tiny_residual_is_extracted(self, monkeypatch):
+        """One extraction leaves tau1 = 1 and residuals 2**-52, 2**-53 and
+        -2**-120, whose float sum drops the last one.  tau1 + tau2 is then
+        the midpoint 1 + 1.5 ulp, which rounds to the even 1 + 2 ulp, but
+        the exact sum lies just below it and rounds to 1 + ulp."""
+        values = [1.0 + ULP1, 2.0 ** -53, -2.0 ** -120]
+        assert math.fsum(values) == 1.0 + ULP1
+        assert stage_two_keys(monkeypatch, [5] * 3, values) == [5]
+
+    def test_power_of_two_with_residual_toward_zero(self, monkeypatch):
+        """tau1 + tau2 = 1 - 2**-54 is the midpoint below 1.0, where the gap
+        is 2**-53, half the gap above.  The exact sum lies 2**-120 past it,
+        so it rounds down to 1 - 2**-53, not to the even 1.0."""
+        values = [1.0, -2.0 ** -54, -2.0 ** -120]
+        assert math.fsum(values) == 1.0 - 2.0 ** -53
+        assert stage_two_keys(monkeypatch, [3] * 3, values) == [3]
+
+    def test_residual_rounding_after_cancellation(self, monkeypatch):
+        """tau1 cancels to 0, so the residual sum is the whole total, and
+        its own rounding (a tie, then a dropped 2**-110) changes the bits."""
+        values = [2.0 ** 40, -(2.0 ** 40), 2.0 ** -10, 2.0 ** -63, 2.0 ** -110]
+        assert math.fsum(values) == 2.0 ** -10 + 2.0 ** -62
+        assert stage_two_keys(monkeypatch, [9] * 5, values) == [9]
+
+    @pytest.mark.parametrize("values", [[0.5, 3.0, -0.5, -3.0],
+                                        [1e16, 1.0, -1e16, -1.0],
+                                        [-0.0, -0.0, -0.0], [-0.0]])
+    def test_zero_totals_read_positive_zero(self, monkeypatch, values):
+        """h == 0 is never certified; the extraction returns +0.0."""
+        keys = [2] * len(values) + [7]
+        assert stage_two_keys(monkeypatch, keys, values + [1.5]) == [2]
+        _, totals = exact_sums(np.asarray(keys, dtype=np.uint64),
+                               np.asarray(values + [1.5]))
+        assert totals.tobytes() == np.array([0.0, 1.5]).tobytes()
+
+    def test_subnormal_residuals_are_certified(self, monkeypatch):
+        """A residual sum below 2**-1022 is exact, so its bound may
+        underflow to 0 and the total is still proven."""
+        keys = [1, 1, 1, 4, 4]
+        values = [1.0, 2.0 ** -1070, -3 * 2.0 ** -1074, -2.5, 5e-324]
+        assert stage_two_keys(monkeypatch, keys, values) == []
+
+    @pytest.mark.parametrize("values", [
+        [2.0 ** -1060, -(2.0 ** -1061), 3 * 2.0 ** -1074],
+        [1e-300, -1e-300, 2.0 ** -1022, 2.0 ** -1074],
+        [5e-324, 5e-324, -1e-323, 2.5e-320],
+        [2.0 ** -1021, 2.0 ** -1021, -(2.0 ** -1021)]])
+    def test_totals_up_to_2_to_minus_1021_are_extracted(self, monkeypatch,
+                                                          values):
+        """Their smaller gap is 2**-1074, whose half is no float: never
+        certified."""
+        assert stage_two_keys(monkeypatch, [6] * len(values), values) == [6]
+
+    def test_migration_stream_is_certified(self, monkeypatch, small_survey,
+                                           small_job):
+        """One partition (R = 8) of a migration's contributions, combiner
+        off: stage 1 proves at least 99% of its keys."""
+        fn = MigrationMapFn(small_job)
+        keys, values = map(np.concatenate, zip(*(fn(t) for t in small_survey)))
+        mine = partitions_of(keys, 8) == 3
+        keys, values = keys[mine], values[mine]
+        n_keys = np.unique(keys).shape[0]
+        assert n_keys > 1000
+        redone = stage_two_keys(monkeypatch, keys, values)
+        assert len(redone) <= 0.01 * n_keys
+
+    @given(st.integers(1, 16), st.integers(0, 15),
+           st.lists(st.tuples(st.integers(0, 5),
+                              st.floats(-1.0, 1.0, allow_subnormal=False),
+                              st.integers(-60, 60)),
+                    min_size=1, max_size=80))
+    @settings(max_examples=300)
+    def test_one_residue_class_wide_magnitudes(self, r, p, records):
+        """Keys of one residue class mod R, as the reduce of partition p
+        receives them, with magnitudes spread over 2**-60..2**60."""
+        keys = [p % r + r * j for j, _, _ in records]
+        values = [m * 2.0 ** k for _, m, k in records]
+        assert_matches_fsum(keys, values)
+
+
+class TestProof:
+    """The decision rule of stage 1 and its error bound, on their own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 100, 2 ** 16, 2 ** 26 - 3])
+    @pytest.mark.parametrize("absum", [
+        1.0, 1.0 + ULP1, 0.75, 3.0 * 2.0 ** 900, 2.0 ** -1022,
+        1.5 * 2.0 ** -1022, 2.4 * 2.0 ** -1022, 2.0 ** -1000, 5e-324])
+    def test_bound_covers_the_worst_case(self, k, absum):
+        """With u = 2**-53, a k-addition float sum of residuals whose
+        float sum of magnitudes is A errs by at most
+        R = k u A / (1 - k u)**2, by a multiple of 2**-1074."""
+        bound = exactsum._residual_bound(np.array([k + 1]), np.array([absum]))
+        u = Fraction(1, 2 ** 53)
+        worst = k * u * Fraction(absum) / (1 - k * u) ** 2
+        eta = Fraction(1, 2 ** 1074)
+        assert Fraction(bound[0]) >= (worst // eta) * eta
+
+    def test_half_a_gap_is_never_certified(self):
+        """tau1 + tau2 = 1 + 1.5 ulp rounds to 1 + 2 ulp with |e| exactly
+        half the gap: however small the bound, it is not below half."""
+        h, sure = exactsum._prove(np.array([1.0 + ULP1]), np.array([2.0 ** -53]),
+                                  np.array([2.0 ** -200]), np.array([2]))
+        assert h.tolist() == [1.0 + 2 * ULP1]
+        assert sure.tolist() == [False]
+
+    def test_below_a_power_of_two_the_gap_halves(self):
+        """1 + 2**-54 rounds to 1.0 with e = 2**-54: a quarter of the gap
+        above 1.0, but half the gap below it, and the rule takes the
+        smaller gap whichever side e lies on."""
+        h, sure = exactsum._prove(np.array([1.0, 1.0 + ULP1]),
+                                  np.array([2.0 ** -54, 2.0 ** -54]),
+                                  np.zeros(2), np.array([1, 1]))
+        assert h.tolist() == [1.0, 1.0 + ULP1]
+        assert sure.tolist() == [False, True]
 
 
 # ---------------------------------------------------------------------------

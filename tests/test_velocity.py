@@ -254,7 +254,8 @@ class TestImagingLoop:
             imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
                          initial_velocity=-5.0, candidates=[2000.0])
 
-    @pytest.mark.parametrize("candidates", [[], [-1.0], [float("nan")]])
+    @pytest.mark.parametrize("candidates", [[], [-1.0], [float("nan")],
+                                            [2000.0, 2000.0]])
     @pytest.mark.parametrize("run", ["scan", "loop"])
     def test_bad_candidates_fail_before_any_migration(
             self, monkeypatch, run, candidates):
