@@ -156,7 +156,7 @@ def _add_imaging(p: _Parser) -> None:
     p.add_argument("--task-timeout", type=float, default=job.task_timeout,
                    metavar="SECONDS",
                    help="multiprocess mode: per-task deadline before "
-                        "reassignment")
+                        "reassignment; finite, at most about 292 years")
     p.add_argument("--max-task-retries", type=int,
                    default=job.max_task_retries, metavar="N",
                    help="retries allowed per task beyond the first attempt")

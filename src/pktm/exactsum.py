@@ -18,16 +18,14 @@ Two routes produce them:
 * error-free extraction (Rump, Ogita and Oishi, "Accurate Floating-Point
   Summation" I-II, SIAM J. Sci. Comput. 2008/2009) splits an unsorted key
   stream's values into parts that ``np.bincount`` adds exactly in any
-  order.  :func:`exact_sums`, the engine's reduce, certifies first and
-  extracts second: one extraction and an error bound prove most keys'
-  rounding at once, and only the keys that bound cannot prove go through
-  the full extraction, whose few exact digits per key it rounds the way
-  ``math.fsum`` rounds its partials.  :func:`grouped_expansions`, the
-  map-side combiner, emits the full extraction's digits unrounded.
-  Neither sorts its input.
+  order.  :func:`exact_sums`, the engine's reduce, extracts once and
+  proves most keys' rounding at once from an error bound.
+  :func:`grouped_expansions`, the map-side combiner, extracts in full and
+  emits the exact digits unrounded.  Neither sorts its input.
 * :func:`grouped_fsum` calls ``math.fsum`` once per key on a key-sorted
   stream.  The serial reference migration uses it, which makes it the
-  independent oracle the engine is checked against.
+  oracle the engine is checked against, and the reduce hands it the few
+  keys its bound cannot prove.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ __all__ = [
 # this multiple of the record count, and with np.unique beyond it.
 _DENSE_SPAN_FACTOR = 4
 
-# The level schedule of exact_sums needs 2**c >= (largest group) + 2 with
-# c <= 26; larger groups go to grouped_fsum.
+# The extraction's level schedule needs 2**c >= (largest group) + 2 with
+# c <= 26; exact_sums hands larger groups to grouped_fsum.
 _MAX_COUNT_BITS = 26
 
 # 2**-53 * (1 + 2**-20): the unit roundoff, widened to cover the rounding of
@@ -108,47 +106,6 @@ def _group_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slots.astype(np.uint64) + kmin, g, counts
 
 
-def _round_levels(digits: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Correctly rounded column sums of the (levels, groups) ``digits``.
-
-    Level j of a group holds a multiple of u_j = ulp(sigma_j)/2 below
-    sigma_j in magnitude, with sigma_{j+1} = sigma_j * 2**-D.  A bottom-up
-    carry turns the levels into a top word plus balanced digits
-    |L_j| <= u_{j-1}/2, each larger than everything below it.  Those are
-    math.fsum's nonoverlapping partials, so its final loop and half-even
-    correction round them, vectorized over groups.
-    """
-    n_levels, n_groups = digits.shape
-    low = np.empty_like(digits)
-    carry = np.zeros(n_groups)
-    for j in range(n_levels - 1, 0, -1):
-        t = digits[j] + carry
-        # 1.5 * 2**k keeps sigma + t in one binade, so the extracted part is
-        # a multiple of u_{j-1} for either sign of t
-        pivot = 0.75 * sigma[j - 1]
-        carry = (pivot + t) - pivot
-        low[j] = t - carry
-    hi = digits[0] + carry
-    lo = np.zeros(n_groups)
-    below = np.zeros(n_groups)
-    done = np.zeros(n_groups, dtype=bool)
-    for j in range(1, n_levels):
-        y = low[j]
-        below = np.where(done & (below == 0.0), y, below)
-        h = hi + y
-        err = y - (h - hi)
-        hi = np.where(done, hi, h)
-        lo = np.where(done, lo, err)
-        done |= err != 0.0
-    fix = np.flatnonzero(((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0)))
-    if fix.size:
-        y = 2.0 * lo[fix]
-        x = hi[fix] + y
-        exact = (x - hi[fix]) == y
-        hi[fix[exact]] = x[exact]
-    return hi
-
-
 def _stream(keys, values) -> tuple[np.ndarray, np.ndarray]:
     keys = np.asarray(keys, dtype=np.uint64)
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -178,20 +135,17 @@ def _exponents(values: np.ndarray, g: np.ndarray, counts: np.ndarray):
     return c, biased, top, direct
 
 
-def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
+def _digit_table(keys: np.ndarray, values: np.ndarray):
     """Exact per-key digits of a nonempty unsorted stream, without sorting.
 
-    Returns (unique, g, counts, direct, digits, sigma): the ascending unique
-    keys, each record's group id, each group's record count, the mask of
-    groups summed by extraction, the (levels, groups) digit table and its
-    level schedule.  Unless ``keep_ids``, g is None when every group is
-    direct: the ids are then freed before the extraction allocates its own
-    per-record arrays.  The digits of a direct group are floats whose exact
-    sum is the group's exact sum; other columns are zero.  A group is not
-    direct when it holds an inf or nan or its sum could overflow.  No group
-    is when one exceeds 2**26 - 2 values or the level table would outgrow
-    twice the record count (many small keys spanning ~2000 binades); the
-    table then has no levels.
+    Returns (unique, g, counts, direct, digits): the ascending unique keys,
+    each record's group id, each group's record count, the mask of groups
+    summed by extraction and the (levels, groups) digit table.  The digits
+    of a direct group are floats whose exact sum is the group's exact sum;
+    other columns are zero.  A group is not direct when it holds an inf or
+    nan or its sum could overflow.  No group is when one exceeds 2**26 - 2
+    values or the level table would outgrow twice the record count (many
+    small keys spanning ~2000 binades); the table then has no levels.
 
     Method: with c = ceil(log2(n_max + 2)) for the largest group and
     D = 53 - c, group g sums at levels sigma_j = 2**(c + e_g - j*D), where
@@ -212,20 +166,17 @@ def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
     if n_groups * n_levels > max(2 * n, 1 << 16):
         direct[:] = False
     if not direct.any():
-        return unique, g, counts, direct, np.zeros((0, n_groups)), np.zeros((0, 1))
+        return unique, g, counts, direct, np.zeros((0, n_groups))
     r, group = values, g
     if not direct.all():
         on = direct[g]
         r, group, level = values[on], g[on], level[on]
         top[~direct] = 0
     exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
-    sigma = np.ldexp(1.0, exps)
-    flat_sigma = sigma.ravel()
+    flat_sigma = np.ldexp(1.0, exps).ravel()
     slot = np.multiply(level, n_groups, dtype=np.intp)
     slot += group
     del group, level
-    if not keep_ids and direct.all():
-        g = None
     digits = np.zeros(n_levels * n_groups)
     for _ in range(3):
         s = np.take(flat_sigma, slot)
@@ -243,8 +194,8 @@ def _digit_table(keys: np.ndarray, values: np.ndarray, *, keep_ids: bool):
             slot, r = slot[idx], r[idx]
         slot += n_groups
     else:
-        raise RuntimeError("exact_sums: residual left after three levels")
-    return unique, g, counts, direct, digits.reshape(n_levels, n_groups), sigma
+        raise RuntimeError("_digit_table: residual left after three levels")
+    return unique, g, counts, direct, digits.reshape(n_levels, n_groups)
 
 
 def _residual_bound(counts: np.ndarray, absum: np.ndarray) -> np.ndarray:
@@ -283,8 +234,8 @@ def _prove(tau1: np.ndarray, tau2: np.ndarray, absum: np.ndarray,
       reads 0 and nothing is certified.  Rounding is monotone, so
       fl(|e| + B) < fl(gap / 2) implies |e| + B < gap / 2.
 
-    h == 0 has gap 0 and is never certified: the full extraction decides
-    between +0.0 and -0.0.
+    h == 0 has gap 0 and is never certified: ``math.fsum`` decides between
+    +0.0 and -0.0.
     """
     h = tau1 + tau2
     t = h - tau1
@@ -325,22 +276,6 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
     return h, sure
 
 
-def _extract_sums(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Stage 2 of :func:`exact_sums`: per-key totals of a nonempty stream by
-    the full extraction, or by :func:`grouped_fsum` for keys it does not
-    take (see :func:`_digit_table`)."""
-    unique, g, _, direct, digits, sigma = _digit_table(keys, values, keep_ids=False)
-    if direct.all():
-        return _round_levels(digits, sigma)
-    totals = np.empty(unique.shape[0], dtype=np.float64)
-    off = np.flatnonzero(~direct[g])
-    order = np.argsort(g[off], kind="stable")
-    totals[~direct] = grouped_fsum(g[off][order], values[off][order])[1]
-    if direct.any():
-        totals[direct] = _round_levels(digits, sigma)[direct]
-    return totals
-
-
 def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-key correctly rounded exact sums over an unsorted record stream.
 
@@ -348,13 +283,12 @@ def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     bit-identical to ``math.fsum`` over that key's values.  A key whose
     values cancel is kept with +0.0.
 
-    Certify first, then extract: :func:`_certify` extracts every key once
-    and proves most totals from an error bound.  The keys it cannot prove
-    (a total near a rounding boundary, or 0, or at most 2**-1021) go through
-    the full extraction on their own records (:func:`_extract_sums`).  Keys
-    that no extraction takes (inf, nan, overflow risk, or a table limit;
-    see :func:`_digit_table`) are summed there by :func:`grouped_fsum` in
-    stream order, which also raises ``math.fsum``'s errors.
+    Certify first: :func:`_certify` extracts every key once and proves most
+    totals from an error bound.  The keys it cannot prove (a total near a
+    rounding boundary, or 0, or at most 2**-1021; an inf, a nan or an
+    overflow risk, see :func:`_exponents`) are summed by :func:`grouped_fsum`
+    on their own records, in stream order within each key, which also
+    raises ``math.fsum``'s errors.
     """
     keys, values = _stream(keys, values)
     if keys.shape[0] == 0:
@@ -362,9 +296,10 @@ def exact_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     unique, g, counts = _group_ids(keys)
     totals, sure = _certify(g, counts, values)
     if not sure.all():
-        redo = ~sure[g]
+        redo = np.flatnonzero(~sure[g])
         del g
-        totals[~sure] = _extract_sums(keys[redo], values[redo])
+        redo = redo[np.argsort(keys[redo], kind="stable")]
+        totals[~sure] = grouped_fsum(keys[redo], values[redo])[1]
     return unique, totals
 
 
@@ -374,8 +309,9 @@ def grouped_expansions(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray
     Returns flat (keys_out, components) with the same exact sum per key as
     the input.  A key folds into its nonzero extraction digits when they are
     fewer than its values.  Every other key keeps its values unchanged,
-    including every key :func:`exact_sums` hands to ``math.fsum``, so the
-    reduce returns or raises what it would without the combiner.  One
+    among them every key that holds an inf or a nan or could overflow, so
+    the reduce's ``math.fsum`` returns or raises for it what it would
+    without the combiner.  One
     exception: ``math.fsum``'s intermediate-overflow error depends on term
     order, so a key whose magnitudes, added over all map tasks, pass the
     float64 range may raise on one stream and not the other.  A key whose
@@ -386,7 +322,7 @@ def grouped_expansions(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray
     keys, values = _stream(keys, values)
     if keys.shape[0] == 0:
         return keys.copy(), values.copy()
-    unique, g, counts, direct, digits, _ = _digit_table(keys, values, keep_ids=True)
+    unique, g, counts, direct, digits = _digit_table(keys, values)
     nonzero = digits != 0.0
     fold = direct & (np.count_nonzero(nonzero, axis=0) < counts)
     raw = ~fold[g]

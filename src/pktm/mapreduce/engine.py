@@ -26,11 +26,11 @@ are columnar, so the map side writes its sorted keys and values as they
 are, and reduce task p reads region p of every map file straight into one
 key array and one value array.  A reduce task never sorts:
 :func:`~pktm.exactsum.exact_sums` sums its unsorted partition by error-free
-extraction, certifying most keys after one extraction and extracting the rest
-in full, and returns the keys ascending.  The serial reference path sums with
-:func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key) instead, so the
-engine is checked against an independent oracle.  The combiner,
-:func:`~pktm.exactsum.grouped_expansions`, runs the reduce's full extraction
+extraction, certifying most keys after one extraction and handing the rest to
+``math.fsum``, and returns the keys ascending.  The serial reference path sums
+every key with :func:`~pktm.exactsum.grouped_fsum` (``math.fsum`` per key),
+so the engine is checked against that oracle.  The combiner,
+:func:`~pktm.exactsum.grouped_expansions`, runs a full error-free extraction
 on each map task's unsorted output and emits the digits unrounded.
 
 One scheduler, :func:`_retry_threaded`, runs every mode: all map tasks,
@@ -132,8 +132,11 @@ class JobConfig:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not self.task_timeout > 0.0:
-            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
+        # socket.settimeout raises OverflowError above threading.TIMEOUT_MAX
+        if not 0.0 < self.task_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"task_timeout must be > 0 and at most "
+                             f"{threading.TIMEOUT_MAX:.0f} s, "
+                             f"got {self.task_timeout}")
         if self.max_task_retries < 0:
             raise ValueError(
                 f"max_task_retries must be >= 0, got {self.max_task_retries}")

@@ -221,11 +221,6 @@ class GridSpec:
     def tau_axis(self) -> np.ndarray:
         return self.tau_min + np.arange(self.ntau, dtype=np.float64) * self.dtau
 
-    def empty_image(self) -> "ImageGrid":
-        return ImageGrid(
-            self, np.zeros((self.n_offset_bins, self.nx, self.ntau), dtype=np.float64)
-        )
-
 
 @dataclass(frozen=True)
 class ImageGrid:

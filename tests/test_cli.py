@@ -162,6 +162,19 @@ class TestSharedOptions:
         assert "must be >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("timeout", ["inf", "1e10"])
+    def test_unusable_task_timeout_fails_before_the_read(
+            self, timeout, tmp_path, monkeypatch, capsys, no_read):
+        """A deadline no socket takes would hang a multiprocess job while
+        its workers register."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["migrate", "--input", "survey.trc", "--grid", GRID,
+                     "--offset-edges", EDGES, "--aperture", "500",
+                     *self.COMMANDS["migrate"], "--mode", "multiprocess",
+                     "--task-timeout", timeout]) == 3
+        assert "task_timeout must be > 0 and at most" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_gain_fails_before_the_read(self, tmp_path, monkeypatch,
                                             capsys, no_read):
         monkeypatch.chdir(tmp_path)

@@ -143,6 +143,8 @@ class TestJobConfig:
         dict(chunk_size=0),
         dict(task_timeout=0.0),
         dict(task_timeout=-1.0),
+        dict(task_timeout=math.inf),
+        dict(task_timeout=1e10),
         dict(max_task_retries=-1),
     ])
     def test_rejects_bad_values(self, kwargs):

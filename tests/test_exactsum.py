@@ -11,11 +11,12 @@ The reduction layer leans on three facts:
   returns or raises for that key by even one bit.
 """
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pktm import MigrationMapFn, exactsum
@@ -116,12 +117,14 @@ def assert_matches_fsum(keys, values):
 
 
 def spy_on(monkeypatch, name):
-    """Record the keys each call of exactsum.<name> receives."""
+    """Record the (key, value) records each call of exactsum.<name>
+    receives."""
     calls = []
     real = getattr(exactsum, name)
 
     def spy(keys, values):
-        calls.append(np.asarray(keys).tolist())
+        calls.append(list(zip(np.asarray(keys).tolist(),
+                              np.asarray(values).tolist())))
         return real(keys, values)
 
     monkeypatch.setattr(exactsum, name, spy)
@@ -147,6 +150,13 @@ mixed_scale = st.sampled_from(
 subnormal = st.floats(min_value=-2.2250738585072014e-308,
                       max_value=2.2250738585072014e-308,
                       allow_nan=False, allow_infinity=False)
+# an unsorted stream that interleaves certified keys (1, 4 and 6: nonzero
+# sums of small integers) with uncertified ones (0 and 7 cancel exactly, 3
+# totals 2**-1021, 8 is subnormal)
+INTERLEAVED = [(4, 3.0), (0, 1e16), (7, 0.5), (1, -2.0), (3, 2.0 ** -1021),
+               (6, 5.0), (0, 1.0), (4, -1.0), (7, -0.5), (3, 2.0 ** -1021),
+               (1, 7.0), (0, -1e16), (3, -(2.0 ** -1021)), (8, 5e-324),
+               (6, 1.0), (0, -1.0), (8, 5e-324)]
 
 
 class TestExactSums:
@@ -219,12 +229,26 @@ class TestExactSums:
         assert_matches_fsum(keys, values)
 
     @given(keyed(finite, max_key=8), st.randoms())
+    @example(INTERLEAVED, random.Random(0))
+    @example([(k * 2 ** 40, v) for k, v in INTERLEAVED], random.Random(0))
     @settings(max_examples=150)
     def test_unsorted_and_shuffled_input(self, pairs, rnd):
+        """Also checks which keys reach math.fsum: every total of 0 or at
+        most 2**-1021, and no nonzero sum of integers below 2**20, which
+        one extraction leaves without residuals."""
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
         for variant in (pairs, shuffled):
-            assert_matches_fsum(*unzip(variant))
+            with pytest.MonkeyPatch.context() as mp:
+                redone = stage_two_keys(mp, *unzip(variant))
+            per_key = {}
+            for k, v in variant:
+                per_key.setdefault(k, []).append(v)
+            for k, vals in per_key.items():
+                if abs(math.fsum(vals)) <= 2.0 ** -1021:
+                    assert k in redone
+                elif all(v.is_integer() and abs(v) < 2 ** 20 for v in vals):
+                    assert k not in redone
 
     @given(st.lists(st.tuples(
         st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]), finite),
@@ -241,10 +265,9 @@ class TestExactSums:
         assert_matches_fsum(keys, values)
 
     def test_many_sparse_wide_range_keys(self, monkeypatch):
-        """Many small keys spread over ~2000 binades outgrow the level
-        table; they are summed by math.fsum instead, with the same bits.
-        Their large values cancel, so no key is certified after one
-        extraction and all of them reach the table."""
+        """Many small keys spread over ~2000 binades, whose large values
+        cancel: no key is certified after one extraction, so math.fsum
+        sums every record, with the same bits."""
         fsum_calls = spy_on(monkeypatch, "grouped_fsum")
         rng = np.random.default_rng(6)
         n = 99_999
@@ -276,15 +299,24 @@ class TestExactSums:
 
 
 # ---------------------------------------------------------------------------
-# exact_sums certifies first, then extracts: each case below names the stage
-# that decides it, and a spy on the full extraction shows which stage ran
+# exact_sums certifies first and hands the rest to math.fsum: each case below
+# names the stage that decides it, and a spy on grouped_fsum shows which ran
 # ---------------------------------------------------------------------------
 
 def stage_two_keys(monkeypatch, keys, values):
-    """exact_sums against math.fsum; returns the keys sent to stage 2."""
-    calls = spy_on(monkeypatch, "_extract_sums")
+    """exact_sums against math.fsum; returns the keys sent to stage 2,
+    grouped_fsum, after checking that it got every record of each, keys
+    ascending and in stream order within a key."""
+    calls = spy_on(monkeypatch, "grouped_fsum")
     assert_matches_fsum(keys, values)
-    return sorted({k for call in calls for k in call})
+    got = [record for call in calls for record in call]
+    redone = sorted({k for k, _ in got})
+    want = sorted(records_of(np.asarray(keys, dtype=np.uint64), values,
+                             set(redone)), key=lambda kv: kv[0])
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert (np.array([v for _, v in got], dtype=np.float64).tobytes()
+            == np.array([v for _, v in want], dtype=np.float64).tobytes())
+    return redone
 
 
 ULP1 = 2.0 ** -52  # the gap above 1.0
@@ -324,7 +356,7 @@ class TestCertifyThenExtract:
                                         [1e16, 1.0, -1e16, -1.0],
                                         [-0.0, -0.0, -0.0], [-0.0]])
     def test_zero_totals_read_positive_zero(self, monkeypatch, values):
-        """h == 0 is never certified; the extraction returns +0.0."""
+        """h == 0 is never certified; math.fsum returns +0.0."""
         keys = [2] * len(values) + [7]
         assert stage_two_keys(monkeypatch, keys, values + [1.5]) == [2]
         _, totals = exact_sums(np.asarray(keys, dtype=np.uint64),

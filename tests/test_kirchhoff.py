@@ -286,7 +286,8 @@ class TestAdjointPair:
                            KernelParams(350.0, weight), binning)
         survey = random_survey(rng, binning, n_traces=15, n_samples=80)
         headers = [t.header for t in survey]
-        image = ImageGrid(grid, rng.standard_normal(grid.empty_image().values.shape))
+        image = ImageGrid(grid, rng.standard_normal(
+            (grid.n_offset_bins, grid.nx, grid.ntau)))
 
         modeled = forward_model(image, headers, job)
         migrated = migrate_survey_serial(survey, job)
@@ -312,7 +313,8 @@ class TestAdjointPair:
                    for i, (ix, it) in enumerate(cells)]
         survey = Survey([Trace(h, rng.standard_normal(1)) for h in headers],
                         binning)
-        image = ImageGrid(grid, rng.standard_normal(grid.empty_image().values.shape))
+        image = ImageGrid(grid, rng.standard_normal(
+            (grid.n_offset_bins, grid.nx, grid.ntau)))
 
         modeled = forward_model(image, headers, job)
         migrated = migrate_survey_serial(survey, job)

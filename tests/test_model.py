@@ -152,12 +152,6 @@ class TestGridSpec:
         np.testing.assert_allclose(g.tau_axis(), [0.5, 0.75])
         assert g.n_cells == 6
 
-    def test_empty_image(self):
-        g = GridSpec(0.0, 1.0, 4, 0.0, 1.0, 5, 3)
-        img = g.empty_image()
-        assert img.values.shape == (3, 4, 5)
-        assert not img.values.any()
-
     @pytest.mark.parametrize("field, value", [
         ("dx", 0.0), ("dtau", -1.0), ("nx", 0), ("ntau", 0),
         ("n_offset_bins", 0), ("x_min", math.nan),
