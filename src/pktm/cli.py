@@ -6,8 +6,9 @@ runtime failure.  Every error goes to stderr with an ``error:`` prefix.
 
 Options may also come from a ``--config`` file of ``key = value`` lines
 (keys are the long option names without dashes; ``#`` starts a comment).
-Explicit command-line flags win over config values, which win over
-defaults.
+A key may appear once: a repeatable option such as ``scatterer`` takes one
+line of ``;``-separated values, and a repeated key exits 3.  Explicit
+command-line flags win over config values, which win over defaults.
 """
 
 from __future__ import annotations
@@ -270,6 +271,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -282,7 +284,13 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise _ConfigError(
                 f"{path}:{lineno}: expected key=value, got {body!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise _ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats line "
+                f"{first_line[key]}; give one line of ';'-separated values")
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 

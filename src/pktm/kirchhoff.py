@@ -59,10 +59,11 @@ class LegTable:
     under obliquity weighting, its cosine ``(tau/2) / T`` (1 where T = 0).
     The table's x axis is the grid's, extended by :attr:`pad` columns past
     either edge: :func:`_window` finds each trace's aperture window on it,
-    and a trace clipped at an edge still has rows over its whole window
+    and a trace clipped at an edge still has legs over its whole window
     (see :class:`StencilCache`).  Each surface position s
     seen so far maps to the rows of its distances ``|x - s|`` along that
-    axis.  Every entry comes from the expression that
+    axis; past the budget, legs from new positions are computed for each
+    call.  Every entry comes from the expression that
     :func:`~pktm.traveltime.one_way_time` and :func:`~pktm.traveltime.weight`
     evaluate for one cell, so reading the table changes no bit of any
     kernel output.
@@ -99,22 +100,16 @@ class LegTable:
     def n_rows(self) -> int:
         return len(self._row_of)
 
-    def rows(self, s: float) -> np.ndarray | None:
-        """Row of each column of the extended x axis for surface position
-        ``s``; None once the budget is spent and ``s`` is new."""
-        with self._lock:
-            rows = self._rows_at.get(s)
-            if rows is None and not self._full:
-                rows = self._add(s)
-        return rows
-
     def legs(self, s: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Leg times and cosines from surface position ``s`` to the image
         columns ``[lo, hi)``, as new (hi - lo, ntau) arrays the caller may
         overwrite.  Columns count from the grid's first, and may reach
         :attr:`pad` columns past either edge.  The cosines are None under
         unit weighting."""
-        rows = self.rows(s)
+        with self._lock:
+            rows = self._rows_at.get(s)
+            if rows is None and not self._full:
+                rows = self._add(s)
         lo += self.pad
         hi += self.pad
         if rows is None:
@@ -165,9 +160,8 @@ class MigrationJob:
     """Fixed operands of one migration: target grid, velocity, kernel knobs.
 
     ``leg_table`` and ``stencils`` are the job's :class:`LegTable` and
-    :class:`StencilCache` in this process, empty until its first trace.  A
-    cache key holds row ids of this table, so the two are made together
-    and never pickled: a pickled job arrives with empty ones.
+    :class:`StencilCache` in this process, empty until its first trace.
+    Neither is pickled: a pickled job arrives with empty ones.
     """
 
     grid: GridSpec
@@ -422,17 +416,18 @@ class StencilCache:
     views, and :func:`_blend` then only gathers, blends and weights the
     samples, as :func:`migrate_trace` does.
 
-    The key is the pair of leg-table row vectors over the trace's
-    *unclipped* aperture window (sorted, as the DSR sum and the weight
-    product commute), with t0, dt and the sample count.  Equal keys read
-    equal table entries through the same arithmetic, so a hit is
-    bit-identical to recomputing, and a trace clipped at a grid edge reads
-    its columns of an unclipped entry.  A window whose rows, read
-    backwards, are another's (the geometry reflected about its midpoint)
-    shares that entry and reads its columns in reverse.  Each valid cell is
-    interpolated alike on either branch of :func:`_make_stencil`, so a
-    window whose own times all lie inside the trace may read an entry that
-    needed the mask.
+    The key is the pair of exact leg distances ``|x - source_x|`` and
+    ``|x - receiver_x|`` over the trace's *unclipped* aperture window
+    (sorted, as the DSR sum and the weight product commute), with t0, dt
+    and the sample count.  Equal distances give equal legs through one
+    expression, whether or not the leg table holds the positions, so a hit
+    is bit-identical to recomputing, and a trace clipped at a grid edge
+    reads its columns of an unclipped entry.  A window whose distances,
+    read backwards, are another's (the geometry reflected about its
+    midpoint) shares that entry and reads its columns in reverse.  Each
+    valid cell is interpolated alike on either branch of
+    :func:`_make_stencil`, so a window whose own times all lie inside the
+    trace may read an entry that needed the mask.
 
     Every miss makes the stencil of the unclipped window, stores it and
     blends from it.  Entries live within ``STENCIL_BUDGET_BYTES``, least
@@ -443,10 +438,9 @@ class StencilCache:
     ``_PROBE_LOOKUPS`` switches off for the rest of its job: every later
     trace goes straight to :func:`migrate_trace`.
 
-    A key holds row ids of one process's leg table, so a cache belongs to
-    one job's table: :class:`MigrationJob` makes and drops the two
-    together.  :meth:`migrate` takes the job as an argument, so the cache
-    holds no reference back to it.  Threads may share a cache: its map and
+    :class:`MigrationJob` holds one cache per process, never pickled.
+    :meth:`migrate` takes the job as an argument, so the cache holds no
+    reference back to it.  Threads may share a cache: its map and
     counts are guarded by a lock, and stored arrays are never written.
     """
 
@@ -467,20 +461,17 @@ class StencilCache:
               n: int) -> tuple[_Stencil, bool] | None:
         """The stencil of a trace's unclipped window ``[lo, hi)`` (see
         :func:`_window`) on its ``n`` samples, and whether its columns run
-        in reverse; None when the cache is off or the leg table holds no
-        rows for the trace's positions.  A miss makes and stores it."""
+        in reverse; None when the cache is off.  A miss makes and stores
+        it."""
         if not self.enabled:
             return None
         table = job.leg_table
-        rows_s, rows_r = table.rows(header.source_x), table.rows(header.receiver_x)
-        if rows_s is None or rows_r is None:
-            return None
-        a, z = lo + table.pad, hi + table.pad
-        rows_s, rows_r = rows_s[a:z], rows_r[a:z]
-        legs = sorted((rows_s.tobytes(), rows_r.tobytes()))
+        x = table.x[lo + table.pad:hi + table.pad]
+        d_s, d_r = np.abs(x - header.source_x), np.abs(x - header.receiver_x)
+        legs = sorted((d_s.tobytes(), d_r.tobytes()))
         # the window read backwards: a geometry and its reflection share
         # one entry, stored in the orientation whose key sorts first
-        mirror = sorted((rows_s[::-1].tobytes(), rows_r[::-1].tobytes()))
+        mirror = sorted((d_s[::-1].tobytes(), d_r[::-1].tobytes()))
         flip = mirror < legs
         # t0 is >= 0, and +0.0 and -0.0 (equal keys) give equal times
         key = (header.t0, header.dt, n, *(mirror if flip else legs))

@@ -553,37 +553,37 @@ class _WorkerPool:
         self._report("worker_lost", worker)
 
     def _register(self, conn: socket.socket) -> _Worker | None:
-        """Register the worker on ``conn``; None when it breaks off."""
+        """Read the ``REGISTER`` of the worker on ``conn`` and its pid, and
+        answer with its id and the manifest path.  None when it breaks off,
+        or when the job has ended: such a worker is answered ``SHUTDOWN``
+        and its connection closed."""
         with self._lock:
-            if self._closed:
-                conn.close()
-                raise JobError("the job has ended")
-            self._conns.add(conn)
-            worker_id = self._next_id
-            self._next_id += 1
+            closed = self._closed
+            if not closed:
+                self._conns.add(conn)
+                worker_id = self._next_id
+                self._next_id += 1
         try:
-            pid = self._handshake(conn, worker_id)
+            conn.settimeout(self.task_timeout)
+            hello = protocol.recv_message(conn)
+            if hello is None or hello.tag != protocol.REGISTER:
+                raise protocol.ProtocolError("expected REGISTER")
+            reply = (protocol.Message(protocol.SHUTDOWN) if closed else
+                     protocol.Message(protocol.REGISTER, ident=worker_id,
+                                      detail=self.manifest))
+            protocol.send_message(conn, reply)
         except (OSError, protocol.ProtocolError):
+            closed = True
+        if closed:
             with self._lock:
                 self._conns.discard(conn)
             conn.close()
             return None
         with self._lock:
             self._ever_registered = True
-        worker = _Worker(conn, pid, worker_id)
+        worker = _Worker(conn, hello.ident, worker_id)
         self._report("worker_registered", worker)
         return worker
-
-    def _handshake(self, conn: socket.socket, worker_id: int) -> int:
-        """Read the worker's ``REGISTER`` and its pid, answer with its id
-        and the manifest path."""
-        conn.settimeout(self.task_timeout)
-        hello = protocol.recv_message(conn)
-        if hello is None or hello.tag != protocol.REGISTER:
-            raise protocol.ProtocolError("expected REGISTER")
-        protocol.send_message(conn, protocol.Message(
-            protocol.REGISTER, ident=worker_id, detail=self.manifest))
-        return hello.ident
 
     def _check_liveness(self) -> None:
         """Fail the job when no worker is left to run its tasks.  Called
@@ -615,24 +615,15 @@ class _WorkerPool:
         with self._lock:
             self._closed = True
         # the runner threads have ended; workers still waiting to register
-        # stood by unused: register them too, so that they exit cleanly on
-        # SHUTDOWN, and wait until they hang up, having read the manifest
-        # that the job is about to delete
+        # stood by unused: answer each REGISTER with SHUTDOWN, so that they
+        # exit cleanly without opening the manifest
         self.listener.setblocking(False)
         while True:
             try:
                 conn, _ = self.listener.accept()
             except OSError:
                 break
-            with conn:
-                try:
-                    self._handshake(conn, self._next_id)
-                    protocol.send_message(
-                        conn, protocol.Message(protocol.SHUTDOWN))
-                    conn.recv(1)
-                except (OSError, protocol.ProtocolError):
-                    pass
-            self._next_id += 1
+            self._register(conn)
         self.listener.close()
         for conn in self._conns:
             try:

@@ -17,7 +17,8 @@ Tags::
     2 TASK_DONE      ident = map task id, status, detail
     3 REDUCE_ASSIGN  ident = partition id
     4 REDUCE_DONE    ident = partition id, status, detail
-    5 SHUTDOWN       nothing
+    5 SHUTDOWN       nothing; also answers a REGISTER that comes after
+                     the job has ended
 
 :data:`REPLY` names the one tag that answers each assignment.  Status 0
 means success; 1 carries a failure description in ``detail``, and the task

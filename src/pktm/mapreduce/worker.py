@@ -4,9 +4,11 @@ A worker connects to the coordinator, registers with its pid, and loads the
 job's task object (the coordinator's pickled ``_Tasks``) from the manifest
 path in the registration reply.  It then runs each assignment through that
 object and answers it with the one reply tag :data:`~.protocol.REPLY` names,
-until told to shut down.  A worker must come from the same pktm version as
-its coordinator: the manifest is a pickle of the coordinator's classes, and
-the wire layout carries no version.
+until told to shut down.  A worker that registers after the job has ended
+is answered ``SHUTDOWN`` instead, and exits 0 without opening anything.
+A worker must come from the same pktm version as its coordinator: the
+manifest is a pickle of the coordinator's classes, and the wire layout
+carries no version.
 
 :func:`worker_main` is the body of every worker: the coordinator calls it in
 the workers it forks, and ``pktm worker --connect`` calls it in fresh
@@ -48,6 +50,8 @@ def worker_main(connect: str) -> int:
         protocol.send_message(
             sock, protocol.Message(protocol.REGISTER, ident=os.getpid()))
         ack = protocol.recv_message(sock)
+        if ack is not None and ack.tag == protocol.SHUTDOWN:
+            return 0    # stood by until the job ended
         if ack is None or ack.tag != protocol.REGISTER:
             return 1
         with open(ack.detail, "rb") as f:

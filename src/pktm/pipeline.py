@@ -91,9 +91,9 @@ def migrate_survey(
 ) -> ImageGrid:
     """Migrate a survey as one MapReduce job (serial engine by default).
 
-    The job's offset binning governs, both the image and the
-    :func:`map_order` of the records; the survey's own binning is only used
-    when reading data from disk.
+    The job's offset binning governs both the image and the
+    :func:`map_order` of the records; the survey's own ``offset_bins``
+    is not read.
     """
     if config is None:
         config = JobConfig()

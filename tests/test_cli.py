@@ -553,6 +553,35 @@ class TestConfigFile:
         assert rc == 3
         assert "config grid" in capsys.readouterr().err
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("# two scatterers\nscatterer = 300,0.3,1.0\n\n"
+                       "scatterer = 700,0.5,1.0\n")
+        rc = main(SYNTH + ["--config", str(cfg),
+                           "--output", str(tmp_path / "s.trc")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: key 'scatterer' repeats line 2" in err
+        assert not (tmp_path / "s.trc").exists()
+
+    def test_repeatable_option_from_one_line(self, tmp_path):
+        """Two scatterers on one ``;``-separated line synthesize what two
+        ``--scatterer`` flags do."""
+        argv = [a for a in SYNTH if a != "--scatterer" and a != "550,0.4,1.0"]
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("scatterer = 300,0.3,1.0;700,0.5,1.0\n")
+        assert main(argv + ["--config", str(cfg),
+                            "--output", str(tmp_path / "cfg.trc")]) == 0
+        assert main(argv + ["--scatterer", "300,0.3,1.0",
+                            "--scatterer", "700,0.5,1.0",
+                            "--output", str(tmp_path / "flags.trc")]) == 0
+        one = (tmp_path / "cfg.trc").read_bytes()
+        assert one == (tmp_path / "flags.trc").read_bytes()
+        single = tmp_path / "one.trc"
+        assert main(argv + ["--scatterer", "300,0.3,1.0",
+                            "--output", str(single)]) == 0
+        assert one != single.read_bytes()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["migrate", "--config", str(tmp_path / "absent.cfg"),
                    "--input", "x", "--output", "y"])

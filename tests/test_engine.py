@@ -640,11 +640,15 @@ class Standby:
 
     :meth:`start` returns once the worker's connection is made, so the
     worker then waits in the job's listen backlog until it is accepted.
+    :attr:`opened` lists the files the worker module opens.
     """
 
     def __init__(self, monkeypatch):
+        from pktm.mapreduce import worker
+
         self.connected = threading.Event()
         self.codes = []
+        self.opened = []
         self.thread = None
         real = socket.create_connection
 
@@ -653,7 +657,12 @@ class Standby:
             self.connected.set()
             return sock
 
+        def spy_open(path, *args, **kw):
+            self.opened.append(path)
+            return open(path, *args, **kw)
+
         monkeypatch.setattr(socket, "create_connection", create_connection)
+        monkeypatch.setattr(worker, "open", spy_open, raising=False)
 
     def start(self, port):
         from pktm.mapreduce.worker import worker_main
@@ -790,7 +799,8 @@ class TestExternalWorker:
     def test_standby_worker_exits_cleanly(self, spill_dir,
                                           worker_import_path, monkeypatch):
         """A worker beyond the job's one slot stands by unused: when the job
-        ends it is registered and shut down, and exits with 0."""
+        ends, its ``REGISTER`` is answered ``SHUTDOWN``, and it exits with 0
+        without opening the manifest."""
         port, codes, events = free_port(), [], []
         standby = Standby(monkeypatch)
 
@@ -811,6 +821,7 @@ class TestExternalWorker:
             standby.join()
         assert codes == [0]
         assert standby.codes == [0]
+        assert standby.opened == []
         assert [e.kind for e in events].count("worker_registered") == 1
         assert got.keys.tobytes() == base.keys.tobytes()
         assert got.totals.tobytes() == base.totals.tobytes()
@@ -841,6 +852,7 @@ class TestExternalWorker:
             standby.join()
         assert codes == [-signal.SIGKILL]
         assert standby.codes == [0]
+        assert [os.path.basename(p) for p in standby.opened] == ["manifest.pkl"]
         kinds = [e.kind for e in events]
         assert kinds.count("worker_registered") == 2
         assert kinds.count("worker_lost") == 1
@@ -881,6 +893,7 @@ class TestExternalWorker:
             standby.join()
         assert codes == [-signal.SIGKILL]
         assert standby.codes == [0]
+        assert [os.path.basename(p) for p in standby.opened] == ["manifest.pkl"]
         kinds = [e.kind for e in events]
         assert kinds.count("worker_lost") == 1
         assert "task_retried" not in kinds

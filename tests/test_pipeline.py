@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pktm import kirchhoff
 from pktm import (
@@ -152,6 +153,67 @@ def trace_at(sx, rx, rng, t0=0.0, dt=0.004, n=160, trace_id=0):
     return Trace(TraceHeader(trace_id, sx, rx, t0, dt, n), rng.standard_normal(n))
 
 
+def distance_key(h, job):
+    """``(time axis, forward pair, backward pair)`` of a trace's unclipped
+    window: its sorted leg distances read forwards and backwards; None
+    when the trace has no window."""
+    window = kirchhoff._window(h, job)
+    if window is None:
+        return None
+    _, lo, hi = window
+    pad = job.leg_table.pad
+    x = job.grid.x_min + np.arange(lo, hi, dtype=np.float64) * job.grid.dx
+    assert x.tobytes() == job.leg_table.x[lo + pad:hi + pad].tobytes()
+    legs = [np.abs(x - h.source_x), np.abs(x - h.receiver_x)]
+    forward = sorted(d.tobytes() for d in legs)
+    backward = sorted(d[::-1].tobytes() for d in legs)
+    return (h.t0, h.dt, h.n_samples), forward, backward
+
+
+TIME_AXES = [(0.0, 0.004, 160), (0.002, 0.004, 160), (0.0, 0.002, 160),
+             (0.0, 0.004, 100)]   # (t0, dt, n)
+
+
+@st.composite
+def pair_cases(draw):
+    """A weighting and two traces' ``(source_x, receiver_x, time axis)`` on
+    ``lattice_job``'s 0-1000 m grid (200 m aperture).  The first sits on
+    the lattice, between columns or off it, inside the grid or clipped at
+    an edge; the second is the first moved by whole columns, mirrored
+    about a column or a midpoint between two, swapped, shifted off the
+    lattice, or given another offset or time axis."""
+    weight = draw(st.sampled_from([WeightMode.UNIT, WeightMode.OBLIQUITY]))
+    mid = draw(st.one_of(
+        st.integers(-30, 130).map(lambda k: 10.0 * k),
+        st.floats(-250.0, 1250.0, allow_nan=False)))
+    half = draw(st.one_of(st.integers(0, 30).map(lambda k: 10.0 * k),
+                          st.floats(0.0, 400.0, allow_nan=False)))
+    sx, rx = mid - half, mid + half
+    axis = draw(st.sampled_from(TIME_AXES))
+    move = draw(st.sampled_from(
+        ["same", "columns", "mirror", "swap", "off", "offset", "axis"]))
+    axis2 = axis
+    if move == "columns":
+        k = 20.0 * draw(st.integers(-50, 50))
+        sx2, rx2 = sx + k, rx + k
+    elif move == "mirror":
+        c = 10.0 * draw(st.integers(-20, 120))
+        sx2, rx2 = 2.0 * c - sx, 2.0 * c - rx
+    elif move == "swap":
+        sx2, rx2 = rx, sx
+    elif move == "off":
+        d = draw(st.floats(-30.0, 30.0, allow_nan=False))
+        sx2, rx2 = sx + d, rx + d
+    elif move == "offset":
+        d = draw(st.sampled_from([-10.0, 10.0, 20.0]))
+        sx2, rx2 = sx - d, rx + d
+    else:
+        sx2, rx2 = sx, rx
+    if move == "axis":
+        axis2 = draw(st.sampled_from(TIME_AXES))
+    return weight, (sx, rx, axis), (sx2, rx2, axis2)
+
+
 class TestStencilCache:
     @pytest.mark.parametrize("weight", [WeightMode.UNIT, WeightMode.OBLIQUITY])
     def test_clipped_and_swapped_traces_hit_one_entry(self, weight):
@@ -269,9 +331,9 @@ class TestStencilCache:
         assert all(fn(t)[0].size > 0 for t in traces)
 
     def test_off_lattice_survey_with_the_table_budget_spent(self, monkeypatch):
-        """Past the leg table's budget a trace has no key and is migrated
-        without the cache; traces whose positions the table holds still
-        hit."""
+        """Past the leg table's budget, legs from positions the table never
+        indexed are computed for each trace.  The cache keys those traces on
+        their distances like any other, so the repeated passes hit."""
         binning = OffsetBinning((0.0, 500.0, 2000.0))
         grid = GridSpec(0.0, 40.0, 24, 0.0, 0.004, 40, 2)
         job = MigrationJob(grid, VelocityModel(((0.0, 1600.0), (1.0, 2600.0))),
@@ -287,6 +349,47 @@ class TestStencilCache:
         assert_cached_matches(fn, list(survey) * 3)
         assert fn.job.stencils.hits > 0
         assert 0 < fn.job.leg_table.n_rows < job.leg_table.n_rows
+
+    def test_positions_past_a_full_table_hit(self, monkeypatch):
+        """A leg table with room for one position, the first trace's source
+        at 450 m (38 distances on the 71-column axis): the traces at the
+        positions it never indexed share entries all the same."""
+        monkeypatch.setattr(kirchhoff, "TABLE_BUDGET_BYTES",
+                            38 * 2 * 101 * 8 + 71 * 8)
+        rng = np.random.default_rng(18)
+        fn = MigrationMapFn(lattice_job())
+        table, cache = fn.job.leg_table, fn.job.stencils
+        unindexed_hits = 0
+        for mid in (500.0, 500.0, 603.0, 603.0, 707.0, 707.0, 296.0, 704.0):
+            trace = trace_at(mid - 50.0, mid + 50.0, rng)
+            hits = cache.hits
+            assert_cached_matches(fn, [trace])
+            h = trace.header
+            if not {h.source_x, h.receiver_x} & table._rows_at.keys():
+                unindexed_hits += cache.hits - hits
+        assert list(table._rows_at) == [450.0]
+        # 603 and 707 m repeat, and 704 m mirrors 296 m about 500 m
+        assert unindexed_hits == 3
+        assert cache.hits == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pair_cases())
+    def test_traces_share_an_entry_exactly_when_their_distances_match(
+            self, case):
+        """Two traces through one fresh cache: the second hits the first's
+        entry exactly when its leg distances, as a sorted pair, are the
+        first's read forwards or backwards, and its time axis is the
+        first's.  Both outputs equal migrate_trace."""
+        weight, first, second = case
+        rng = np.random.default_rng(19)
+        fn = MigrationMapFn(lattice_job(weight=weight))
+        traces = [trace_at(sx, rx, rng, *axis) for sx, rx, axis in (first, second)]
+        assert_cached_matches(fn, traces)
+        keys = [distance_key(t.header, fn.job) for t in traces]
+        want = keys[0] is not None and keys[1] is not None and (
+            keys[1][0] == keys[0][0] and keys[1][1] in keys[0][1:])
+        event(f"shares an entry: {want}")
+        assert fn.job.stencils.hits == int(want)
 
     def test_threads_sharing_one_cache(self, small_survey, small_job,
                                        monkeypatch):
