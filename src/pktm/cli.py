@@ -3,6 +3,8 @@
 Subcommands: synth, migrate, demig, scan, loop, adjoint-test, estimate,
 worker.  Exit codes: 0 success, 2 usage, 3 input validation, 4 job or
 runtime failure.  Every error goes to stderr with an ``error:`` prefix.
+SIGTERM unwinds a command as Ctrl-C does, so a job removes its spill
+directory, and then ends the process by the signal.
 
 Options may also come from a ``--config`` file of ``key = value`` lines
 (keys are the long option names without dashes; ``#`` starts a comment).
@@ -14,7 +16,9 @@ command-line flags win over config values, which win over defaults.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +47,28 @@ from .storage import (
     read_survey,
     read_velocity,
     write_image,
-    write_loop_csv,
-    write_scan_csv,
     write_survey,
 )
 from .synthetics import RickerWavelet, Scatterer, make_acquisition, synth_survey
 from .traveltime import KernelParams, WeightMode
-from .velocity import constant_velocity_scan, imaging_loop
+from .velocity import (
+    constant_velocity_scan,
+    imaging_loop,
+    write_loop_csv,
+    write_scan_csv,
+)
 
 
 class _UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """Raised in the main thread by SIGTERM while a command runs."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class _Help(argparse.HelpFormatter):
@@ -412,7 +427,11 @@ def _cmd_migrate(args) -> int:
     print(f"wrote image ({grid.n_offset_bins} bins, {grid.nx} x {grid.ntau}) "
           f"to {args.output}")
     if args.export_pgm:
-        export_pgm(args.export_pgm, stack_offsets(image), gain=args.gain)
+        try:
+            export_pgm(args.export_pgm, stack_offsets(image), gain=args.gain)
+        except OSError:
+            Path(args.output).unlink(missing_ok=True)
+            raise
         print(f"wrote stacked section picture to {args.export_pgm}")
     return 0
 
@@ -552,6 +571,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: a command is required\n")
         return 2
     sub = registry[args.command]
+    # a SIGTERM that the caller ignores or handles is left to the caller
+    trap = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+    if trap:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         if getattr(args, "config", None):
             _merge_config(sub, args, argv, _load_config_file(args.config))
@@ -569,6 +593,14 @@ def main(argv: list[str] | None = None) -> int:
     except (StorageError, OverflowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except _Terminated:
+        # the command has unwound; end by the signal, as if never caught
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        if trap:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

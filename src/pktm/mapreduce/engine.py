@@ -45,9 +45,9 @@ thread starts, so each one starts with numpy and pktm already imported.
 Forking a process that runs other threads can deadlock the child, so when
 another Python thread is alive, or the platform has no ``os.fork``, each
 local worker is a fresh ``python -m pktm worker --connect`` interpreter
-instead.  Either way the job reaps its own children.  A job given
-``listen`` starts none: it serves ``pktm worker --connect`` processes
-started elsewhere, which may start before it listens.
+instead.  Either way the job reaps its children, then removes its spill
+directory.  A job given ``listen`` starts none: it serves external
+``pktm worker --connect`` processes, which may start before it listens.
 
 Forking stays the default although Python 3.12+ warns on every forked
 start: numpy's OpenBLAS keeps a thread alive that ``threading`` does not
@@ -62,12 +62,12 @@ own and its reaped children's) would stop counting the workers' work.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
 import pickle
 import queue
-import shutil
 import socket
 import subprocess
 import sys
@@ -677,33 +677,32 @@ def run_job(
     purpose, because perfbench's ``EngineRecorder`` reads
     ``manifest_bytes`` and ``worker_startup_s`` from it.  An exception
     raised by the observer fails the job.
+
+    Every exit removes the job's ``job-<pid>-*`` spill directory: a return,
+    a raise, Ctrl-C, or SIGTERM under :func:`pktm.cli.main`.
     """
     root = _resolve_spill_root(config)
     root.mkdir(parents=True, exist_ok=True)
-    spill = Path(tempfile.mkdtemp(prefix=f"job-{os.getpid()}-", dir=root))
-    tasks = _Tasks(list(records), map_fn, config.n_partitions,
-                   config.combiner_enabled, config.chunk_size, spill)
-    n_slots = 1 if config.mode == "serial" else config.n_workers
-    pool = None
-    if config.mode == "multiprocess":
-        pool = _WorkerPool(tasks, config, listen, observer)
-        run_map = functools.partial(pool.run_task, protocol.TASK_ASSIGN)
-        run_reduce = functools.partial(pool.run_task, protocol.REDUCE_ASSIGN)
-        observer, abort = pool.notify, pool.abort
-    else:
-        keep_task_memory()
-        run_map, run_reduce = tasks.run_map, tasks.run_reduce
-        abort = None
-    try:
+    with contextlib.ExitStack() as job:
+        spill = Path(job.enter_context(tempfile.TemporaryDirectory(
+            prefix=f"job-{os.getpid()}-", dir=root,
+            ignore_cleanup_errors=True)))
+        tasks = _Tasks(list(records), map_fn, config.n_partitions,
+                       config.combiner_enabled, config.chunk_size, spill)
+        n_slots = 1 if config.mode == "serial" else config.n_workers
+        if config.mode == "multiprocess":
+            pool = _WorkerPool(tasks, config, listen, observer)
+            job.callback(pool.close)   # reaps the workers before rmtree
+            run_map = functools.partial(pool.run_task, protocol.TASK_ASSIGN)
+            run_reduce = functools.partial(pool.run_task,
+                                           protocol.REDUCE_ASSIGN)
+            observer, abort = pool.notify, pool.abort
+        else:
+            keep_task_memory()
+            run_map, run_reduce = tasks.run_map, tasks.run_reduce
+            abort = None
         _retry_threaded("map", range(tasks.n_map_tasks), run_map, n_slots,
                         config.max_task_retries, observer, abort)
         _retry_threaded("reduce", range(config.n_partitions), run_reduce,
                         n_slots, config.max_task_retries, observer, abort)
-    finally:
-        if pool is not None:
-            pool.close()
-    totals = _merge_partitions(config.n_partitions, spill)
-    # on failure the exception has already propagated, leaving the spill
-    # directory behind for post-mortem inspection
-    shutil.rmtree(spill, ignore_errors=True)
-    return totals
+        return _merge_partitions(config.n_partitions, spill)

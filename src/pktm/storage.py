@@ -1,5 +1,5 @@
-"""File formats: binary trace and image files, velocity tables, PGM export,
-and CSV analysis reports.
+"""File formats: binary trace and image files, velocity tables and PGM
+export.
 
 Binary readers never trust a length field: every size is checked against the
 actual byte count before anything is allocated or sliced, so corrupt input
@@ -23,7 +23,7 @@ All integers and floats are little-endian.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import os
 import struct
 import threading
@@ -108,12 +108,19 @@ class _Cursor:
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` whole or not at all.  A failed write
+    leaves no temporary file, and its error names ``path``."""
     path = Path(path)
     tmp = path.with_name(
         f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    with open(tmp, "wb") as f:
-        f.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +250,7 @@ def read_velocity(path: str | Path) -> VelocityModel:
 
 
 # ---------------------------------------------------------------------------
-# exports and reports
+# exports
 # ---------------------------------------------------------------------------
 
 def check_gain(gain: float) -> None:
@@ -271,24 +278,3 @@ def export_pgm(path: str | Path, stacked: np.ndarray, gain: float = 1.0) -> None
     pixels = pixels.T  # rows are tau, columns lateral position
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     _atomic_write(path, header + pixels.tobytes())
-
-
-def write_scan_csv(path: str | Path, scan: ScanResult) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["velocity", "focus_metric", "selected"])
-        for v, m in zip(scan.candidates, scan.metrics):
-            w.writerow([repr(v), repr(m), int(v == scan.best_velocity)])
-
-
-def write_loop_csv(path: str | Path, report: LoopReport) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "velocity", "focus_metric", "max_abs_lag",
-                    "lags", "scanned", "next_velocity"])
-        for it in report.iterations:
-            w.writerow([
-                it.iteration, repr(it.velocity), repr(it.focus),
-                it.max_abs_lag, ";".join(str(l) for l in it.lags),
-                int(it.scanned), repr(it.next_velocity),
-            ])

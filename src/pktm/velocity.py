@@ -4,12 +4,15 @@ A correct migration velocity collapses a diffractor to one flat, tight
 response, so image energy concentrates and the common-offset panels align.
 Both effects are measured here: total squared amplitude of the stack as the
 focusing objective, and per-offset-bin lag of the image column at the
-strongest lateral position as residual moveout.
+strongest lateral position as residual moveout.  A scan and a loop are
+reported as CSV.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,3 +221,24 @@ def imaging_loop(
         return LoopReport((first,), vel, False)
     second = migrate_pass(1, pick)
     return LoopReport((first, second), pick, not second.scanned)
+
+
+def write_scan_csv(path: str | Path, scan: ScanResult) -> None:
+    with open(path, "w", newline="", encoding="ascii") as f:
+        w = csv.writer(f)
+        w.writerow(["velocity", "focus_metric", "selected"])
+        for v, m in zip(scan.candidates, scan.metrics):
+            w.writerow([repr(v), repr(m), int(v == scan.best_velocity)])
+
+
+def write_loop_csv(path: str | Path, report: LoopReport) -> None:
+    with open(path, "w", newline="", encoding="ascii") as f:
+        w = csv.writer(f)
+        w.writerow(["iteration", "velocity", "focus_metric", "max_abs_lag",
+                    "lags", "scanned", "next_velocity"])
+        for it in report.iterations:
+            w.writerow([
+                it.iteration, repr(it.velocity), repr(it.focus),
+                it.max_abs_lag, ";".join(str(l) for l in it.lags),
+                int(it.scanned), repr(it.next_velocity),
+            ])

@@ -1,9 +1,16 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pktm
 from pktm import OffsetBinning, VelocityModel, velocity
 from pktm.cli import main
 from pktm.mapreduce import JobConfig, protocol
@@ -243,6 +250,56 @@ class TestMigrateAndDemig:
                    "--aperture", "500", "--vconst", "2000"])
         assert rc == 0
         assert pgm.read_bytes().startswith(b"P5\n25 151\n255\n")
+
+    def test_failed_pgm_export_leaves_no_output(self, tmp_path, capsys):
+        survey = synth(tmp_path)
+        pgm = tmp_path / "missing" / "stack.pgm"
+        rc = main(["migrate", "--input", str(survey),
+                   "--output", str(tmp_path / "o.img"),
+                   "--export-pgm", str(pgm),
+                   "--grid", GRID, "--offset-edges", EDGES,
+                   "--aperture", "500", "--vconst", "2000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"'{pgm}'" in err and ".tmp-" not in err
+        assert sorted(tmp_path.rglob("*")) == [survey]
+
+    def test_sigterm_mid_job_removes_the_spill_and_ends_by_the_signal(
+            self, tmp_path):
+        """A multiprocess job waiting for an external worker that never
+        comes is sent SIGTERM: it unwinds, removes its spill directory and
+        writes no image, and the process still ends by SIGTERM."""
+        survey = synth(tmp_path)
+        spill = tmp_path / "spill"
+        image = tmp_path / "o.img"
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = str(Path(pktm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pktm", "migrate", "--input", str(survey),
+             "--output", str(image), "--grid", GRID, "--offset-edges", EDGES,
+             "--aperture", "500", "--vconst", "2000",
+             "--mode", "multiprocess", "--listen", f"127.0.0.1:{port}",
+             "--spill-dir", str(spill)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 20.0
+            while not list(spill.glob("job-*/manifest.pkl")):
+                assert proc.poll() is None, proc.communicate()[1]
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == -signal.SIGTERM
+        assert list(spill.iterdir()) == []
+        assert not image.exists()
 
     def test_migrate_threaded_matches_serial(self, tmp_path, spill_dir):
         survey = synth(tmp_path)

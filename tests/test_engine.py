@@ -1,5 +1,6 @@
 import contextlib
 import math
+import multiprocessing
 import os
 import signal
 import socket
@@ -375,13 +376,36 @@ class TestRetries:
         # each worker may have started one more task before the error
         assert len(list(calls.iterdir())) <= 2 * workers
 
-    def test_failed_job_leaves_spill_for_inspection(self, tmp_path):
-        cfg = JobConfig(n_partitions=2, chunk_size=8, max_task_retries=0,
-                        spill_dir=str(tmp_path))
+    @ALL_MODES
+    def test_failed_job_removes_its_spill(self, mode, workers, spill_dir,
+                                          worker_import_path):
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        chunk_size=8, max_task_retries=0,
+                        spill_dir=spill_dir)
         with pytest.raises(JobError):
             run_job(RECORDS, AlwaysFailMap(), cfg)
-        leftovers = [p for p in tmp_path.iterdir() if p.name.startswith("job-")]
-        assert len(leftovers) == 1
+        assert list(Path(spill_dir).iterdir()) == []
+
+    @ALL_MODES
+    def test_interrupted_job_removes_its_spill(self, mode, workers,
+                                               spill_dir, worker_import_path):
+        """Ctrl-C unwinds through the job: its local workers are reaped and
+        its spill directory is removed."""
+        pids = []
+
+        def observer(event):
+            if event.kind == "worker_registered":
+                pids.append(event.pid)
+            if event.kind == "map_task_done":
+                raise KeyboardInterrupt
+
+        cfg = JobConfig(n_partitions=2, n_workers=workers, mode=mode,
+                        chunk_size=4, spill_dir=spill_dir)
+        with pytest.raises(KeyboardInterrupt):
+            run_job(RECORDS, paced_toy_map, cfg, observer=observer)
+        assert list(Path(spill_dir).iterdir()) == []
+        assert multiprocessing.active_children() == []
+        assert_reaped(pids)
 
 
 class TestMultiprocessFaults:
@@ -746,6 +770,14 @@ class TestExternalWorker:
         assert got.totals.tobytes() == base.totals.tobytes()
         assert os.listdir(spill_dir) == []
 
+    def test_busy_listen_address_removes_its_spill(self, spill_dir):
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            with pytest.raises(OSError):
+                run_job(RECORDS, toy_map, mp_config(spill_dir),
+                        listen=f"127.0.0.1:{port}")
+        assert list(Path(spill_dir).iterdir()) == []
+
     def test_listen_job_that_no_worker_joins_fails(self, spill_dir,
                                                    monkeypatch):
         monkeypatch.setattr(protocol, "CONNECT_TIMEOUT", 0.3)
@@ -910,21 +942,24 @@ class TestSpillResolution:
     def test_env_var_is_used_when_config_is_unset(self, tmp_path, monkeypatch):
         env_root = tmp_path / "env_root"
         monkeypatch.setenv(SPILL_DIR_ENV, str(env_root))
-        cfg = JobConfig(n_partitions=2, chunk_size=8, max_task_retries=0)
-        with pytest.raises(JobError):
-            run_job(RECORDS, AlwaysFailMap(), cfg)
-        assert any(p.name.startswith("job-") for p in env_root.iterdir())
+        cfg = JobConfig(n_partitions=2, chunk_size=8)
+        seen = set()
+        run_job(RECORDS, toy_map, cfg,
+                observer=lambda event: seen.add(job_dir(env_root)))
+        assert len(seen) == 1
+        assert list(env_root.iterdir()) == []
 
     def test_config_beats_env(self, tmp_path, monkeypatch):
         env_root = tmp_path / "env_root"
         cfg_root = tmp_path / "cfg_root"
         monkeypatch.setenv(SPILL_DIR_ENV, str(env_root))
-        cfg = JobConfig(n_partitions=2, chunk_size=8, max_task_retries=0,
-                        spill_dir=str(cfg_root))
-        with pytest.raises(JobError):
-            run_job(RECORDS, AlwaysFailMap(), cfg)
+        cfg = JobConfig(n_partitions=2, chunk_size=8, spill_dir=str(cfg_root))
+        seen = set()
+        run_job(RECORDS, toy_map, cfg,
+                observer=lambda event: seen.add(job_dir(cfg_root)))
+        assert len(seen) == 1
         assert not env_root.exists()
-        assert any(p.name.startswith("job-") for p in cfg_root.iterdir())
+        assert list(cfg_root.iterdir()) == []
 
     def test_concurrent_jobs_share_one_root(self, spill_dir):
         """Jobs started at once on one root each spill to a directory of

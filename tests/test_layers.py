@@ -10,6 +10,10 @@ nothing of the seismic code but the exact sums its reduce runs on.
 ``__init__.py`` and ``__main__.py`` only re-export and are exempt.
 """
 import ast
+import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import pktm
@@ -103,3 +107,27 @@ def test_no_import_inside_a_function():
     """Every pktm import is at module level, where the layer tests see it."""
     assert [(a, b) for a, b, in_function in intra_package_imports()
             if in_function] == []
+
+
+def test_every_annotation_resolves():
+    """An annotation names only what its module imports: one that names a
+    type of another module without importing it hides that dependency
+    from the tests above."""
+    unresolved = []
+    for info in pkgutil.walk_packages(pktm.__path__, "pktm."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if not ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for m in vars(obj).values()
+                            if inspect.isfunction(m)]
+            for member in members:
+                try:
+                    typing.get_type_hints(member)
+                except NameError as exc:
+                    unresolved.append(
+                        f"{module.__name__}.{member.__qualname__}: {exc}")
+    assert unresolved == []

@@ -1,4 +1,3 @@
-import csv
 import math
 import struct
 
@@ -8,10 +7,7 @@ import pytest
 from pktm import (
     GridSpec,
     ImageGrid,
-    LoopIteration,
-    LoopReport,
     OffsetBinning,
-    ScanResult,
     Survey,
     Trace,
     TraceHeader,
@@ -31,8 +27,6 @@ from pktm.storage import (
     read_survey,
     read_velocity,
     write_image,
-    write_loop_csv,
-    write_scan_csv,
     write_survey,
     write_velocity,
 )
@@ -298,32 +292,25 @@ class TestExportPgm:
         with pytest.raises(ValueError):
             export_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), gain=0.0)
 
+    @pytest.mark.parametrize("where", ["missing_directory", "onto_directory"])
+    def test_failed_write_names_its_target_and_leaves_nothing(self, tmp_path,
+                                                              where):
+        """Whether opening the temporary file or renaming it fails, the
+        error names the file asked for and no temporary file is left."""
+        if where == "missing_directory":
+            target = tmp_path / "missing" / "x.pgm"
+        else:
+            target = tmp_path / "x.pgm"
+            target.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(OSError) as info:
+            export_pgm(target, np.zeros((2, 2)))
+        assert info.value.filename == str(target)
+        assert ".tmp-" not in str(info.value)
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestCsvReports:
-    def test_scan_csv(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        scan = ScanResult((1800.0, 2000.0), (10.5, 99.25), 2000.0)
-        write_scan_csv(path, scan)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["velocity", "focus_metric", "selected"]
-        assert rows[1] == ["1800.0", "10.5", "0"]
-        assert rows[2] == ["2000.0", "99.25", "1"]
-        assert float(rows[2][1]) == 99.25
-
-    def test_loop_csv(self, tmp_path):
-        path = tmp_path / "loop.csv"
-        report = LoopReport(
-            (LoopIteration(0, 1700.0, 5.0, 4, (0, -4, 2), True, 2000.0),
-             LoopIteration(1, 2000.0, 9.0, 0, (0, 0, 0), False, 2000.0)),
-            2000.0, True)
-        write_loop_csv(path, report)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0][:2] == ["iteration", "velocity"]
-        assert rows[1] == ["0", "1700.0", "5.0", "4", "0;-4;2", "1", "2000.0"]
-        assert rows[2][5] == "0"
-
     def test_velocity_text_preserves_precision(self, tmp_path):
         path = tmp_path / "v.txt"
         v = 2123.4567890123457

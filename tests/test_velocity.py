@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from pktm import (
     GridSpec,
     ImageGrid,
     KernelParams,
+    LoopIteration,
+    LoopReport,
     MoveoutResult,
     OffsetBinning,
     RickerWavelet,
+    ScanResult,
     Scatterer,
     VelocityModel,
     WeightMode,
@@ -19,6 +24,7 @@ from pktm import (
     residual_moveout,
     synth_survey,
 )
+from pktm.velocity import write_loop_csv, write_scan_csv
 
 
 def image_with_columns(columns, nx=5, lateral=2):
@@ -296,3 +302,29 @@ class TestImagingLoop:
                          SCAN_PARAMS, SCAN_BINNING, initial_velocity=2000.0,
                          candidates=[2000.0], max_lag=-1)
         assert migrations == []
+
+
+class TestCsvReports:
+    def test_scan_csv(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        scan = ScanResult((1800.0, 2000.0), (10.5, 99.25), 2000.0)
+        write_scan_csv(path, scan)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["velocity", "focus_metric", "selected"]
+        assert rows[1] == ["1800.0", "10.5", "0"]
+        assert rows[2] == ["2000.0", "99.25", "1"]
+        assert float(rows[2][1]) == 99.25
+
+    def test_loop_csv(self, tmp_path):
+        path = tmp_path / "loop.csv"
+        report = LoopReport(
+            (LoopIteration(0, 1700.0, 5.0, 4, (0, -4, 2), True, 2000.0),
+             LoopIteration(1, 2000.0, 9.0, 0, (0, 0, 0), False, 2000.0)),
+            2000.0, True)
+        write_loop_csv(path, report)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0][:2] == ["iteration", "velocity"]
+        assert rows[1] == ["0", "1700.0", "5.0", "4", "0;-4;2", "1", "2000.0"]
+        assert rows[2][5] == "0"
