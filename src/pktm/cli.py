@@ -16,6 +16,7 @@ command-line flags win over config values, which win over defaults.
 from __future__ import annotations
 
 import argparse
+import errno
 import signal
 import sys
 import threading
@@ -356,6 +357,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             "missing required options: " + ", ".join(f"--{n}" for n in missing))
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail before any input is read, not after the whole job, when an
+    output's directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(
+                errno.ENOENT, "output directory does not exist", path)
+
+
 def _velocity_model(args: argparse.Namespace) -> VelocityModel:
     if args.velocity is not None and args.vconst is not None:
         raise _UsageError("give either --velocity or --vconst, not both")
@@ -420,6 +430,7 @@ def _cmd_migrate(args) -> int:
     vel = _velocity_model(args)
     if args.export_pgm:
         check_gain(args.gain)
+    _check_output_dirs(args.output, args.export_pgm)
     survey, grid, params, binning, config = _setup(args)
     image = migrate_survey(survey, MigrationJob(grid, vel, params, binning),
                            config, listen=args.listen)
@@ -440,6 +451,7 @@ def _cmd_demig(args) -> int:
     _require(args, "input", "geometry", "output", "offset-edges", "aperture")
     vel = _velocity_model(args)
     binning = OffsetBinning(args.offset_edges)
+    _check_output_dirs(args.output)
     image = read_image(args.input)
     geometry = read_survey(args.geometry, binning)
     job = MigrationJob(image.spec, vel, _kernel_params(args), binning)
@@ -452,6 +464,7 @@ def _cmd_demig(args) -> int:
 
 def _cmd_scan(args) -> int:
     _require(args, "input", "grid", "offset-edges", "aperture", "candidates")
+    _check_output_dirs(args.report)
     survey, grid, params, binning, config = _setup(args)
     result = constant_velocity_scan(
         survey, grid, params, binning, args.candidates, config,
@@ -466,6 +479,7 @@ def _cmd_scan(args) -> int:
 def _cmd_loop(args) -> int:
     _require(args, "input", "grid", "offset-edges", "aperture", "v0",
              "candidates")
+    _check_output_dirs(args.report)
     survey, grid, params, binning, config = _setup(args)
     report = imaging_loop(
         survey, grid, params, binning, args.v0, args.candidates,

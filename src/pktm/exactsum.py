@@ -26,6 +26,13 @@ Two routes produce them:
   stream.  The serial reference migration uses it, which makes it the
   oracle the engine is checked against, and the reduce hands it the few
   keys its bound cannot prove.
+
+The extraction passes run over contiguous blocks of ``_BLOCK`` records and
+add each block's ``np.bincount`` into per-group totals, which changes no
+bit of any result.  Beyond the input, the group ids and one 16-bit exponent
+per record, they hold O(block + groups) memory; numbering the keys holds
+O(key span) more, or O(records) for a sparse stream that goes through
+``np.unique``.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ __all__ = [
     "exact_sums",
 ]
 
+# The record-length passes of both routes run over contiguous blocks of this
+# many records (more where a block's bincount fills a larger table).
+_BLOCK = 1 << 16
+
 # exact_sums numbers keys as ``key - min(keys)`` while the key span is at most
 # this multiple of the record count, and with np.unique beyond it.
 _DENSE_SPAN_FACTOR = 4
@@ -51,6 +62,12 @@ _MAX_COUNT_BITS = 26
 # 2**-53 * (1 + 2**-20): the unit roundoff, widened to cover the rounding of
 # the residual magnitudes' sum and of the bound's own products (_prove)
 _BOUND_SCALE = 2.0 ** -53 + 2.0 ** -73
+
+
+def _blocks(n: int, size: int = 0):
+    """Contiguous slices of max(size, _BLOCK) records covering range(n)."""
+    size = max(size, _BLOCK)
+    return (slice(a, a + size) for a in range(0, n, size))
 
 
 def _group_slices(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +118,13 @@ def _group_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     present = counts > 0
     slots = np.flatnonzero(present)
     if slots.shape[0] <= span:
-        g = (np.cumsum(present) - 1)[g]
+        # number the present slots 0, 1, ... over the full counts, whose
+        # absent slots no record reads
+        remap = counts
         counts = counts[slots]
+        remap[slots] = np.arange(slots.shape[0])
+        for b in _blocks(n):
+            g[b] = remap[g[b]]
     return slots.astype(np.uint64) + kmin, g, counts
 
 
@@ -125,10 +147,14 @@ def _exponents(values: np.ndarray, g: np.ndarray, counts: np.ndarray):
     """
     c = (int(counts.max()) + 1).bit_length()
     # biased exponent e + 1022 with |v| < 2**e; inf and nan read 2047
-    biased = (values.view(np.uint64) >> np.uint64(52)).astype(np.uint16)
-    biased &= np.uint16(0x7FF)
+    bits = values.view(np.uint64)
+    biased = np.empty(values.shape[0], dtype=np.uint16)
     top = np.zeros(counts.shape[0], dtype=np.uint16)
-    np.maximum.at(top, g, biased)
+    for b in _blocks(values.shape[0]):
+        e = biased[b]
+        np.right_shift(bits[b], np.uint64(52), out=e, casting="unsafe")
+        e &= np.uint16(0x7FF)
+        np.maximum.at(top, g[b], e)
     direct = top <= 2045 - c
     if c > _MAX_COUNT_BITS:
         direct[:] = False
@@ -158,43 +184,49 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
     n = keys.shape[0]
     unique, g, counts = _group_ids(keys)
     n_groups = unique.shape[0]
-    c, biased, top, direct = _exponents(values, g, counts)
+    c, level, top, direct = _exponents(values, g, counts)
     d = 53 - c
-    level = top[g] - biased
-    level //= np.uint16(d)
+    # each record's level (e_g - e) // D, written over its biased exponent
+    for b in _blocks(n):
+        e = level[b]
+        np.subtract(top[g[b]], e, out=e)
+        e //= np.uint16(d)
     n_levels = int(level.max()) + 3
     if n_groups * n_levels > max(2 * n, 1 << 16):
         direct[:] = False
     if not direct.any():
         return unique, g, counts, direct, np.zeros((0, n_groups))
-    r, group = values, g
-    if not direct.all():
-        on = direct[g]
-        r, group, level = values[on], g[on], level[on]
+    partial = not direct.all()
+    if partial:
         top[~direct] = 0
     exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
     flat_sigma = np.ldexp(1.0, exps).ravel()
-    slot = np.multiply(level, n_groups, dtype=np.intp)
-    slot += group
-    del group, level
+    del exps
     digits = np.zeros(n_levels * n_groups)
-    for _ in range(3):
-        s = np.take(flat_sigma, slot)
-        q = s + r
-        q -= s
-        digits += np.bincount(slot, weights=q, minlength=digits.shape[0])
-        r = np.subtract(r, q, out=s)
-        keep = r != 0.0
-        live = np.count_nonzero(keep)
-        if not live:
-            break
-        # a value whose residual is 0 only adds exact zeros from here on
-        if live < r.shape[0] // 2:
-            idx = np.flatnonzero(keep)
-            slot, r = slot[idx], r[idx]
-        slot += n_groups
-    else:
-        raise RuntimeError("_digit_table: residual left after three levels")
+    for b in _blocks(n, digits.shape[0]):
+        r, group, slot = values[b], g[b], level[b]
+        if partial:
+            on = direct[group]
+            r, group, slot = r[on], group[on], slot[on]
+        slot = np.multiply(slot, n_groups, dtype=np.intp)
+        slot += group
+        for _ in range(3):
+            s = np.take(flat_sigma, slot)
+            q = s + r
+            q -= s
+            digits += np.bincount(slot, weights=q, minlength=digits.shape[0])
+            r = np.subtract(r, q, out=s)
+            keep = r != 0.0
+            live = np.count_nonzero(keep)
+            if not live:
+                break
+            # a value whose residual is 0 only adds exact zeros from here on
+            if live < r.shape[0] // 2:
+                idx = np.flatnonzero(keep)
+                slot, r = slot[idx], r[idx]
+            slot += n_groups
+        else:
+            raise RuntimeError("_digit_table: residual left after three levels")
     return unique, g, counts, direct, digits.reshape(n_levels, n_groups)
 
 
@@ -218,8 +250,10 @@ def _prove(tau1: np.ndarray, tau2: np.ndarray, absum: np.ndarray,
     compares fl(|e| + B) with fl(gap / 2), B from :func:`_residual_bound`
     with k = n_g - 1, and the comparison is rigorous:
 
-    * With u = 2**-53, recursive summation in any order gives
-      |sum(r) - tau2| <= gamma_k sum|r|, gamma_k = k u / (1 - k u), and
+    * With u = 2**-53, summing the n_g residuals by k float additions in
+      any order and grouping (bincount per block, block partials added into
+      a zeroed total) gives |sum(r) - tau2| <= gamma_k sum|r|,
+      gamma_k = k u / (1 - k u), and A, summed the same way, has
       A >= (1 - u)**k sum|r| >= (1 - k u) sum|r|, so the error is at most
       R = k u A / (1 - k u)**2.  A float addition never underflows (a sum
       below 2**-1022 is exact), so both bounds hold for subnormal residuals.
@@ -252,7 +286,8 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
     whose h is proven to be the correctly rounded sum (see :func:`_prove`).
     Each direct group (see :func:`_exponents`) is extracted once at
     sigma_0 = 2**(c + e_g): q = (sigma_0 + v) - sigma_0 and r = v - q are
-    exact, and tau1 = bincount(q) is exact, as in :func:`_digit_table`.
+    exact, and tau1 = bincount(q) is exact, as in :func:`_digit_table`,
+    however the blocks split a group.
     """
     n_groups = counts.shape[0]
     c, biased, top, direct = _exponents(values, g, counts)
@@ -261,16 +296,18 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
         return np.zeros(n_groups), direct
     # a group that is not direct extracts at 1.0, and its result is dropped
     sigma = np.ldexp(1.0, np.where(direct, top.astype(np.int64) + (c - 1022), 0))
+    tau1, tau2, absum = np.zeros((3, n_groups))
     with np.errstate(invalid="ignore", over="ignore"):
-        s = np.take(sigma, g)
-        q = s + values
-        q -= s
-        tau1 = np.bincount(g, weights=q, minlength=n_groups)
-        r = np.subtract(values, q, out=s)
-        del q
-        tau2 = np.bincount(g, weights=r, minlength=n_groups)
-        absum = np.bincount(g, weights=np.abs(r, out=r), minlength=n_groups)
-        del r
+        for b in _blocks(g.shape[0], n_groups):
+            group, v = g[b], values[b]
+            s = np.take(sigma, group)
+            q = s + v
+            q -= s
+            tau1 += np.bincount(group, weights=q, minlength=n_groups)
+            r = np.subtract(v, q, out=s)
+            tau2 += np.bincount(group, weights=r, minlength=n_groups)
+            absum += np.bincount(group, weights=np.abs(r, out=r),
+                                 minlength=n_groups)
         h, sure = _prove(tau1, tau2, absum, counts)
     sure &= direct
     return h, sure

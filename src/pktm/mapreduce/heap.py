@@ -1,23 +1,27 @@
 """Keep the memory a task frees for the next task of the same process.
 
 Each map or reduce task allocates and frees megabytes of numpy temporaries
-(the combiner alone about 7 MB per 16-trace migration task, a reduce task
-of an 800-trace migration about 9 MB per array).  Under glibc's defaults
-the freed top of the heap is trimmed back to the kernel and arrays above
-the mmap threshold are unmapped on free, so the next task faults every
-page in again.  On a 2-vCPU Xeon guest a threaded 5-velocity scan took
-260k-370k minor faults and 1.2-2.4 s of system time per job that way,
-while its user time stayed within 2.5-2.7 s.  :func:`keep_task_memory`
-fixes the thresholds so that arrays up to ``MMAP_THRESHOLD`` (glibc's
-64-bit maximum) come from the heap and up to ``TRIM_THRESHOLD`` of free
-heap stays mapped, and it puts every thread on the one main arena, so that
-the retained memory is counted once however many threads a job starts.
-A reduce task of the 800-trace migration leaves between 48 and 64 MiB of
-free heap at the top; with ``TRIM_THRESHOLD`` at 48 MiB or below, each
-such task took 3.5k-4.6k minor faults; at 64 MiB the later tasks of a
-worker took 0-810 and at 128 MiB 0-299, so the trim threshold is twice
-the measured need.  The serial and threaded scheduler calls it, and so
-does every multiprocess worker, forked or spawned, before its first task.
+(the combiner 4.0 MiB at the median and 6.3 MiB at most above its input on
+the 16-trace tasks of a 5-velocity scan; a reduce task of an 800-trace
+migration reads two 8.8 MB columns, and its exact sums hold up to 11 MiB
+more).  Under glibc's defaults the freed top of the heap is trimmed back
+to the kernel and arrays above the mmap threshold are unmapped on free, so
+the next task faults every page in again.  On a 2-vCPU Xeon guest a
+threaded 5-velocity scan took 260k-370k minor faults and 1.2-2.4 s of
+system time per job that way, while its user time stayed within
+2.5-2.7 s.  :func:`keep_task_memory` fixes the thresholds so that arrays
+up to ``MMAP_THRESHOLD`` (glibc's 64-bit maximum) come from the heap and
+up to ``TRIM_THRESHOLD`` of free heap stays mapped, and it puts every
+thread on the one main arena, so that the retained memory is counted once
+however many threads a job starts.
+A reduce task of the 800-trace migration left between 48 and 64 MiB of
+free heap at the top of a worker while the exact sums held record-length
+temporaries (in a serial job, 42 MiB then and 27 MiB since they run in
+blocks); with ``TRIM_THRESHOLD`` at 48 MiB or below, each such task took
+3.5k-4.6k minor faults; at 64 MiB the later tasks of a worker took 0-810
+and at 128 MiB 0-299, so the trim threshold is twice the measured need.
+The serial and threaded scheduler calls it, and so does every
+multiprocess worker, forked or spawned, before its first task.
 Only glibc is tuned; elsewhere this is a no-op.
 """
 

@@ -210,6 +210,50 @@ class TestSharedOptions:
                     in capsys.readouterr().err)
 
 
+class TestOutputDirectories:
+    """A write into a missing directory would fail only after the whole
+    job: each output's directory is checked before any input is read."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("migrate", "--output"), ("migrate", "--export-pgm"),
+        ("scan", "--report"), ("loop", "--report"), ("demig", "--output")])
+    def test_missing_directory_exits_3_before_the_job(
+            self, command, flag, tmp_path, monkeypatch, capsys):
+        import pktm.cli
+        from pktm import pipeline
+
+        calls = []
+
+        def never(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} was called")
+            return call
+
+        monkeypatch.setattr(pipeline, "run_job", never("run_job"))
+        monkeypatch.setattr(velocity, "_migrate", never("_migrate"))
+        monkeypatch.setattr(pktm.cli, "read_image", never("read_image"))
+        survey = synth(tmp_path)
+        missing = tmp_path / "missing" / "out"
+        common = ["--offset-edges", EDGES, "--aperture", "500"]
+        imaging = ["--input", str(survey), "--grid", GRID, *common]
+        argv = {
+            "migrate": ["migrate", *imaging, "--vconst", "2000",
+                        "--output", str(tmp_path / "o.img")],
+            "scan": ["scan", *imaging, "--candidates", "2000"],
+            "loop": ["loop", *imaging, "--v0", "2000",
+                     "--candidates", "2000"],
+            "demig": ["demig", "--input", str(tmp_path / "i.img"),
+                      "--geometry", str(survey), "--vconst", "2000",
+                      *common],
+        }[command]
+        assert main(argv + [flag, str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert f"output directory does not exist: '{missing}'" in err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == [survey]
+
+
 class TestSynth:
     def test_writes_survey(self, tmp_path, capsys):
         path = synth(tmp_path)
@@ -262,6 +306,26 @@ class TestMigrateAndDemig:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"'{pgm}'" in err and ".tmp-" not in err
+        assert sorted(tmp_path.rglob("*")) == [survey]
+
+    def test_pgm_export_failing_after_the_job_removes_the_image(
+            self, tmp_path, capsys, monkeypatch):
+        """The directory check passes, then the export's write fails."""
+        import pktm.cli
+
+        def export_pgm(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pktm.cli, "export_pgm", export_pgm)
+        survey = synth(tmp_path)
+        pgm = tmp_path / "stack.pgm"
+        rc = main(["migrate", "--input", str(survey),
+                   "--output", str(tmp_path / "o.img"),
+                   "--export-pgm", str(pgm),
+                   "--grid", GRID, "--offset-edges", EDGES,
+                   "--aperture", "500", "--vconst", "2000"])
+        assert rc == 3
+        assert f"Permission denied: '{pgm}'" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == [survey]
 
     def test_sigterm_mid_job_removes_the_spill_and_ends_by_the_signal(

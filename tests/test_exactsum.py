@@ -12,6 +12,7 @@ The reduction layer leans on three facts:
 """
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pktm import MigrationMapFn, exactsum
+from pktm import MigrationMapFn, exactsum, migrate_trace
 from pktm.exactsum import (
     exact_sums,
     grouped_expansions,
@@ -150,6 +151,59 @@ mixed_scale = st.sampled_from(
 subnormal = st.floats(min_value=-2.2250738585072014e-308,
                       max_value=2.2250738585072014e-308,
                       allow_nan=False, allow_infinity=False)
+
+
+def cancelling_pairs(vals, key_choice, noise):
+    """Every value with its negation under one key; only the noise, on key
+    0, survives."""
+    n = min(len(vals), len(key_choice))
+    keys = key_choice[:n] * 2 + [0] * len(noise)
+    values = vals[:n] + [-v for v in vals[:n]] + noise
+    return list(zip(keys, values))
+
+
+cancelling = st.builds(cancelling_pairs, st.lists(finite, max_size=30),
+                       st.lists(st.integers(0, 3), max_size=30),
+                       st.lists(dyadic, max_size=10))
+extremes = keyed(st.one_of(subnormal, st.sampled_from(
+    [5e-324, -5e-324, 2.0 ** -1022, -0.0, 1e300, -1e300, 1.0])))
+near_overflow = keyed(st.sampled_from(
+    [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
+     math.inf, -math.inf, math.nan]), max_key=2, max_size=8)
+any_scale = keyed(st.one_of(finite, dyadic, mixed_scale, subnormal),
+                  max_key=8, max_size=80)
+
+
+def assert_follows_fsum(keys, values):
+    """exact_sums raises where math.fsum raises on some key, and otherwise
+    returns its bits."""
+    try:
+        fsum_per_key(keys, values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sums(np.asarray(keys, dtype=np.uint64),
+                       np.asarray(values, dtype=np.float64))
+        return
+    assert_matches_fsum(keys, values)
+
+
+def assert_combiner_follows_raw(keys, values):
+    """Reducing the combined stream raises exactly where reducing the raw
+    one raises, and otherwise returns the same bits."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.float64)
+    ck, cv = grouped_expansions(keys, values)
+    try:
+        raw = exact_sums(keys, values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sums(ck, cv)
+        return
+    combined = exact_sums(ck, cv)
+    assert combined[0].tolist() == raw[0].tolist()
+    assert combined[1].tobytes() == raw[1].tobytes()
+
+
 # an unsorted stream that interleaves certified keys (1, 4 and 6: nonzero
 # sums of small integers) with uncertified ones (0 and 7 cancel exactly, 3
 # totals 2**-1021, 8 is subnormal)
@@ -190,23 +244,18 @@ class TestExactSums:
     def test_matches_fsum_wide_range(self, pairs):
         assert_matches_fsum(*unzip(pairs))
 
-    @given(st.lists(finite, max_size=30), st.lists(st.integers(0, 3), max_size=30),
-           st.lists(dyadic, max_size=10))
+    @given(cancelling)
     @settings(max_examples=200)
-    def test_heavy_cancellation(self, vals, key_choice, noise):
+    def test_heavy_cancellation(self, pairs):
         """Every value appears with its negation; only the noise survives."""
-        n = min(len(vals), len(key_choice))
-        keys = key_choice[:n] * 2 + [0] * len(noise)
-        values = vals[:n] + [-v for v in vals[:n]] + noise
-        assert_matches_fsum(keys, values)
+        assert_matches_fsum(*unzip(pairs))
 
     @given(keyed(dyadic, max_key=3))
     @settings(max_examples=300)
     def test_ties_and_half_ulps(self, pairs):
         assert_matches_fsum(*unzip(pairs))
 
-    @given(keyed(st.one_of(subnormal, st.sampled_from(
-        [5e-324, -5e-324, 2.0 ** -1022, -0.0, 1e300, -1e300, 1.0]))))
+    @given(extremes)
     @settings(max_examples=200)
     def test_subnormals_and_extremes(self, pairs):
         assert_matches_fsum(*unzip(pairs))
@@ -277,25 +326,12 @@ class TestExactSums:
         assert_matches_fsum(keys, values)
         assert [len(k) for k in fsum_calls] == [n]
 
-    @given(keyed(st.sampled_from(
-        [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
-         math.inf, -math.inf, math.nan]), max_key=2, max_size=8))
+    @given(near_overflow)
     @settings(max_examples=300)
     def test_overflow_and_nonfinite_follow_fsum(self, pairs):
         """Keys that could overflow go to math.fsum, which raises where it
         raises; the others keep their bits."""
-        keys, values = unzip(pairs)
-        try:
-            expected = fsum_per_key(keys, values)
-        except (OverflowError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                exact_sums(np.asarray(keys, dtype=np.uint64),
-                           np.asarray(values, dtype=np.float64))
-            return
-        uk, totals = exact_sums(np.asarray(keys, dtype=np.uint64),
-                                np.asarray(values, dtype=np.float64))
-        assert uk.tolist() == expected[0]
-        assert totals.tobytes() == np.array(expected[1], dtype=np.float64).tobytes()
+        assert_follows_fsum(*unzip(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +577,7 @@ class TestGroupedExpansions:
                                     np.array([], dtype=np.float64))
         assert len(ks) == 0 and len(cs) == 0
 
-    @given(keyed(st.one_of(finite, dyadic, mixed_scale, subnormal),
-                 max_key=8, max_size=80))
+    @given(any_scale)
     @settings(max_examples=300)
     def test_replacing_values_with_expansion_changes_no_total(self, pairs):
         """The combiner contract on unsorted streams: reducing the combined
@@ -578,22 +613,175 @@ class TestGroupedExpansions:
         ck, cv = grouped_expansions(keys, vals)
         assert scatter(*exact_sums(keys, vals)) == scatter(*exact_sums(ck, cv))
 
-    @given(keyed(st.sampled_from(
-        [1e308, -1e308, 1.7e308, 8e307, 1.0, 2.0 ** 1023, 1e-300,
-         math.inf, -math.inf, math.nan]), max_key=2, max_size=8))
+    @given(near_overflow)
     @settings(max_examples=300)
     def test_overflow_and_nonfinite_follow_the_raw_stream(self, pairs):
         """The reduce raises on the combined stream exactly where it raises
         on the raw one, and otherwise returns the same bits."""
-        keys = np.asarray(unzip(pairs)[0], dtype=np.uint64)
-        values = np.asarray(unzip(pairs)[1], dtype=np.float64)
-        ck, cv = grouped_expansions(keys, values)
-        try:
-            raw = exact_sums(keys, values)
-        except (OverflowError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                exact_sums(ck, cv)
-            return
-        combined = exact_sums(ck, cv)
-        assert combined[0].tolist() == raw[0].tolist()
-        assert combined[1].tobytes() == raw[1].tobytes()
+        assert_combiner_follows_raw(*unzip(pairs))
+
+
+# ---------------------------------------------------------------------------
+# Blocks: both routes run their record-length passes over blocks of
+# exactsum._BLOCK records.  Tiny blocks split every group, and no bit of any
+# result may move.
+# ---------------------------------------------------------------------------
+
+BLOCKS = [1, 3, 64]
+EXACT_SUMS_STREAMS = {
+    "wide_range": keyed(finite),
+    "heavy_cancellation": cancelling,
+    "ties": keyed(dyadic, max_key=3),
+    "subnormals": extremes,
+    "three_levels": keyed(mixed_scale, max_key=2, max_size=80),
+    "overflow_and_nonfinite": near_overflow,
+}
+COMBINER_STREAMS = {
+    "any_scale": any_scale,
+    "heavy_cancellation": cancelling,
+    "overflow_and_nonfinite": near_overflow,
+}
+
+
+def at_block(block, fn, keys, values):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactsum, "_BLOCK", block)
+        return fn(np.asarray(keys, dtype=np.uint64),
+                  np.asarray(values, dtype=np.float64))
+
+
+def assert_same_arrays(got, want):
+    """Equal dtypes, shapes and bytes, so order and signed zeros too."""
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def traced_peak(fn, keys, values):
+    """Bytes that fn(keys, values) holds at its peak beyond its input, its
+    result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(keys, values)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("stream", sorted(EXACT_SUMS_STREAMS))
+@given(data=st.data())
+@settings(max_examples=100)
+def test_exact_sums_follow_fsum_in_small_blocks(stream, block, data):
+    """The fsum-pinning properties of exact_sums again, with groups split
+    across blocks: a certify block holds max(_BLOCK, keys) records."""
+    pairs = data.draw(EXACT_SUMS_STREAMS[stream])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactsum, "_BLOCK", block)
+        assert_follows_fsum(*unzip(pairs))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("stream", sorted(COMBINER_STREAMS))
+@given(data=st.data())
+@settings(max_examples=100)
+def test_combiner_keeps_totals_in_small_blocks(stream, block, data):
+    """The combiner's properties again, with groups split across blocks: a
+    digit-table block holds max(_BLOCK, levels * keys) records.  The output
+    is never longer than the input and reduces to the raw stream's bits
+    (a key that cancels may drop out), or raises where the raw stream
+    raises."""
+    keys, values = unzip(data.draw(COMBINER_STREAMS[stream]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactsum, "_BLOCK", block)
+        if stream == "overflow_and_nonfinite":
+            assert_combiner_follows_raw(keys, values)
+        else:
+            assert_combiner_keeps_totals(keys, values)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("cls, name", [
+    (TestExactSums, "test_cancelled_key_is_kept_as_positive_zero"),
+    (TestExactSums, "test_three_level_residuals_fixed"),
+    (TestExactSums, "test_one_key_with_many_values"),
+    (TestGroupedExpansions, "test_sum_is_preserved_exactly"),
+    (TestGroupedExpansions, "test_never_more_records_than_given"),
+    (TestGroupedExpansions, "test_single_values_pass_through"),
+    (TestGroupedExpansions, "test_cancelled_key_drops_out"),
+    (TestGroupedExpansions, "test_keys_the_reduce_sums_with_fsum_pass_through"),
+    (TestGroupedExpansions, "test_level_table_fallback_passes_everything_through"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_examples_in_small_blocks(cls, name, block, monkeypatch):
+    monkeypatch.setattr(exactsum, "_BLOCK", block)
+    getattr(cls(), name)()
+
+
+class TestBlocks:
+    def test_a_block_done_before_pass_three(self):
+        """One key, six levels, so the digit table works in blocks of six
+        records when _BLOCK is smaller: the first block is on the top
+        level's grid and done after one pass, while the second enters at
+        levels 0, 2 and 3 and needs a second pass."""
+        easy = [0.5, 0.25, -0.125, 0.375, 0.5, -0.25]
+        hard = [0.25 + 2.0 ** -54, 1e-33, 3e-33, 1e-33 * (1 + 2.0 ** -52),
+                2.0 ** -110, -2.0 ** -163]
+        keys, values = [4] * 12, easy + hard
+        for block in (1, 6, 7):
+            assert_same_arrays(
+                at_block(block, grouped_expansions, keys, values),
+                grouped_expansions(np.asarray(keys, dtype=np.uint64),
+                                   np.asarray(values)))
+            assert_matches_fsum(keys, values)
+
+    def test_keys_summed_by_fsum_in_some_blocks_only(self):
+        """Keys 7 (overflow risk) and 9 (inf) sit in 3 of the 12
+        digit-table blocks and 4 of the 34 certify blocks at _BLOCK 1, and
+        pass through unchanged, in stream order."""
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 4, 200).astype(np.uint64)
+        values = rng.standard_normal(200)
+        keys[[3, 11]], values[[3, 11]] = 7, [1e308, -1e308]
+        keys[[150, 190]], values[[150, 190]] = 9, math.inf
+        whole = grouped_expansions(keys, values)
+        for block in (1, 3, 64):
+            got = at_block(block, grouped_expansions, keys, values)
+            assert_same_arrays(got, whole)
+            assert (records_of(*got, {7, 9})
+                    == records_of(keys, values, {7, 9}))
+            assert_same_arrays(at_block(block, exact_sums, keys, values),
+                               exact_sums(keys, values))
+        assert_matches_fsum(keys, values)
+
+    def test_migration_stream_same_in_any_blocks(
+            self, small_survey, small_job):
+        """The kernel's stream of 8 traces of the test survey gives the same
+        arrays, order included, in blocks of 1 and 64 records as in the
+        default blocks."""
+        parts = [migrate_trace(t, small_job) for t in small_survey.traces[::8]]
+        keys = np.concatenate([c.ordinals for c in parts])
+        values = np.concatenate([c.values for c in parts])
+        for fn in (grouped_expansions, exact_sums):
+            whole = fn(keys, values)
+            for block in (1, 64):
+                assert_same_arrays(at_block(block, fn, keys, values), whole)
+
+    @pytest.mark.parametrize("fn, per_record, per_key", [
+        (exact_sums, 10, 150), (grouped_expansions, 12, 300)])
+    def test_peak_memory_per_record(self, fn, per_record, per_key):
+        """2**20 records with ~10 values per key, keys of one residue class
+        mod 8 as a reduce task receives them.  Beyond the input, a call
+        holds a group id and an exponent per record (10 bytes), its
+        key-sized tables and its block's temporaries; a digit-table block
+        is as long as its table, here about 4 levels times the keys.
+        Measured with numpy 2.4: 19.6 and 34.7 MiB, against 35.6 and
+        59.3 MiB for the same code in one block, and 30.4 and 62.5 MiB
+        before the passes were blocked."""
+        rng = np.random.default_rng(11)
+        n = 1 << 20
+        n_keys = n // 10
+        keys = rng.permutation(np.arange(n) % n_keys).astype(np.uint64) * 8 + 3
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+        peak = traced_peak(fn, keys, values)
+        assert peak <= per_record * n + per_key * n_keys
