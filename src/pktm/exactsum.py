@@ -17,7 +17,7 @@ Two routes produce them:
 
 * error-free extraction (Rump, Ogita and Oishi, "Accurate Floating-Point
   Summation" I-II, SIAM J. Sci. Comput. 2008/2009) splits an unsorted key
-  stream's values into parts that ``np.bincount`` adds exactly in any
+  stream's values into parts that ``np.add.at`` adds exactly in any
   order.  :func:`exact_sums`, the engine's reduce, extracts once and
   proves most keys' rounding at once from an error bound.
   :func:`grouped_expansions`, the map-side combiner, extracts in full and
@@ -27,12 +27,12 @@ Two routes produce them:
   oracle the engine is checked against, and the reduce hands it the few
   keys its bound cannot prove.
 
-The extraction passes run over contiguous blocks of ``_BLOCK`` records and
-add each block's ``np.bincount`` into per-group totals, which changes no
-bit of any result.  Beyond the input, the group ids and one 16-bit exponent
-per record, they hold O(block + groups) memory; numbering the keys holds
-O(key span) more, or O(records) for a sparse stream that goes through
-``np.unique``.
+The record-length passes run over equal contiguous blocks of at most
+``_BLOCK`` records, and the extraction adds each block's parts straight into
+the per-group totals with ``np.add.at``, which changes no bit of any result.
+Beyond the input, the group ids and one 16-bit exponent per record, they
+hold O(block + groups) memory; numbering the keys holds O(key span) more,
+or O(records) for a sparse stream that goes through ``np.unique``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ __all__ = [
     "exact_sums",
 ]
 
-# The record-length passes of both routes run over contiguous blocks of this
-# many records (more where a block's bincount fills a larger table).
-_BLOCK = 1 << 16
+# The record-length passes of both routes run over equal contiguous blocks
+# of at most this many records.
+_BLOCK = 1 << 15
 
 # exact_sums numbers keys as ``key - min(keys)`` while the key span is at most
 # this multiple of the record count, and with np.unique beyond it.
@@ -64,10 +64,11 @@ _MAX_COUNT_BITS = 26
 _BOUND_SCALE = 2.0 ** -53 + 2.0 ** -73
 
 
-def _blocks(n: int, size: int = 0):
-    """Contiguous slices of max(size, _BLOCK) records covering range(n)."""
-    size = max(size, _BLOCK)
-    return (slice(a, a + size) for a in range(0, n, size))
+def _blocks(n: int):
+    """ceil(n / _BLOCK) contiguous slices covering range(n), whose lengths
+    differ by at most one record."""
+    k = -(-n // _BLOCK)
+    return (slice(n * i // k, n * (i + 1) // k) for i in range(k))
 
 
 def _group_slices(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,31 +180,37 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
     sigma_j for which sigma_j/2**c still bounds it and is extracted three
     times at most (q = (sigma + r) - sigma, r -= q, next level).  Each level
     collects at most n_g parts of size <= sigma/2**c on the grid
-    ulp(sigma)/2, so ``np.bincount`` adds them exactly in any order.
+    ulp(sigma)/2, so ``np.add.at`` adds them exactly in any order.  The
+    level count is taken over the direct groups' records only.
     """
     n = keys.shape[0]
     unique, g, counts = _group_ids(keys)
     n_groups = unique.shape[0]
     c, level, top, direct = _exponents(values, g, counts)
-    d = 53 - c
-    # each record's level (e_g - e) // D, written over its biased exponent
-    for b in _blocks(n):
-        e = level[b]
-        np.subtract(top[g[b]], e, out=e)
-        e //= np.uint16(d)
-    n_levels = int(level.max()) + 3
-    if n_groups * n_levels > max(2 * n, 1 << 16):
-        direct[:] = False
     if not direct.any():
         return unique, g, counts, direct, np.zeros((0, n_groups))
     partial = not direct.all()
+    d = 53 - c
+    # each record's level (e_g - e) // D, written over its biased exponent;
+    # the extraction skips the records of groups that are not direct, so
+    # they read level 0
+    for b in _blocks(n):
+        e, group = level[b], g[b]
+        np.subtract(top[group], e, out=e)
+        e //= np.uint16(d)
+        if partial:
+            e[~direct[group]] = 0
+    n_levels = int(level.max()) + 3
+    if n_groups * n_levels > max(2 * n, 1 << 16):
+        direct[:] = False
+        return unique, g, counts, direct, np.zeros((0, n_groups))
     if partial:
         top[~direct] = 0
     exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
     flat_sigma = np.ldexp(1.0, exps).ravel()
     del exps
     digits = np.zeros(n_levels * n_groups)
-    for b in _blocks(n, digits.shape[0]):
+    for b in _blocks(n):
         r, group, slot = values[b], g[b], level[b]
         if partial:
             on = direct[group]
@@ -214,7 +221,7 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
             s = np.take(flat_sigma, slot)
             q = s + r
             q -= s
-            digits += np.bincount(slot, weights=q, minlength=digits.shape[0])
+            np.add.at(digits, slot, q)
             r = np.subtract(r, q, out=s)
             keep = r != 0.0
             live = np.count_nonzero(keep)
@@ -242,17 +249,18 @@ def _prove(tau1: np.ndarray, tau2: np.ndarray, absum: np.ndarray,
            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Round each group's tau1 + sum(r) and say where the rounding is proven.
 
-    tau1 is exact, tau2 = bincount(r) and A = bincount(|r|) over the group's
-    n_g residuals r.  Returns (h, sure) with (h, e) = TwoSum(tau1, tau2), so
-    that the exact sum is S = h + e + (sum(r) - tau2).  h is S correctly
-    rounded when |e| + |sum(r) - tau2| is strictly below half the gap from h
-    to its nearer neighbour: ulp(h), halved below a power of two.  ``sure``
-    compares fl(|e| + B) with fl(gap / 2), B from :func:`_residual_bound`
-    with k = n_g - 1, and the comparison is rigorous:
+    tau1 is exact, and tau2 and A add the group's n_g residuals r and their
+    magnitudes |r| into zeroed totals.  Returns (h, sure) with (h, e) =
+    TwoSum(tau1, tau2), so that the exact sum is S = h + e + (sum(r) - tau2).
+    h is S correctly rounded when |e| + |sum(r) - tau2| is strictly below
+    half the gap from h to its nearer neighbour: ulp(h), halved below a
+    power of two.  ``sure`` compares fl(|e| + B) with fl(gap / 2), B from
+    :func:`_residual_bound` with k = n_g - 1, and the comparison is
+    rigorous:
 
     * With u = 2**-53, summing the n_g residuals by k float additions in
-      any order and grouping (bincount per block, block partials added into
-      a zeroed total) gives |sum(r) - tau2| <= gamma_k sum|r|,
+      any order (``np.add.at`` of each block's residuals straight into a
+      zeroed total) gives |sum(r) - tau2| <= gamma_k sum|r|,
       gamma_k = k u / (1 - k u), and A, summed the same way, has
       A >= (1 - u)**k sum|r| >= (1 - k u) sum|r|, so the error is at most
       R = k u A / (1 - k u)**2.  A float addition never underflows (a sum
@@ -286,7 +294,7 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
     whose h is proven to be the correctly rounded sum (see :func:`_prove`).
     Each direct group (see :func:`_exponents`) is extracted once at
     sigma_0 = 2**(c + e_g): q = (sigma_0 + v) - sigma_0 and r = v - q are
-    exact, and tau1 = bincount(q) is exact, as in :func:`_digit_table`,
+    exact, and tau1, the sum of the q, is exact, as in :func:`_digit_table`,
     however the blocks split a group.
     """
     n_groups = counts.shape[0]
@@ -298,16 +306,15 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
     sigma = np.ldexp(1.0, np.where(direct, top.astype(np.int64) + (c - 1022), 0))
     tau1, tau2, absum = np.zeros((3, n_groups))
     with np.errstate(invalid="ignore", over="ignore"):
-        for b in _blocks(g.shape[0], n_groups):
+        for b in _blocks(g.shape[0]):
             group, v = g[b], values[b]
             s = np.take(sigma, group)
             q = s + v
             q -= s
-            tau1 += np.bincount(group, weights=q, minlength=n_groups)
+            np.add.at(tau1, group, q)
             r = np.subtract(v, q, out=s)
-            tau2 += np.bincount(group, weights=r, minlength=n_groups)
-            absum += np.bincount(group, weights=np.abs(r, out=r),
-                                 minlength=n_groups)
+            np.add.at(tau2, group, r)
+            np.add.at(absum, group, np.abs(r, out=r))
         h, sure = _prove(tau1, tau2, absum, counts)
     sure &= direct
     return h, sure

@@ -558,6 +558,27 @@ class TestGroupedExpansions:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert records_of(out_keys, comps, {4}) == [(4, 0.875)]
 
+    def test_a_key_the_reduce_sums_with_fsum_leaves_the_others_folded(self):
+        """A key holding inf next to a tiny value spans ~2000 binades, but
+        only the direct keys' records count toward the level table: the
+        other 3000 keys fold as they do without it, and its two records
+        pass through unchanged."""
+        rng = np.random.default_rng(12)
+        n_keys = 3000
+        keys = np.repeat(np.arange(n_keys, dtype=np.uint64), 3)
+        rng.shuffle(keys)
+        values = rng.standard_normal(keys.shape[0])
+        alone = grouped_expansions(keys, values)
+        extra = np.uint64(n_keys)
+        got = grouped_expansions(np.append(keys, [extra, extra]),
+                                 np.append(values, [math.inf, 1e-300]))
+        wanted = set(range(n_keys))
+        assert alone[0].shape[0] < keys.shape[0]
+        assert (np.array(records_of(*got, wanted)).tobytes()
+                == np.array(records_of(*alone, wanted)).tobytes())
+        assert records_of(*got, {n_keys}) == [(n_keys, math.inf),
+                                              (n_keys, 1e-300)]
+
     def test_level_table_fallback_passes_everything_through(self):
         """Many small keys spread over ~2000 binades outgrow the level table;
         the reduce then sums them all with math.fsum, so the combiner leaves
@@ -675,7 +696,7 @@ def traced_peak(fn, keys, values):
 @settings(max_examples=100)
 def test_exact_sums_follow_fsum_in_small_blocks(stream, block, data):
     """The fsum-pinning properties of exact_sums again, with groups split
-    across blocks: a certify block holds max(_BLOCK, keys) records."""
+    across blocks of at most _BLOCK records."""
     pairs = data.draw(EXACT_SUMS_STREAMS[stream])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactsum, "_BLOCK", block)
@@ -687,11 +708,10 @@ def test_exact_sums_follow_fsum_in_small_blocks(stream, block, data):
 @given(data=st.data())
 @settings(max_examples=100)
 def test_combiner_keeps_totals_in_small_blocks(stream, block, data):
-    """The combiner's properties again, with groups split across blocks: a
-    digit-table block holds max(_BLOCK, levels * keys) records.  The output
-    is never longer than the input and reduces to the raw stream's bits
-    (a key that cancels may drop out), or raises where the raw stream
-    raises."""
+    """The combiner's properties again, with groups split across blocks of
+    at most _BLOCK records.  The output is never longer than the input and
+    reduces to the raw stream's bits (a key that cancels may drop out), or
+    raises where the raw stream raises."""
     keys, values = unzip(data.draw(COMBINER_STREAMS[stream]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactsum, "_BLOCK", block)
@@ -719,9 +739,23 @@ def test_examples_in_small_blocks(cls, name, block, monkeypatch):
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_blocks_split_evenly(self, block, monkeypatch):
+        """ceil(n / _BLOCK) contiguous slices cover range(n) in order, and
+        their lengths differ by at most one record."""
+        monkeypatch.setattr(exactsum, "_BLOCK", block)
+        for n in range(4 * block + 2):
+            slices = list(exactsum._blocks(n))
+            assert len(slices) == -(-n // block)
+            covered = [i for b in slices for i in range(n)[b]]
+            assert covered == list(range(n))
+            sizes = [len(range(n)[b]) for b in slices]
+            assert all(0 < size <= block for size in sizes)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
     def test_a_block_done_before_pass_three(self):
-        """One key, six levels, so the digit table works in blocks of six
-        records when _BLOCK is smaller: the first block is on the top
+        """One key of twelve records on six levels.  At _BLOCK 6 and 7 the
+        stream splits into two blocks of six: the first is on the top
         level's grid and done after one pass, while the second enters at
         levels 0, 2 and 3 and needs a second pass."""
         easy = [0.5, 0.25, -0.125, 0.375, 0.5, -0.25]
@@ -736,8 +770,8 @@ class TestBlocks:
             assert_matches_fsum(keys, values)
 
     def test_keys_summed_by_fsum_in_some_blocks_only(self):
-        """Keys 7 (overflow risk) and 9 (inf) sit in 3 of the 12
-        digit-table blocks and 4 of the 34 certify blocks at _BLOCK 1, and
+        """Keys 7 (overflow risk) and 9 (inf) sit in 4 of the 200 blocks at
+        _BLOCK 1, 4 of the 67 at _BLOCK 3 and 2 of the 4 at _BLOCK 64, and
         pass through unchanged, in stream order."""
         rng = np.random.default_rng(8)
         keys = rng.integers(0, 4, 200).astype(np.uint64)
@@ -768,16 +802,16 @@ class TestBlocks:
                 assert_same_arrays(at_block(block, fn, keys, values), whole)
 
     @pytest.mark.parametrize("fn, per_record, per_key", [
-        (exact_sums, 10, 150), (grouped_expansions, 12, 300)])
+        (exact_sums, 10, 150), (grouped_expansions, 12, 150)])
     def test_peak_memory_per_record(self, fn, per_record, per_key):
         """2**20 records with ~10 values per key, keys of one residue class
         mod 8 as a reduce task receives them.  Beyond the input, a call
         holds a group id and an exponent per record (10 bytes), its
-        key-sized tables and its block's temporaries; a digit-table block
-        is as long as its table, here about 4 levels times the keys.
-        Measured with numpy 2.4: 19.6 and 34.7 MiB, against 35.6 and
-        59.3 MiB for the same code in one block, and 30.4 and 62.5 MiB
-        before the passes were blocked."""
+        key-sized tables (the digit table has about 4 levels) and its
+        block's temporaries.  Measured with numpy 2.4: 20.1 and 22.4 MiB,
+        against 35.6 and 59.3 MiB for the same code in one block, and
+        19.6 and 34.7 MiB when a digit-table block was as long as its
+        table; the bounds read 25.0 and 27.0 MiB."""
         rng = np.random.default_rng(11)
         n = 1 << 20
         n_keys = n // 10
