@@ -359,11 +359,14 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _check_output_dirs(*paths: str | None) -> None:
     """Fail before any input is read, not after the whole job, when an
-    output's directory is missing."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+    output's directory is missing or the output is itself a directory."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(
                 errno.ENOENT, "output directory does not exist", path)
+        if Path(path).is_dir():
+            raise IsADirectoryError(
+                errno.EISDIR, "output path is a directory", path)
 
 
 def _velocity_model(args: argparse.Namespace) -> VelocityModel:

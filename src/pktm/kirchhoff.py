@@ -192,34 +192,19 @@ class MigrationJob:
         self._new_state()
 
 
-@dataclass(frozen=True)
-class Contributions:
-    """Array-backed sequence of keyed contributions from one trace.
+class Contributions(NamedTuple):
+    """The keyed contributions of one trace: what the map contract's
+    ``(keys, values)`` pair holds for migration.
 
-    ``ordinals`` are dense cell encodings ``(b*nx + ix)*ntau + itau`` on
-    the job's grid, ascending within one trace's output (the C order of
-    :attr:`ImageGrid.values`); zero-valued contributions are elided.
+    ``ordinals`` (uint64) are dense cell encodings
+    ``(b*nx + ix)*ntau + itau`` on the job's grid, ascending within one
+    trace's output (the C order of :attr:`ImageGrid.values`), and
+    ``values`` (float64) their contributions; zero-valued contributions
+    are elided.  :func:`image_from_cells` decodes the ordinals.
     """
 
     ordinals: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        ordinals = np.ascontiguousarray(self.ordinals, dtype=np.uint64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if ordinals.shape != values.shape or ordinals.ndim != 1:
-            raise ValueError("ordinals and values must be 1-D and equally long")
-        ordinals.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "ordinals", ordinals)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.ordinals.shape[0])
-
-    @classmethod
-    def empty(cls) -> "Contributions":
-        return cls(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
 
 
 def interp_sample(trace: Trace, t: float) -> float:
@@ -268,6 +253,16 @@ def _emit(values: np.ndarray, grid: GridSpec, b: int, lo: int) -> Contributions:
     return Contributions(ordinals, values[keep])
 
 
+def image_from_cells(keys: np.ndarray, totals: np.ndarray,
+                     grid: GridSpec) -> ImageGrid:
+    """The image whose cell :func:`_emit`'s ordinal ``keys[k]`` holds
+    ``totals[k]``, zero elsewhere.  Keys must be distinct cells of
+    ``grid``."""
+    flat = np.zeros(grid.n_cells, dtype=np.float64)
+    flat[keys.astype(np.int64)] = totals
+    return ImageGrid(grid, flat.reshape(grid.n_offset_bins, grid.nx, grid.ntau))
+
+
 def migrate_trace(trace: Trace, job: MigrationJob) -> Contributions:
     """Scatter one trace into keyed image-cell contributions.
 
@@ -286,7 +281,8 @@ def _migrate(trace: Trace, job: MigrationJob,
     h = trace.header
     window = _window(h, job)
     if window is None:
-        return Contributions.empty()
+        return Contributions(np.empty(0, dtype=np.uint64),
+                             np.empty(0, dtype=np.float64))
     b, ulo, uhi = window
     lo, hi = max(ulo, 0), min(uhi, job.grid.nx)
     samples = np.asarray(trace.samples, dtype=np.float64)
@@ -543,20 +539,14 @@ def migrate_survey_serial(survey: Survey, job: MigrationJob) -> ImageGrid:
     the correctly rounded exact sum of its contributions, so the result is
     bit-reproducible and matches any MapReduce execution of the same job.
     """
-    ords = [np.empty(0, dtype=np.uint64)]
-    vals = [np.empty(0, dtype=np.float64)]
-    for trace in survey:
-        c = migrate_trace(trace, job)
-        ords.append(c.ordinals)
-        vals.append(c.values)
-    all_ords = np.concatenate(ords)
-    all_vals = np.concatenate(vals)
+    out = [Contributions(np.empty(0, dtype=np.uint64),
+                         np.empty(0, dtype=np.float64))]
+    out += (migrate_trace(trace, job) for trace in survey)
+    all_ords = np.concatenate([c.ordinals for c in out])
+    all_vals = np.concatenate([c.values for c in out])
     order = np.argsort(all_ords, kind="stable")
-    unique, totals = grouped_fsum(all_ords[order], all_vals[order])
-    flat = np.zeros(job.grid.n_cells, dtype=np.float64)
-    flat[unique.astype(np.int64)] = totals
-    return ImageGrid(job.grid, flat.reshape(
-        job.grid.n_offset_bins, job.grid.nx, job.grid.ntau))
+    return image_from_cells(
+        *grouped_fsum(all_ords[order], all_vals[order]), job.grid)
 
 
 def stack_offsets(image: ImageGrid) -> np.ndarray:

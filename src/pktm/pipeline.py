@@ -1,9 +1,9 @@
 """Survey-scale migration through the MapReduce runtime.
 
 The map record is one trace, the map function is per-trace Kirchhoff
-scattering, and :func:`reassemble_image` decodes each reduced key, a cell
-ordinal, and scatters its total onto the image grid; the engine only moves
-keys and values.
+scattering, and :func:`reassemble_image` checks the reduced keys, cell
+ordinals, before :func:`~pktm.kirchhoff.image_from_cells` scatters their
+totals onto the image grid; the engine only moves keys and values.
 Because per-key totals are exact sums, the result equals
 :func:`pktm.kirchhoff.migrate_survey_serial` bit for bit in every mode.
 
@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kirchhoff import MigrationJob
+from .kirchhoff import Contributions, MigrationJob, image_from_cells
 from .mapreduce import ContractViolationError, JobConfig, KeyedTotals, run_job
 from .mapreduce.engine import Observer
 from .model import GridSpec, ImageGrid, OffsetBinning, Survey, Trace
@@ -40,16 +40,16 @@ from .model import GridSpec, ImageGrid, OffsetBinning, Survey, Trace
 class MigrationMapFn:
     """Picklable per-trace map function for distributed migration.
 
-    It emits what :func:`~pktm.kirchhoff.migrate_trace` emits, bit for bit,
-    through the job's :class:`~pktm.kirchhoff.StencilCache` in this
-    process, which is never pickled.
+    It returns the :class:`~pktm.kirchhoff.Contributions` pair that
+    :func:`~pktm.kirchhoff.migrate_trace` returns, bit for bit, through the
+    job's :class:`~pktm.kirchhoff.StencilCache` in this process, which is
+    never pickled.
     """
 
     job: MigrationJob
 
-    def __call__(self, trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-        c = self.job.stencils.migrate(trace, self.job)
-        return c.ordinals, c.values
+    def __call__(self, trace: Trace) -> Contributions:
+        return self.job.stencils.migrate(trace, self.job)
 
 
 def reassemble_image(totals: KeyedTotals, grid: GridSpec) -> ImageGrid:
@@ -64,10 +64,7 @@ def reassemble_image(totals: KeyedTotals, grid: GridSpec) -> ImageGrid:
     if keys.shape[0] and int(keys[-1]) >= grid.n_cells:
         raise ContractViolationError(
             f"key {int(keys[-1])} outside grid with {grid.n_cells} cells")
-    flat = np.zeros(grid.n_cells, dtype=np.float64)
-    flat[keys.astype(np.int64)] = totals.totals
-    return ImageGrid(grid, flat.reshape(
-        grid.n_offset_bins, grid.nx, grid.ntau))
+    return image_from_cells(keys, totals.totals, grid)
 
 
 def map_order(traces: Iterable[Trace], binning: OffsetBinning) -> list[Trace]:

@@ -107,7 +107,7 @@ class _Cursor:
                 f"at offset {self.offset}")
 
 
-def _atomic_write(path: str | Path, payload: bytes) -> None:
+def atomic_write(path: str | Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` whole or not at all.  A failed write
     leaves no temporary file, and its error names ``path``."""
     path = Path(path)
@@ -135,7 +135,7 @@ def write_survey(path: str | Path, survey: Survey) -> None:
         parts.append(_TRACE_FIXED.pack(
             h.source_x, h.receiver_x, h.t0, h.dt, h.n_samples))
         parts.append(np.asarray(trace.samples, dtype="<f4").tobytes())
-    _atomic_write(path, b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def read_survey(path: str | Path, binning: OffsetBinning | None = None) -> Survey:
@@ -183,7 +183,7 @@ def write_image(path: str | Path, image: ImageGrid) -> None:
     g = image.spec
     header = IMAGE_MAGIC + _IMAGE_GEOM.pack(
         g.x_min, g.dx, g.tau_min, g.dtau, g.nx, g.ntau, g.n_offset_bins)
-    _atomic_write(path, header + np.asarray(
+    atomic_write(path, header + np.asarray(
         image.values, dtype="<f8").tobytes())
 
 
@@ -222,7 +222,7 @@ def write_velocity(path: str | Path, model: VelocityModel) -> None:
     lines = ["# tau_s  vrms_m_per_s"]
     for tau, v in model.knots:
         lines.append(f"{tau!r} {v!r}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_velocity(path: str | Path) -> VelocityModel:
@@ -277,4 +277,4 @@ def export_pgm(path: str | Path, stacked: np.ndarray, gain: float = 1.0) -> None
         pixels = np.clip(np.rint(levels), 0, 255).astype(np.uint8)
     pixels = pixels.T  # rows are tau, columns lateral position
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + pixels.tobytes())
+    atomic_write(path, header + pixels.tobytes())

@@ -11,6 +11,7 @@ reported as CSV.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ from .kirchhoff import MigrationJob, migrate_survey_serial, stack_offsets
 from .mapreduce import JobConfig
 from .model import GridSpec, ImageGrid, OffsetBinning, Survey, VelocityModel
 from .pipeline import migrate_survey
+from .storage import atomic_write
 from .traveltime import KernelParams
 
 
@@ -223,22 +225,24 @@ def imaging_loop(
     return LoopReport((first, second), pick, not second.scanned)
 
 
+def _write_csv(path: str | Path, rows) -> None:
+    """Write ``rows`` as :func:`csv.writer` writes them, CRLF line ends
+    included, whole or not at all."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    atomic_write(path, text.getvalue().encode("ascii"))
+
+
 def write_scan_csv(path: str | Path, scan: ScanResult) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["velocity", "focus_metric", "selected"])
-        for v, m in zip(scan.candidates, scan.metrics):
-            w.writerow([repr(v), repr(m), int(v == scan.best_velocity)])
+    _write_csv(path, [["velocity", "focus_metric", "selected"], *(
+        [repr(v), repr(m), int(v == scan.best_velocity)]
+        for v, m in zip(scan.candidates, scan.metrics))])
 
 
 def write_loop_csv(path: str | Path, report: LoopReport) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "velocity", "focus_metric", "max_abs_lag",
-                    "lags", "scanned", "next_velocity"])
-        for it in report.iterations:
-            w.writerow([
-                it.iteration, repr(it.velocity), repr(it.focus),
-                it.max_abs_lag, ";".join(str(l) for l in it.lags),
-                int(it.scanned), repr(it.next_velocity),
-            ])
+    _write_csv(path, [["iteration", "velocity", "focus_metric", "max_abs_lag",
+                       "lags", "scanned", "next_velocity"], *(
+        [it.iteration, repr(it.velocity), repr(it.focus), it.max_abs_lag,
+         ";".join(str(l) for l in it.lags), int(it.scanned),
+         repr(it.next_velocity)]
+        for it in report.iterations)])

@@ -253,6 +253,39 @@ class TestOutputDirectories:
         assert calls == []
         assert sorted(tmp_path.rglob("*")) == [survey]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("migrate", "--output"), ("migrate", "--export-pgm"),
+        ("scan", "--report"), ("loop", "--report"), ("demig", "--output")])
+    def test_directory_path_exits_3_before_the_read(
+            self, command, flag, tmp_path, monkeypatch, capsys):
+        """An output that is an existing directory would fail only at the
+        write, after the whole job."""
+        import pktm.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(pktm.cli, "read_survey", never)
+        monkeypatch.setattr(pktm.cli, "read_image", never)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        common = ["--offset-edges", EDGES, "--aperture", "500"]
+        imaging = ["--input", "survey.trc", "--grid", GRID, *common]
+        argv = {
+            "migrate": ["migrate", *imaging, "--vconst", "2000",
+                        "--output", str(tmp_path / "o.img")],
+            "scan": ["scan", *imaging, "--candidates", "2000"],
+            "loop": ["loop", *imaging, "--v0", "2000",
+                     "--candidates", "2000"],
+            "demig": ["demig", "--input", "i.img", "--geometry", "g.trc",
+                      "--vconst", "2000", *common],
+        }[command]
+        assert main(argv + [flag, str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert f"output path is a directory: '{outdir}'" in err
+        assert list(tmp_path.iterdir()) == [outdir]
+        assert list(outdir.iterdir()) == []
+
 
 class TestSynth:
     def test_writes_survey(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from pktm import velocity
+from pktm import storage, velocity
 from pktm import (
     GridSpec,
     ImageGrid,
@@ -304,11 +304,36 @@ class TestImagingLoop:
         assert migrations == []
 
 
+SCAN = ScanResult((1800.0, 2000.0), (10.5, 99.25), 2000.0)
+LOOP = LoopReport(
+    (LoopIteration(0, 1700.0, 5.0, 4, (0, -4, 2), True, 2000.0),
+     LoopIteration(1, 2000.0, 9.0, 0, (0, 0, 0), False, 2000.0)),
+    2000.0, True)
+
+
 class TestCsvReports:
+    @pytest.mark.parametrize("write, result", [(write_scan_csv, SCAN),
+                                               (write_loop_csv, LOOP)])
+    def test_failed_write_keeps_the_old_report(self, write, result, tmp_path,
+                                               monkeypatch):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report\n")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(storage.os, "replace", fail)
+        with pytest.raises(OSError) as info:
+            write(path, result)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == b"old report\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_scan_csv(self, tmp_path):
         path = tmp_path / "scan.csv"
-        scan = ScanResult((1800.0, 2000.0), (10.5, 99.25), 2000.0)
-        write_scan_csv(path, scan)
+        write_scan_csv(path, SCAN)
+        assert path.read_bytes() == (b"velocity,focus_metric,selected\r\n"
+                                     b"1800.0,10.5,0\r\n2000.0,99.25,1\r\n")
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["velocity", "focus_metric", "selected"]
@@ -318,11 +343,12 @@ class TestCsvReports:
 
     def test_loop_csv(self, tmp_path):
         path = tmp_path / "loop.csv"
-        report = LoopReport(
-            (LoopIteration(0, 1700.0, 5.0, 4, (0, -4, 2), True, 2000.0),
-             LoopIteration(1, 2000.0, 9.0, 0, (0, 0, 0), False, 2000.0)),
-            2000.0, True)
-        write_loop_csv(path, report)
+        write_loop_csv(path, LOOP)
+        assert path.read_bytes() == (
+            b"iteration,velocity,focus_metric,max_abs_lag,lags,scanned,"
+            b"next_velocity\r\n"
+            b"0,1700.0,5.0,4,0;-4;2,1,2000.0\r\n"
+            b"1,2000.0,9.0,0,0;0;0,0,2000.0\r\n")
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0][:2] == ["iteration", "velocity"]
