@@ -30,9 +30,12 @@ Two routes produce them:
 The record-length passes run over equal contiguous blocks of at most
 ``_BLOCK`` records, and the extraction adds each block's parts straight into
 the per-group totals with ``np.add.at``, which changes no bit of any result.
-Beyond the input, the group ids and one 16-bit exponent per record, they
-hold O(block + groups) memory; numbering the keys holds O(key span) more,
-or O(records) for a sparse stream that goes through ``np.unique``.
+Beyond the input and the group ids, the reduce holds O(block + groups)
+memory and no per-record exponent.  The combiner also holds one 16-bit
+level per record, and its only levels x groups table is its digits: each
+record's sigma comes from its group's top sigma by exact powers of two.
+Numbering the keys holds O(key span) more, or O(records) for a sparse
+stream that goes through ``np.unique``.
 """
 
 from __future__ import annotations
@@ -137,29 +140,38 @@ def _stream(keys, values) -> tuple[np.ndarray, np.ndarray]:
     return keys, values
 
 
-def _exponents(values: np.ndarray, g: np.ndarray, counts: np.ndarray):
+def _exponents(values: np.ndarray, g: np.ndarray, counts: np.ndarray,
+               per_record: bool = False):
     """The scale of each group of a nonempty stream.
 
     Returns (c, biased, top, direct): c = ceil(log2(n_max + 2)) for the
-    largest group, each record's biased exponent, each group's largest one,
-    and the mask of groups whose top level sigma_0 = 2**(c + e_g) stays
-    finite (no inf, nan or overflow risk).  No group is direct when c
-    exceeds 26.
+    largest group, each record's biased exponent when ``per_record`` (else
+    None: the pass reads each block's exponents into one block of scratch),
+    each group's largest one, and the mask of groups whose top level
+    sigma_0 = 2**(c + e_g) stays finite (no inf, nan or overflow risk).  No
+    group is direct when c exceeds 26.
     """
     c = (int(counts.max()) + 1).bit_length()
+    n = values.shape[0]
     # biased exponent e + 1022 with |v| < 2**e; inf and nan read 2047
     bits = values.view(np.uint64)
-    biased = np.empty(values.shape[0], dtype=np.uint16)
+    biased = np.empty(n if per_record else min(n, _BLOCK), dtype=np.uint16)
     top = np.zeros(counts.shape[0], dtype=np.uint16)
-    for b in _blocks(values.shape[0]):
-        e = biased[b]
+    for b in _blocks(n):
+        e = biased[b] if per_record else biased[:b.stop - b.start]
         np.right_shift(bits[b], np.uint64(52), out=e, casting="unsafe")
         e &= np.uint16(0x7FF)
         np.maximum.at(top, g[b], e)
     direct = top <= 2045 - c
     if c > _MAX_COUNT_BITS:
         direct[:] = False
-    return c, biased, top, direct
+    return c, biased if per_record else None, top, direct
+
+
+def _top_sigma(c: int, top: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """sigma_0 = 2**(c + e_g) of each group (see :func:`_exponents`); a
+    group that is not direct reads 1.0."""
+    return np.ldexp(1.0, np.where(direct, top.astype(np.int64) + (c - 1022), 0))
 
 
 def _digit_table(keys: np.ndarray, values: np.ndarray):
@@ -181,12 +193,15 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
     times at most (q = (sigma + r) - sigma, r -= q, next level).  Each level
     collects at most n_g parts of size <= sigma/2**c on the grid
     ulp(sigma)/2, so ``np.add.at`` adds them exactly in any order.  The
-    level count is taken over the direct groups' records only.
+    level count is taken over the direct groups' records only.  A record's
+    sigma is its group's sigma_0 (:func:`_top_sigma`) scaled down to its
+    level and then by 2**-D per level, each step exact or a flush to the 0
+    that ``np.ldexp`` returns too; no (levels, groups) sigma table is kept.
     """
     n = keys.shape[0]
     unique, g, counts = _group_ids(keys)
     n_groups = unique.shape[0]
-    c, level, top, direct = _exponents(values, g, counts)
+    c, level, top, direct = _exponents(values, g, counts, per_record=True)
     if not direct.any():
         return unique, g, counts, direct, np.zeros((0, n_groups))
     partial = not direct.all()
@@ -204,25 +219,31 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
     if n_groups * n_levels > max(2 * n, 1 << 16):
         direct[:] = False
         return unique, g, counts, direct, np.zeros((0, n_groups))
-    if partial:
-        top[~direct] = 0
-    exps = top.astype(np.int64) + (c - 1022) - d * np.arange(n_levels)[:, None]
-    flat_sigma = np.ldexp(1.0, exps).ravel()
-    del exps
+    sigma = _top_sigma(c, top, direct)
+    del top
+    # level j scales sigma_0 by 2**-(D*j) as two factors, each at least
+    # 2**-1023 since D*j <= 2046: a product of powers of two is exact, or
+    # flushes to 0 exactly where 2**(c + e_g - D*j) is at most 2**-1075,
+    # which np.ldexp rounds to 0 as well
+    dj = d * np.arange(n_levels)
+    down = np.ldexp(1.0, -(dj // 2)), np.ldexp(1.0, (dj // 2) - dj)
+    step = 2.0 ** -d
     digits = np.zeros(n_levels * n_groups)
     for b in _blocks(n):
-        r, group, slot = values[b], g[b], level[b]
+        r, group, start = values[b], g[b], level[b]
         if partial:
             on = direct[group]
-            r, group, slot = r[on], group[on], slot[on]
-        slot = np.multiply(slot, n_groups, dtype=np.intp)
+            r, group, start = r[on], group[on], start[on]
+        s = np.take(sigma, group)
+        for factor in down:
+            s *= np.take(factor, start)
+        slot = np.multiply(start, n_groups, dtype=np.intp)
         slot += group
         for _ in range(3):
-            s = np.take(flat_sigma, slot)
             q = s + r
             q -= s
             np.add.at(digits, slot, q)
-            r = np.subtract(r, q, out=s)
+            r = np.subtract(r, q, out=q)
             keep = r != 0.0
             live = np.count_nonzero(keep)
             if not live:
@@ -230,8 +251,9 @@ def _digit_table(keys: np.ndarray, values: np.ndarray):
             # a value whose residual is 0 only adds exact zeros from here on
             if live < r.shape[0] // 2:
                 idx = np.flatnonzero(keep)
-                slot, r = slot[idx], r[idx]
+                slot, r, s = slot[idx], r[idx], s[idx]
             slot += n_groups
+            s *= step
         else:
             raise RuntimeError("_digit_table: residual left after three levels")
     return unique, g, counts, direct, digits.reshape(n_levels, n_groups)
@@ -281,10 +303,20 @@ def _prove(tau1: np.ndarray, tau2: np.ndarray, absum: np.ndarray,
     """
     h = tau1 + tau2
     t = h - tau1
-    e = (tau1 - (h - t)) + (tau2 - t)
-    a = np.abs(h)
-    gap = np.minimum(np.spacing(a), a - np.nextafter(a, 0.0))
-    return h, np.abs(e) + _residual_bound(counts, absum) < 0.5 * gap
+    # e = (tau1 - (h - t)) + (tau2 - t), then |e| + B, in two buffers
+    e = h - t
+    np.subtract(tau1, e, out=e)
+    np.subtract(tau2, t, out=t)
+    e += t
+    np.abs(e, out=e)
+    e += _residual_bound(counts, absum)
+    # gap = min(ulp(|h|), |h| - nextafter(|h|, 0)), in t's buffer and one more
+    a = np.abs(h, out=t)
+    gap = np.nextafter(a, 0.0)
+    np.subtract(a, gap, out=gap)
+    np.minimum(np.spacing(a, out=a), gap, out=gap)
+    gap *= 0.5
+    return h, e < gap
 
 
 def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
@@ -298,12 +330,11 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
     however the blocks split a group.
     """
     n_groups = counts.shape[0]
-    c, biased, top, direct = _exponents(values, g, counts)
-    del biased
+    c, _, top, direct = _exponents(values, g, counts)
     if not direct.any():
         return np.zeros(n_groups), direct
     # a group that is not direct extracts at 1.0, and its result is dropped
-    sigma = np.ldexp(1.0, np.where(direct, top.astype(np.int64) + (c - 1022), 0))
+    sigma = _top_sigma(c, top, direct)
     tau1, tau2, absum = np.zeros((3, n_groups))
     with np.errstate(invalid="ignore", over="ignore"):
         for b in _blocks(g.shape[0]):
@@ -315,6 +346,7 @@ def _certify(g: np.ndarray, counts: np.ndarray, values: np.ndarray):
             r = np.subtract(v, q, out=s)
             np.add.at(tau2, group, r)
             np.add.at(absum, group, np.abs(r, out=r))
+        del sigma, s, q, r
         h, sure = _prove(tau1, tau2, absum, counts)
     sure &= direct
     return h, sure
@@ -367,9 +399,26 @@ def grouped_expansions(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray
     if keys.shape[0] == 0:
         return keys.copy(), values.copy()
     unique, g, counts, direct, digits = _digit_table(keys, values)
+    # each table is dropped after its last read, before the output exists
     nonzero = digits != 0.0
     fold = direct & (np.count_nonzero(nonzero, axis=0) < counts)
-    raw = ~fold[g]
-    level, group = np.nonzero(nonzero & fold)
-    return (np.concatenate((keys[raw], unique[group])),
-            np.concatenate((values[raw], digits[level, group])))
+    del counts, direct
+    raw = np.take(fold, g)
+    del g
+    np.logical_not(raw, out=raw)
+    nonzero &= fold
+    del fold
+    # digit (level j, group k) sits at j * n_groups + k of the flat table
+    flat = np.flatnonzero(nonzero)
+    del nonzero
+    n_raw = np.count_nonzero(raw)
+    out_keys = np.empty(n_raw + flat.shape[0], dtype=np.uint64)
+    out_values = np.empty(out_keys.shape[0], dtype=np.float64)
+    np.compress(raw, keys, out=out_keys[:n_raw])
+    np.compress(raw, values, out=out_values[:n_raw])
+    del raw
+    np.take(digits, flat, out=out_values[n_raw:])
+    del digits
+    flat %= unique.shape[0]
+    np.take(unique, flat, out=out_keys[n_raw:])
+    return out_keys, out_values

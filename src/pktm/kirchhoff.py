@@ -136,8 +136,10 @@ class LegTable:
             return None
         if fresh:
             if self._times is None:
-                # room for every row the budget allows; pages never
-                # written take no memory
+                # room for every row the budget allows.  Freshly mapped
+                # pages that are never written take no memory, but under
+                # keep_task_memory the reserve comes from retained heap,
+                # whose pages may be resident already and then stay held
                 shape = (self._budget // self._row_bytes, self._tau.size)
                 self._times = np.empty(shape)
                 self._cosines = np.empty(shape) if self._obliquity else None

@@ -209,11 +209,11 @@ def execute_map_task(
     records keep their emission order (with the combiner enabled, the order
     in which :func:`~pktm.exactsum.grouped_expansions` returns them).
     """
-    key_parts = [np.empty(0, dtype=np.uint64)]
-    val_parts = [np.empty(0, dtype=np.float64)]
+    key_parts, val_parts = [], []
     for record in records:
         keys, values = map_fn(record)
         keys = np.asarray(keys)
+        values = np.asarray(values)
         # a cast to uint64 would wrap negative keys without a word; an
         # empty array (float64 from np.asarray([])) holds no key to check
         if keys.size and keys.dtype.kind not in "iu":
@@ -222,18 +222,24 @@ def execute_map_task(
         if keys.size and keys.dtype.kind == "i" and keys.min() < 0:
             raise MapOutputError(
                 f"map task {task_id}: keys must be >= 0, got {keys.min()}")
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
         if keys.shape != values.shape or keys.ndim != 1:
             raise MapOutputError(f"map task {task_id}: map_fn must return "
                                  "equal-length 1-D key/value arrays")
         key_parts.append(keys)
         val_parts.append(values)
-    keys = np.concatenate(key_parts)
-    values = np.concatenate(val_parts)
-    # each array below is dropped as soon as it is used, which lowers the
-    # task's peak memory and spills the same bytes
-    del key_parts, val_parts
+    n = sum(k.shape[0] for k in key_parts)
+    keys = np.empty(n, dtype=np.uint64)
+    values = np.empty(n, dtype=np.float64)
+    # each record's output is cast into its run of the task's arrays, last
+    # record first, and dropped once copied; each array below is dropped as
+    # soon as it is used too, which lowers the task's peak memory and
+    # spills the same bytes
+    end = n
+    while key_parts:
+        start = end - key_parts[-1].shape[0]
+        keys[start:end] = key_parts.pop()
+        values[start:end] = val_parts.pop()
+        end = start
     if combiner_enabled and keys.size:
         keys, values = grouped_expansions(keys, values)
     parts = partitions_of(keys, n_partitions)

@@ -147,6 +147,45 @@ def _checked_candidates(candidates: Sequence[float]) -> list[float]:
     return cands
 
 
+def _scan(
+    survey: Survey,
+    grid: GridSpec,
+    params: KernelParams,
+    binning: OffsetBinning,
+    cands: list[float],
+    config: JobConfig | None,
+    progress: Callable[[float, float], None] | None = None,
+    known: tuple[float, float] | None = None,
+    keep_pick: bool = False,
+) -> tuple[ScanResult, ImageGrid | None]:
+    """:func:`constant_velocity_scan` over checked candidates.
+
+    ``known`` is a (velocity, metric) pair already measured, which is not
+    migrated again.  With ``keep_pick``, it also returns the image of the
+    pick, unless the pick is the known velocity: the one image it holds
+    beyond the one being made is the best so far.
+    """
+    metrics = []
+    best = best_image = None
+    for v in cands:
+        image = None
+        if known is not None and v == known[0]:
+            metric = known[1]
+        else:
+            job = MigrationJob(grid, VelocityModel.constant(v), params, binning)
+            image = _migrate(survey, job, config)
+            metric = focus_metric(stack_offsets(image))
+        metrics.append(metric)
+        if progress:
+            progress(v, metric)
+        # the first of the highest (metric, -velocity), as max() picks it:
+        # ties select the lower velocity
+        if best is None or (metric, -v) > best:
+            best = (metric, -v)
+            best_image = image if keep_pick else None
+    return ScanResult(tuple(cands), tuple(metrics), -best[1]), best_image
+
+
 def constant_velocity_scan(
     survey: Survey,
     grid: GridSpec,
@@ -162,16 +201,7 @@ def constant_velocity_scan(
     (velocity, metric) as soon as it is known.
     """
     cands = _checked_candidates(candidates)
-    metrics = []
-    for v in cands:
-        job = MigrationJob(grid, VelocityModel.constant(v), params, binning)
-        metric = focus_metric(stack_offsets(_migrate(survey, job, config)))
-        metrics.append(metric)
-        if progress:
-            progress(v, metric)
-    best_velocity, _ = max(
-        zip(cands, metrics), key=lambda vm: (vm[1], -vm[0]))
-    return ScanResult(tuple(cands), tuple(metrics), best_velocity)
+    return _scan(survey, grid, params, binning, cands, config, progress)[0]
 
 
 def imaging_loop(
@@ -195,6 +225,10 @@ def imaging_loop(
     scan ranks fixed candidates whatever the current velocity, so a second
     scan would repeat the pick: the structure bounds the loop at two passes
     and one scan, and it takes no iteration cap.
+
+    Each velocity is migrated once: the scan takes the start velocity's
+    focus from the first pass when it is a candidate, and the second pass
+    measures the scan's image of the pick.
     """
     vel = float(initial_velocity)
     if not (np.isfinite(vel) and vel > 0.0):
@@ -205,23 +239,23 @@ def imaging_loop(
     if lag_tolerance < 0:
         raise ValueError(f"lag_tolerance must be >= 0, got {lag_tolerance}")
 
-    def migrate_pass(it: int, v: float) -> LoopIteration:
-        job = MigrationJob(grid, VelocityModel.constant(v), params, binning)
-        image = _migrate(survey, job, config)
+    def measure(it: int, v: float, image: ImageGrid) -> LoopIteration:
         rmo = residual_moveout(image, max_lag=max_lag)
         return LoopIteration(it, v, focus_metric(stack_offsets(image)),
                              rmo.max_abs_lag, rmo.lags,
                              rmo.max_abs_lag > lag_tolerance, v)
 
-    first = migrate_pass(0, vel)
+    job = MigrationJob(grid, VelocityModel.constant(vel), params, binning)
+    first = measure(0, vel, _migrate(survey, job, config))
     if not first.scanned:
         return LoopReport((first,), vel, True)
-    pick = constant_velocity_scan(
-        survey, grid, params, binning, cands, config).best_velocity
+    scan, image = _scan(survey, grid, params, binning, cands, config,
+                        known=(vel, first.focus), keep_pick=True)
+    pick = scan.best_velocity
     first = replace(first, next_velocity=pick)
     if pick == vel:
         return LoopReport((first,), vel, False)
-    second = migrate_pass(1, pick)
+    second = measure(1, pick, image)
     return LoopReport((first, second), pick, not second.scanned)
 
 

@@ -598,6 +598,25 @@ class TestGroupedExpansions:
                                     np.array([], dtype=np.float64))
         assert len(ks) == 0 and len(cs) == 0
 
+    def test_digits_exact_where_a_level_spans_over_1074_binades(self):
+        """Key 5 holds 2**1000 and five values near 2**-150 whose float sum
+        is inexact.  With 6 values per key c = 3 and D = 50, so the small
+        values start at level L = 23, whose sigma is 2**-146 though
+        2**-(D*L) = 2**-1150 underflows.  Each key's digits keep its exact
+        rational sum; math.fsum could not tell, as 2**1000 absorbs the
+        small values' error."""
+        small = [2.0 ** -150 * (1 + 2.0 ** -52), 2.0 ** -152 * (1 + 2.0 ** -52),
+                 -(2.0 ** -151) * (1 + 3 * 2.0 ** -52),
+                 2.0 ** -149 * (1 + 5 * 2.0 ** -52), 2.0 ** -153]
+        assert Fraction(math.fsum(small)) != sum(map(Fraction, small))
+        keys = np.array([5] * 6 + [9] * 3, dtype=np.uint64)
+        values = np.array([2.0 ** 1000, *small, 1.0, 2.0 ** -30, -3.5])
+        out_keys, comps = grouped_expansions(keys, values)
+        assert out_keys.shape[0] < keys.shape[0]
+        for k in (5, 9):
+            want = sum(map(Fraction, values[keys == k].tolist()))
+            assert sum(map(Fraction, comps[out_keys == k].tolist())) == want
+
     @given(any_scale)
     @settings(max_examples=300)
     def test_replacing_values_with_expansion_changes_no_total(self, pairs):
@@ -732,6 +751,8 @@ def test_combiner_keeps_totals_in_small_blocks(stream, block, data):
     (TestGroupedExpansions, "test_cancelled_key_drops_out"),
     (TestGroupedExpansions, "test_keys_the_reduce_sums_with_fsum_pass_through"),
     (TestGroupedExpansions, "test_level_table_fallback_passes_everything_through"),
+    (TestGroupedExpansions,
+     "test_digits_exact_where_a_level_spans_over_1074_binades"),
 ], ids=lambda v: v if isinstance(v, str) else v.__name__)
 def test_examples_in_small_blocks(cls, name, block, monkeypatch):
     monkeypatch.setattr(exactsum, "_BLOCK", block)
@@ -802,16 +823,18 @@ class TestBlocks:
                 assert_same_arrays(at_block(block, fn, keys, values), whole)
 
     @pytest.mark.parametrize("fn, per_record, per_key", [
-        (exact_sums, 10, 150), (grouped_expansions, 12, 150)])
+        (exact_sums, 8, 120), (grouped_expansions, 8, 120)])
     def test_peak_memory_per_record(self, fn, per_record, per_key):
         """2**20 records with ~10 values per key, keys of one residue class
         mod 8 as a reduce task receives them.  Beyond the input, a call
-        holds a group id and an exponent per record (10 bytes), its
-        key-sized tables (the digit table has about 4 levels) and its
-        block's temporaries.  Measured with numpy 2.4: 20.1 and 22.4 MiB,
-        against 35.6 and 59.3 MiB for the same code in one block, and
-        19.6 and 34.7 MiB when a digit-table block was as long as its
-        table; the bounds read 25.0 and 27.0 MiB."""
+        holds a group id per record (8 bytes), its key-sized tables and its
+        block's temporaries; the combiner adds a 2-byte level per record
+        and its digit table (about 4 levels).  Measured with numpy 2.4:
+        17.6 MiB for each, both while the keys are numbered, whose counts
+        span 8 slots per key here.  They read 20.1 and 22.4 MiB while the
+        reduce kept an exponent per record and more key-sized temporaries
+        in its proof, and the combiner a (levels, groups) sigma table;
+        35.6 and 59.3 MiB in one block.  The bounds read 20.0 MiB."""
         rng = np.random.default_rng(11)
         n = 1 << 20
         n_keys = n // 10

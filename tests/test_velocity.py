@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from pktm import storage, velocity
 from pktm import (
     GridSpec,
     ImageGrid,
+    JobConfig,
     KernelParams,
     LoopIteration,
     LoopReport,
+    MigrationJob,
     MoveoutResult,
     OffsetBinning,
     RickerWavelet,
@@ -21,7 +24,10 @@ from pktm import (
     focus_metric,
     imaging_loop,
     make_acquisition,
+    migrate_survey,
+    migrate_survey_serial,
     residual_moveout,
+    stack_offsets,
     synth_survey,
 )
 from pktm.velocity import write_loop_csv, write_scan_csv
@@ -227,21 +233,22 @@ class TestImagingLoop:
         """Candidates short of the true 2000 m/s and a tolerance of 0: the
         scan picks 1850 m/s, the loop moves there, its lag still exceeds
         the tolerance, and the second pass reuses the first scan's pick.
-        Two loop passes and the 2 candidates' migrations are all the
-        migrations there are."""
+        The scan takes 1700 m/s's focus from the first pass, and the second
+        pass measures the scan's image of 1850 m/s: each velocity is
+        migrated once."""
         scans = []
         migrations = []
 
         def counting_scan(*args, **kwargs):
             scans.append(args)
-            return constant_velocity_scan(*args, **kwargs)
+            return scan(*args, **kwargs)
 
         def counting_migrate(survey, job, config):
             migrations.append(job.vel(0.0))
             return migrate(survey, job, config)
 
-        migrate = velocity._migrate
-        monkeypatch.setattr(velocity, "constant_velocity_scan", counting_scan)
+        scan, migrate = velocity._scan, velocity._migrate
+        monkeypatch.setattr(velocity, "_scan", counting_scan)
         monkeypatch.setattr(velocity, "_migrate", counting_migrate)
         report = imaging_loop(
             diffractor_survey(), SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
@@ -252,7 +259,63 @@ class TestImagingLoop:
                 for i in report.iterations] == [(1700.0, True, 1850.0),
                                                 (1850.0, True, 1850.0)]
         assert (report.final_velocity, report.converged) == (1850.0, False)
-        assert migrations == [1700.0, 1700.0, 1850.0, 1850.0]
+        assert migrations == [1700.0, 1850.0]
+
+    @pytest.mark.parametrize("v0, candidates, migrated", [
+        # v0 is no candidate: the second pass reads the scan's image
+        (1700.0, [1800.0, 2000.0, 2200.0], [1700.0, 1800.0, 2000.0, 2200.0]),
+        # v0 is a candidate and loses the scan
+        (1700.0, [1700.0, 1850.0, 2000.0], [1700.0, 1850.0, 2000.0]),
+        # v0 is a candidate and wins it: the loop ends unconverged
+        (1500.0, [1500.0, 1400.0], [1500.0, 1400.0]),
+        # converged at once: no scan
+        (2000.0, [1800.0, 2000.0], [2000.0]),
+    ])
+    @pytest.mark.parametrize("config", [None, JobConfig(
+        n_partitions=3, n_workers=2, mode="threaded", combiner_enabled=True)])
+    def test_migrates_each_velocity_once(self, monkeypatch, v0, candidates,
+                                         migrated, config):
+        """The report equals the one that separate migrations, moveouts
+        and a separate scan make, while each velocity is migrated once."""
+        survey = diffractor_survey(n_samples=160)
+
+        def measured(it, v):
+            job = MigrationJob(SCAN_GRID, VelocityModel.constant(v),
+                               SCAN_PARAMS, SCAN_BINNING)
+            image = (migrate_survey_serial(survey, job) if config is None
+                     else migrate_survey(survey, job, config))
+            rmo = residual_moveout(image)
+            return LoopIteration(it, v, focus_metric(stack_offsets(image)),
+                                 rmo.max_abs_lag, rmo.lags,
+                                 rmo.max_abs_lag > 1, v)
+
+        first = measured(0, v0)
+        if not first.scanned:
+            want = LoopReport((first,), v0, True)
+        else:
+            pick = constant_velocity_scan(
+                survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING, candidates,
+                config).best_velocity
+            first = replace(first, next_velocity=pick)
+            if pick == v0:
+                want = LoopReport((first,), v0, False)
+            else:
+                second = measured(1, pick)
+                want = LoopReport((first, second), pick, not second.scanned)
+
+        migrations = []
+
+        def counting_migrate(survey, job, config):
+            migrations.append(job.vel(0.0))
+            return migrate(survey, job, config)
+
+        migrate = velocity._migrate
+        monkeypatch.setattr(velocity, "_migrate", counting_migrate)
+        got = imaging_loop(survey, SCAN_GRID, SCAN_PARAMS, SCAN_BINNING,
+                           initial_velocity=v0, candidates=candidates,
+                           lag_tolerance=1, config=config)
+        assert got == want
+        assert migrations == migrated
 
     def test_rejects_bad_arguments(self):
         survey = diffractor_survey(n_samples=160)
