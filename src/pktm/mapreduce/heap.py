@@ -1,9 +1,9 @@
 """Keep the memory a task frees for the next task of the same process.
 
 Each map or reduce task allocates and frees megabytes of numpy temporaries
-(the combiner 2.4 MiB at the median and 3.9 MiB at most above its input on
+(the combiner 2.0 MiB at the median and 3.0 MiB at most above its input on
 the 16-trace tasks of a 5-velocity scan; a reduce task of an 800-trace
-migration reads two 8.8 MB columns, and its exact sums hold up to 11 MiB
+migration reads two 8.8 MB columns, and its exact sums hold up to 10 MiB
 more).  Under glibc's defaults the freed top of the heap is trimmed back
 to the kernel and arrays above the mmap threshold are unmapped on free, so
 the next task faults every page in again.  On a 2-vCPU Xeon guest a
