@@ -154,6 +154,8 @@ class KeyedTotals:
         totals = np.ascontiguousarray(self.totals, dtype=np.float64)
         if keys.shape != totals.shape or keys.ndim != 1:
             raise ValueError("keys and totals must be 1-D and equally long")
+        if not np.all(keys[1:] > keys[:-1]):
+            raise ContractViolationError("keys are not strictly ascending")
         keys.setflags(write=False)
         totals.setflags(write=False)
         object.__setattr__(self, "keys", keys)
@@ -301,10 +303,8 @@ def _merge_partitions(n_partitions: int, spill: Path) -> KeyedTotals:
         total_parts.append(totals)
     keys = np.concatenate(key_parts)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys = keys[order]    # frees the unsorted keys before the totals' copy
     totals = np.concatenate(total_parts)[order]
-    if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
-        raise ContractViolationError("merged keys are not strictly ascending")
     return KeyedTotals(keys, totals)
 
 
@@ -499,7 +499,7 @@ class _WorkerPool:
             reply = protocol.recv_message(worker.conn)
             if reply is None:
                 raise protocol.ProtocolError("connection closed")
-            if reply.tag != protocol.REPLY[tag] or reply.ident != ident:
+            if reply.tag != protocol.DONE or reply.ident != ident:
                 raise protocol.ProtocolError(
                     f"reply tag {reply.tag} for {reply.ident} does not "
                     f"answer tag {tag} for {ident}")
@@ -560,9 +560,9 @@ class _WorkerPool:
 
     def _register(self, conn: socket.socket) -> _Worker | None:
         """Read the ``REGISTER`` of the worker on ``conn`` and its pid, and
-        answer with its id and the manifest path.  None when it breaks off,
-        or when the job has ended: such a worker is answered ``SHUTDOWN``
-        and its connection closed."""
+        answer with the manifest path.  None when it breaks off, or when
+        the job has ended: such a worker is answered ``SHUTDOWN`` and its
+        connection closed."""
         with self._lock:
             closed = self._closed
             if not closed:
@@ -575,8 +575,7 @@ class _WorkerPool:
             if hello is None or hello.tag != protocol.REGISTER:
                 raise protocol.ProtocolError("expected REGISTER")
             reply = (protocol.Message(protocol.SHUTDOWN) if closed else
-                     protocol.Message(protocol.REGISTER, ident=worker_id,
-                                      detail=self.manifest))
+                     protocol.Message(protocol.REGISTER, detail=self.manifest))
             protocol.send_message(conn, reply)
         except (OSError, protocol.ProtocolError):
             closed = True

@@ -1,30 +1,27 @@
 """Wire protocol between the job coordinator and worker processes.
 
-Every message is one length-prefixed frame: u32 little-endian payload size,
-then the payload.  Every payload has one layout, whatever its tag: u8 tag,
-u32 ident, u8 status, u16 detail length (``<BIBH``, 8 bytes), then the
-detail as UTF-8 bytes.  A field that a tag does not use is 0 or empty.
-A frame that declares more than :data:`MAX_FRAME` bytes is refused unread.
-The layout carries no version: a worker and its coordinator must come from
-the same pktm version.
+Every message is one frame with one layout, whatever its tag: an 8-byte
+head of u8 tag, u32 ident, u8 status and u16 detail length (``<BIBH``,
+little-endian), then exactly that many detail bytes of UTF-8.  The head
+states the frame's length once, and its u16 caps a frame at 8 + 65,535
+bytes.  A field that a tag does not use is 0 or empty.  The layout
+carries no version: a worker and its coordinator must come from the same
+pktm version.
 
 Tags::
 
     0 REGISTER       worker -> coordinator: ident = pid
-                     coordinator -> worker: ident = worker id,
-                                            detail = manifest path
+                     coordinator -> worker: detail = manifest path
     1 TASK_ASSIGN    ident = map task id
-    2 TASK_DONE      ident = map task id, status, detail
-    3 REDUCE_ASSIGN  ident = partition id
-    4 REDUCE_DONE    ident = partition id, status, detail
-    5 SHUTDOWN       nothing; also answers a REGISTER that comes after
+    2 REDUCE_ASSIGN  ident = partition id
+    3 DONE           answers either assignment: its ident, status, detail
+    4 SHUTDOWN       nothing; also answers a REGISTER that comes after
                      the job has ended
 
-:data:`REPLY` names the one tag that answers each assignment.  Status 0
-means success; 1 carries a failure description in ``detail``, and the task
-may be retried; 2 (map tasks only) means ``map_fn``'s output broke the map
-contract (:class:`MapOutputError`), which a retry cannot mend, so the job
-fails at once.
+Status 0 means success; 1 carries a failure description in ``detail``, and
+the task may be retried; 2 (map tasks only) means ``map_fn``'s output broke
+the map contract (:class:`MapOutputError`), which a retry cannot mend, so
+the job fails at once.
 """
 
 from __future__ import annotations
@@ -35,17 +32,13 @@ from dataclasses import dataclass
 
 REGISTER = 0
 TASK_ASSIGN = 1
-TASK_DONE = 2
-REDUCE_ASSIGN = 3
-REDUCE_DONE = 4
-SHUTDOWN = 5
+REDUCE_ASSIGN = 2
+DONE = 3
+SHUTDOWN = 4
 
-_TAGS = frozenset(range(6))
-REPLY = {TASK_ASSIGN: TASK_DONE, REDUCE_ASSIGN: REDUCE_DONE}
+_TAGS = frozenset(range(5))
 
-_LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<BIBH")    # tag, ident, status, detail length
-MAX_FRAME = _HEAD.size + 0xFFFF    # the longest payload the layout encodes
 CONNECT_TIMEOUT = 30.0    # seconds a worker retries a refused connect
 
 STATUS_OK = 0
@@ -62,13 +55,13 @@ class MapOutputError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """Malformed or oversized frame on the coordinator/worker link."""
+    """Malformed or truncated frame on the coordinator/worker link."""
 
 
 @dataclass
 class Message:
     tag: int
-    ident: int = 0        # pid, worker_id, task id, or partition id per tag
+    ident: int = 0        # pid, task id, or partition id per tag
     status: int = STATUS_OK
     detail: str = ""      # failure description or manifest path
 
@@ -80,27 +73,7 @@ class Message:
             head = _HEAD.pack(self.tag, self.ident, self.status, len(text))
         except struct.error as exc:
             raise ProtocolError(f"cannot encode tag {self.tag}: {exc}") from None
-        return _LEN.pack(_HEAD.size + len(text)) + head + text
-
-
-def decode_payload(payload: bytes) -> Message:
-    """Parse one frame's payload; anything malformed raises
-    :class:`ProtocolError`."""
-    if not payload:
-        raise ProtocolError("empty payload")
-    if payload[0] not in _TAGS:
-        raise ProtocolError(f"unknown message tag {payload[0]}")
-    if len(payload) < _HEAD.size:
-        raise ProtocolError(f"short payload of {len(payload)} bytes")
-    tag, ident, status, n = _HEAD.unpack_from(payload)
-    if len(payload) != _HEAD.size + n:
-        raise ProtocolError(f"tag {tag} declares {n} detail bytes but "
-                            f"carries {len(payload) - _HEAD.size}")
-    try:
-        detail = payload[_HEAD.size:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"tag {tag} detail is not UTF-8: {exc}") from None
-    return Message(tag, ident, status, detail)
+        return head + text
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
@@ -119,17 +92,24 @@ def send_message(sock: socket.socket, msg: Message) -> None:
 
 
 def recv_message(sock: socket.socket) -> Message | None:
-    """Blocking read of one message; None on clean EOF at a frame boundary."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
+    """Blocking read of one message; None on clean EOF at a frame boundary.
+
+    Anything malformed raises :class:`ProtocolError`; an unknown tag does
+    so before any detail byte is read.
+    """
+    head = _recv_exact(sock, _HEAD.size)
+    if head is None:
         return None
-    size = _LEN.unpack(header)[0]
-    if size > MAX_FRAME:
-        raise ProtocolError(f"frame of {size} bytes exceeds limit")
-    payload = _recv_exact(sock, size)
-    if payload is None:
+    tag, ident, status, n = _HEAD.unpack(head)
+    if tag not in _TAGS:
+        raise ProtocolError(f"unknown message tag {tag}")
+    detail = _recv_exact(sock, n)
+    if detail is None:
         raise ProtocolError("connection closed mid-frame")
-    return decode_payload(payload)
+    try:
+        return Message(tag, ident, status, detail.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"tag {tag} detail is not UTF-8: {exc}") from None
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:

@@ -2,10 +2,11 @@
 
 A worker connects to the coordinator, registers with its pid, and loads the
 job's task object (the coordinator's pickled ``_Tasks``) from the manifest
-path in the registration reply.  It then runs each assignment through that
-object and answers it with the one reply tag :data:`~.protocol.REPLY` names,
-until told to shut down.  A worker that registers after the job has ended
-is answered ``SHUTDOWN`` instead, and exits 0 without opening anything.
+path in the registration reply; a manifest it cannot open or unpickle
+fails the registration.  It then runs each assignment through that object
+and answers it with ``DONE`` and the assignment's ident, until told to shut
+down.  A worker that registers after the job has ended is answered
+``SHUTDOWN`` instead, and exits 0 without opening anything.
 A worker must come from the same pktm version as its coordinator: the
 manifest is a pickle of the coordinator's classes, and the wire layout
 carries no version.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import socket
+import sys
 import time
 
 from . import protocol
@@ -54,8 +56,13 @@ def worker_main(connect: str) -> int:
             return 0    # stood by until the job ended
         if ack is None or ack.tag != protocol.REGISTER:
             return 1
-        with open(ack.detail, "rb") as f:
-            tasks = pickle.load(f)
+        try:
+            with open(ack.detail, "rb") as f:
+                tasks = pickle.load(f)
+        except Exception as exc:    # a damaged pickle raises many kinds
+            sys.stderr.write(
+                f"error: cannot load the manifest {ack.detail}: {exc!r}\n")
+            return 1
         run = {protocol.TASK_ASSIGN: tasks.run_map,
                protocol.REDUCE_ASSIGN: tasks.run_reduce}
 
@@ -68,7 +75,7 @@ def worker_main(connect: str) -> int:
                 return 0
             if msg.tag not in run:
                 continue    # other tags are ignored
-            reply = protocol.Message(protocol.REPLY[msg.tag], ident=msg.ident)
+            reply = protocol.Message(protocol.DONE, ident=msg.ident)
             try:
                 run[msg.tag](msg.ident)
             except Exception as exc:

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .kirchhoff import Contributions, MigrationJob, image_from_cells
 from .mapreduce import ContractViolationError, JobConfig, KeyedTotals, run_job
 from .mapreduce.engine import Observer
@@ -55,12 +53,10 @@ class MigrationMapFn:
 def reassemble_image(totals: KeyedTotals, grid: GridSpec) -> ImageGrid:
     """Scatter reduced totals onto a grid; keys absent from the stream are 0.
 
-    Raises :class:`ContractViolationError` on duplicate, descending, or
-    out-of-range keys.
+    Raises :class:`ContractViolationError` on out-of-range keys;
+    :class:`KeyedTotals` itself holds only strictly ascending keys.
     """
     keys = totals.keys
-    if keys.shape[0] and not np.all(keys[1:] > keys[:-1]):
-        raise ContractViolationError("keys are not strictly ascending")
     if keys.shape[0] and int(keys[-1]) >= grid.n_cells:
         raise ContractViolationError(
             f"key {int(keys[-1])} outside grid with {grid.n_cells} cells")

@@ -1,9 +1,11 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 import os
+import pickle
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pktm
 from pktm import OffsetBinning, VelocityModel, velocity
 from pktm.cli import main
 from pktm.mapreduce import JobConfig, protocol
+from pktm.mapreduce.protocol import Message, recv_message, send_message
 from pktm.pipeline import migrate_survey
 from pktm.storage import (
     read_image,
@@ -135,6 +138,39 @@ class TestExitCodes:
         assert main(["worker", "--connect", "127.0.0.1:1"]) == 4
         assert 0.25 <= time.monotonic() - start < 10.0
         assert "error: worker connection failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"not a pickle", b"", pickle.dumps(list(range(100)))[:20],
+    ], ids=["not-a-pickle", "empty", "truncated"])
+    def test_worker_cannot_load_manifest(self, tmp_path, capsys, content):
+        """A coordinator whose manifest does not unpickle fails the
+        worker's registration: exit 4 and one error line, no traceback."""
+        manifest = tmp_path / "manifest.pkl"
+        manifest.write_bytes(content)
+        seen = []
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(10.0)
+
+            def coordinator():
+                conn, _ = server.accept()
+                with conn:
+                    conn.settimeout(10.0)
+                    seen.append(recv_message(conn).tag)
+                    send_message(conn, Message(protocol.REGISTER,
+                                               detail=str(manifest)))
+                    seen.append(recv_message(conn))
+
+            thread = threading.Thread(target=coordinator)
+            thread.start()
+            port = server.getsockname()[1]
+            rc = main(["worker", "--connect", f"127.0.0.1:{port}"])
+            thread.join(timeout=10.0)
+        assert rc == 4
+        assert seen == [protocol.REGISTER, None]   # then the worker hung up
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(manifest) in err
+        assert "Traceback" not in err
 
 
 class TestSharedOptions:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from pktm import MigrationMapFn, migrate_survey_serial, reassemble_image
 from pktm.mapreduce import (
+    ContractViolationError,
     JobConfig,
     JobError,
     KeyedTotals,
@@ -30,11 +31,16 @@ from pktm.mapreduce.engine import (
     SPILL_DIR_ENV,
     JobEvent,
     _merge_partitions,
+    _reduce_file,
     execute_map_task,
     execute_reduce_task,
 )
 from pktm.mapreduce.protocol import Message, recv_message, send_message
-from pktm.mapreduce.spill import SpillFormatError, read_partition_file
+from pktm.mapreduce.spill import (
+    SpillFormatError,
+    read_partition_file,
+    write_columns,
+)
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +174,37 @@ class TestKeyedTotals:
         kt = KeyedTotals(np.array([1], dtype=np.uint64), np.array([2.0]))
         with pytest.raises(ValueError):
             kt.totals[0] = 3.0
+
+    @pytest.mark.parametrize("keys", [[4, 4], [5, 3], [1, 7, 7, 9]],
+                             ids=["duplicate", "descending", "late-duplicate"])
+    def test_rejects_keys_not_strictly_ascending(self, keys):
+        with pytest.raises(ContractViolationError,
+                           match="not strictly ascending"):
+            KeyedTotals(np.array(keys, dtype=np.uint64),
+                        np.ones(len(keys)))
+
+    def test_empty(self):
+        kt = KeyedTotals(np.array([], dtype=np.uint64), np.array([]))
+        assert len(kt) == 0
+
+
+class TestMergePartitions:
+    def merge(self, spill, *parts):
+        for p, keys in enumerate(parts):
+            write_columns(_reduce_file(spill, p),
+                          np.array(keys, dtype=np.uint64),
+                          np.arange(len(keys), dtype=np.float64))
+        return _merge_partitions(len(parts), spill)
+
+    def test_names_a_partition_out_of_order(self, tmp_path):
+        with pytest.raises(ContractViolationError,
+                           match="partition 1 keys are not strictly"):
+            self.merge(tmp_path, [0, 2], [3, 1])
+
+    def test_rejects_a_key_in_two_partitions(self, tmp_path):
+        with pytest.raises(ContractViolationError,
+                           match="keys are not strictly ascending"):
+            self.merge(tmp_path, [0, 2], [2, 3])
 
 
 # --------------------------------------------------------------------------
@@ -704,7 +741,7 @@ class Standby:
 
 def lying_worker(port, assigns):
     """Register with the job on ``port``, then answer the first assignment
-    with a ``TASK_DONE`` whose one detail byte, 0xff, is not UTF-8."""
+    with a ``DONE`` whose one detail byte, 0xff, is not UTF-8."""
     deadline = time.monotonic() + 30.0
     while True:
         try:
@@ -719,9 +756,8 @@ def lying_worker(port, assigns):
         recv_message(sock)          # the manifest path, left unread
         assign = recv_message(sock)
         assigns.append(assign)
-        sock.sendall(struct.pack("<IBIBH", 9, protocol.TASK_DONE,
-                                 assign.ident, protocol.STATUS_OK, 1)
-                     + b"\xff")
+        sock.sendall(struct.pack("<BIBH", protocol.DONE, assign.ident,
+                                 protocol.STATUS_OK, 1) + b"\xff")
         sock.recv(1)                # until the coordinator hangs up
 
 

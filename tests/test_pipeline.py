@@ -600,16 +600,14 @@ class TestReassembleImage:
         assert np.count_nonzero(image.values) == 3
 
     def test_duplicate_keys_rejected(self):
-        kt = KeyedTotals(np.array([4, 4], dtype=np.uint64),
-                         np.array([1.0, 2.0]))
         with pytest.raises(ContractViolationError):
-            reassemble_image(kt, self.GRID)
+            KeyedTotals(np.array([4, 4], dtype=np.uint64),
+                        np.array([1.0, 2.0]))
 
     def test_descending_keys_rejected(self):
-        kt = KeyedTotals(np.array([5, 3], dtype=np.uint64),
-                         np.array([1.0, 2.0]))
         with pytest.raises(ContractViolationError):
-            reassemble_image(kt, self.GRID)
+            KeyedTotals(np.array([5, 3], dtype=np.uint64),
+                        np.array([1.0, 2.0]))
 
     def test_out_of_range_key_rejected(self):
         kt = KeyedTotals(np.array([24], dtype=np.uint64), np.array([1.0]))

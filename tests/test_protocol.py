@@ -12,21 +12,58 @@ from pktm.mapreduce import engine, protocol
 from pktm.mapreduce.protocol import (
     Message,
     ProtocolError,
-    decode_payload,
     parse_hostport,
     recv_message,
     send_message,
 )
 
-ALL_TAGS = (protocol.REGISTER, protocol.TASK_ASSIGN, protocol.TASK_DONE,
-            protocol.REDUCE_ASSIGN, protocol.REDUCE_DONE, protocol.SHUTDOWN)
+ALL_TAGS = (protocol.REGISTER, protocol.TASK_ASSIGN, protocol.REDUCE_ASSIGN,
+            protocol.DONE, protocol.SHUTDOWN)
+
+MESSAGES = st.builds(Message, st.sampled_from(ALL_TAGS),
+                     st.integers(0, 2**32 - 1), st.integers(0, 255),
+                     st.text(max_size=20))
+
+
+def pair():
+    a, b = socket.socketpair()
+    a.settimeout(5.0)
+    b.settimeout(5.0)
+    return a, b
+
+
+def sent(data: bytes) -> socket.socket:
+    """The reading end of a socketpair whose other end sent ``data``, which
+    must fit the pair's buffer, and closed."""
+    a, b = pair()
+    with a:
+        a.sendall(data)
+    return b
+
+
+def read_stream(data: bytes) -> tuple[list[Message], bool]:
+    """The messages :func:`recv_message` reads from ``data``, and whether
+    the stream ended in a :class:`ProtocolError` rather than a clean EOF.
+    Anything else that a call returns or raises fails the test."""
+    msgs = []
+    with sent(data) as b:
+        while True:
+            try:
+                msg = recv_message(b)
+            except ProtocolError:
+                return msgs, True
+            if msg is None:
+                return msgs, False
+            assert isinstance(msg, Message)
+            msgs.append(msg)
 
 
 def roundtrip(msg: Message) -> Message:
     frame = msg.encode()
-    size = struct.unpack_from("<I", frame, 0)[0]
-    assert size == len(frame) - 4
-    return decode_payload(frame[4:])
+    assert len(frame) == 8 + len(msg.detail.encode("utf-8"))
+    msgs, failed = read_stream(frame)
+    assert not failed and len(msgs) == 1
+    return msgs[0]
 
 
 class TestEncodeDecode:
@@ -42,23 +79,26 @@ class TestEncodeDecode:
         assert (back.tag, back.ident) == (protocol.TASK_ASSIGN, 17)
 
     def test_done_ok(self):
-        back = roundtrip(Message(protocol.TASK_DONE, ident=3))
+        back = roundtrip(Message(protocol.DONE, ident=3))
         assert back.status == protocol.STATUS_OK
         assert back.detail == ""
 
     def test_done_failed_carries_detail(self):
-        msg = Message(protocol.REDUCE_DONE, ident=9,
+        msg = Message(protocol.DONE, ident=9,
                       status=protocol.STATUS_FAILED,
                       detail="ValueError('no')")
         back = roundtrip(msg)
         assert back.status == protocol.STATUS_FAILED
         assert back.detail == "ValueError('no')"
 
+    def test_tags_are_contiguous(self):
+        assert ALL_TAGS == (0, 1, 2, 3, 4)
+
     def test_header_only_frame(self):
         back = roundtrip(Message(protocol.SHUTDOWN))
         assert back == Message(protocol.SHUTDOWN)
-        # frame = 4-byte length + 8-byte header, no detail
-        assert len(Message(protocol.SHUTDOWN).encode()) == 12
+        # frame = the 8-byte head, no detail
+        assert len(Message(protocol.SHUTDOWN).encode()) == 8
 
     @pytest.mark.parametrize("tag", ALL_TAGS)
     @pytest.mark.parametrize("detail", ["", "x", "/tmp/manifest.pkl",
@@ -68,109 +108,118 @@ class TestEncodeDecode:
                       detail=detail)
         frame = msg.encode()
         text = detail.encode("utf-8")
-        assert len(frame) == 4 + 8 + len(text)
-        assert frame[4:12] == struct.pack("<BIBH", tag, 2**32 - 1,
-                                          protocol.STATUS_REJECTED, len(text))
-        assert frame[12:] == text
+        assert len(frame) == 8 + len(text)
+        assert frame[:8] == struct.pack("<BIBH", tag, 2**32 - 1,
+                                        protocol.STATUS_REJECTED, len(text))
+        assert frame[8:] == text
         assert roundtrip(msg) == msg
 
-    def test_former_heartbeat_tag_is_unknown(self):
-        with pytest.raises(ProtocolError, match="unknown message tag 6"):
-            decode_payload(bytes([6]))
-        with pytest.raises(ProtocolError):
-            Message(tag=6).encode()
-
     def test_unicode_detail(self):
-        back = roundtrip(Message(protocol.TASK_DONE, ident=1,
+        back = roundtrip(Message(protocol.DONE, ident=1,
                                  status=1, detail="départ — 失败"))
         assert back.detail == "départ — 失败"
 
-    def test_unknown_tag_encode(self):
-        with pytest.raises(ProtocolError):
-            Message(tag=200).encode()
-
-    def test_unknown_tag_decode(self):
-        with pytest.raises(ProtocolError):
-            decode_payload(bytes([250]) + b"\x00" * 4)
-
-    def test_empty_payload(self):
-        with pytest.raises(ProtocolError):
-            decode_payload(b"")
-
-    def test_detail_beyond_declared_length(self):
-        # a SHUTDOWN header declaring no detail, followed by one byte
-        payload = struct.pack("<BIBH", protocol.SHUTDOWN, 0, 0, 0) + b"x"
-        with pytest.raises(ProtocolError, match="declares 0 detail bytes"):
-            decode_payload(payload)
-
-    def test_short_body(self):
-        with pytest.raises(ProtocolError, match="short payload"):
-            decode_payload(bytes([protocol.TASK_ASSIGN]) + b"\x01")
-
-    def test_length_mismatch_in_detail(self):
-        # claims 5 detail bytes but carries 2
-        body = struct.pack("<IBH", 1, 0, 5) + b"ab"
-        with pytest.raises(ProtocolError):
-            decode_payload(bytes([protocol.TASK_DONE]) + body)
-
-    @pytest.mark.parametrize("tag", [6, 7, 255])
-    def test_unknown_tag_with_full_header(self, tag):
+    @pytest.mark.parametrize("tag", [5, 6, 200])
+    def test_unknown_tag_encode(self, tag):
         with pytest.raises(ProtocolError, match=f"unknown message tag {tag}"):
-            decode_payload(struct.pack("<BIBH", tag, 0, 0, 0))
+            Message(tag=tag).encode()
+
+    def test_unknown_tag_is_refused_before_its_detail(self):
+        head = struct.pack("<BIBH", 250, 0, 0, 6)
+        with sent(head + b"detail") as b:
+            with pytest.raises(ProtocolError, match="unknown message tag 250"):
+                recv_message(b)
+            assert b.recv(16) == b"detail"   # no detail byte was read
+
+    def test_empty_stream_is_a_clean_eof(self):
+        assert read_stream(b"") == ([], False)
+
+    def test_byte_past_the_declared_detail_starts_the_next_frame(self):
+        # a SHUTDOWN head declaring no detail, followed by one byte
+        head = struct.pack("<BIBH", protocol.SHUTDOWN, 0, 0, 0)
+        with sent(head + b"x") as b:
+            assert recv_message(b) == Message(protocol.SHUTDOWN)
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
+                recv_message(b)
+
+    def test_short_head(self):
+        with sent(bytes([protocol.TASK_ASSIGN]) + b"\x01") as b:
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
+                recv_message(b)
+
+    def test_detail_shorter_than_declared(self):
+        # declares 5 detail bytes but carries 2
+        head = struct.pack("<BIBH", protocol.DONE, 1, 0, 5)
+        with sent(head + b"ab") as b:
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
+                recv_message(b)
+
+    @pytest.mark.parametrize("tag", [5, 6, 7, 255])
+    def test_unknown_tag_with_full_header(self, tag):
+        with sent(struct.pack("<BIBH", tag, 0, 0, 0)) as b:
+            with pytest.raises(ProtocolError,
+                               match=f"unknown message tag {tag}"):
+                recv_message(b)
 
     def test_detail_not_utf8(self):
         # a worker that lies: its reply's detail is not UTF-8
-        payload = struct.pack("<BIBH", protocol.TASK_DONE, 0, 0, 1) + b"\xff"
-        with pytest.raises(ProtocolError, match="not UTF-8"):
-            decode_payload(payload)
+        frame = struct.pack("<BIBH", protocol.DONE, 0, 0, 1) + b"\xff"
+        with sent(frame) as b:
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                recv_message(b)
 
     def test_overlong_detail_encode(self):
         with pytest.raises(ProtocolError):
-            Message(protocol.TASK_DONE, detail="x" * 2**16).encode()
+            Message(protocol.DONE, detail="x" * 2**16).encode()
 
-    @given(st.binary(max_size=40))
-    def test_any_bytes_decode_or_protocol_error(self, payload):
-        """Whatever a peer sends, decoding yields a Message or raises
-        ProtocolError, never anything else."""
-        try:
-            msg = decode_payload(payload)
-        except ProtocolError:
-            return
-        assert isinstance(msg, Message)
-        assert msg.encode()[4:] == payload
+    @given(st.binary(max_size=64))
+    def test_any_bytes_read_or_protocol_error(self, data):
+        """Whatever a peer sends, each read yields a Message, None or a
+        ProtocolError, and the messages read re-encode to the bytes they
+        came from."""
+        msgs, failed = read_stream(data)
+        encoded = b"".join(m.encode() for m in msgs)
+        if failed:
+            assert data.startswith(encoded)
+        else:
+            assert encoded == data
+
+    @given(st.lists(MESSAGES, min_size=1, max_size=5), st.integers(0),
+           st.integers(1, 255))
+    def test_one_corrupted_byte(self, msgs, at, flip):
+        """Valid frames with one byte changed: the messages read before
+        any error re-encode to a prefix of the bytes sent."""
+        data = bytearray(b"".join(m.encode() for m in msgs))
+        data[at % len(data)] ^= flip
+        data = bytes(data)
+        got, failed = read_stream(data)
+        encoded = b"".join(m.encode() for m in got)
+        assert data.startswith(encoded)
+        assert failed or encoded == data
 
     @given(st.sampled_from(ALL_TAGS), st.integers(0, 2**32 - 1),
            st.integers(0, 255), st.binary(max_size=20))
-    def test_any_detail_bytes_decode_or_protocol_error(self, tag, ident,
-                                                       status, detail):
-        """Well-framed payloads with arbitrary detail bytes, most of them
+    def test_any_detail_bytes_read_or_protocol_error(self, tag, ident,
+                                                     status, detail):
+        """Well-framed messages with arbitrary detail bytes, most of them
         not UTF-8, reach the detail check that random bytes rarely do."""
-        payload = struct.pack("<BIBH", tag, ident, status, len(detail)) + detail
-        try:
-            msg = decode_payload(payload)
-        except ProtocolError:
-            return
-        assert msg.detail.encode("utf-8") == detail
+        head = struct.pack("<BIBH", tag, ident, status, len(detail))
+        msgs, failed = read_stream(head + detail)
+        if not failed:
+            assert [m.detail.encode("utf-8") for m in msgs] == [detail]
 
-    @given(st.sampled_from([protocol.TASK_DONE, protocol.REDUCE_DONE]),
-           st.integers(0, 2**32 - 1), st.integers(0, 1),
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2),
            st.text(max_size=100))
-    def test_done_roundtrip_property(self, tag, ident, status, detail):
-        back = roundtrip(Message(tag, ident=ident, status=status,
+    def test_done_roundtrip_property(self, ident, status, detail):
+        back = roundtrip(Message(protocol.DONE, ident=ident, status=status,
                                  detail=detail))
         assert (back.tag, back.ident, back.status, back.detail) == \
-            (tag, ident, status, detail)
+            (protocol.DONE, ident, status, detail)
 
 
 class TestSocketHelpers:
-    def pair(self):
-        a, b = socket.socketpair()
-        a.settimeout(5.0)
-        b.settimeout(5.0)
-        return a, b
-
     def test_send_recv(self):
-        a, b = self.pair()
+        a, b = pair()
         try:
             send_message(a, Message(protocol.REDUCE_ASSIGN, ident=6))
             msg = recv_message(b)
@@ -180,57 +229,32 @@ class TestSocketHelpers:
             b.close()
 
     def test_clean_eof_returns_none(self):
-        a, b = self.pair()
+        a, b = pair()
         try:
             a.close()
             assert recv_message(b) is None
         finally:
             b.close()
 
-    def test_eof_mid_frame_raises(self):
-        a, b = self.pair()
-        try:
-            frame = Message(protocol.TASK_ASSIGN, ident=1).encode()
-            a.sendall(frame[:3])
-            a.close()
-            with pytest.raises(ProtocolError):
+    @pytest.mark.parametrize("cut", [3, 9], ids=["in-head", "in-detail"])
+    def test_eof_mid_frame_raises(self, cut):
+        frame = Message(protocol.DONE, ident=1, detail="abc").encode()
+        with sent(frame[:cut]) as b:
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
                 recv_message(b)
-        finally:
-            b.close()
-
-    def test_oversized_frame_raises(self):
-        a, b = self.pair()
-        try:
-            a.sendall(struct.pack("<I", protocol.MAX_FRAME + 10))
-            with pytest.raises(ProtocolError):
-                recv_message(b)
-        finally:
-            a.close()
-            b.close()
 
     def test_longest_frame_is_read(self):
-        """A detail of 0xFFFF bytes, the longest the layout encodes, makes
-        a payload of exactly MAX_FRAME bytes, and it is read back."""
-        a, b = self.pair()
+        """A detail of 0xFFFF bytes, the longest the u16 length encodes,
+        makes a frame of 8 + 0xFFFF bytes, and it is read back."""
+        a, b = pair()
         try:
-            msg = Message(protocol.TASK_DONE, ident=3, detail="x" * 0xFFFF)
+            msg = Message(protocol.DONE, ident=3, detail="x" * 0xFFFF)
             frame = msg.encode()
-            assert len(frame) == 4 + protocol.MAX_FRAME
+            assert len(frame) == 8 + 0xFFFF
             writer = threading.Thread(target=a.sendall, args=(frame,))
             writer.start()
             assert recv_message(b) == msg
             writer.join()
-        finally:
-            a.close()
-            b.close()
-
-    def test_frame_one_byte_over_the_limit_is_refused_unread(self):
-        a, b = self.pair()
-        try:
-            a.sendall(struct.pack("<I", protocol.MAX_FRAME + 1) + b"payload")
-            with pytest.raises(ProtocolError, match="exceeds limit"):
-                recv_message(b)
-            assert b.recv(16) == b"payload"   # no payload byte was read
         finally:
             a.close()
             b.close()
@@ -240,7 +264,7 @@ class TestSocketHelpers:
     def test_any_chunking_reassembles(self, idents, chunk):
         """Frames that arrive in arbitrary pieces, split anywhere, are read
         back whole and in order."""
-        a, b = self.pair()
+        a, b = pair()
         try:
             blob = b"".join(Message(protocol.TASK_ASSIGN, ident=i).encode()
                             for i in idents)
@@ -264,11 +288,11 @@ class TestSocketHelpers:
             b.close()
 
     def test_many_messages_in_order(self):
-        a, b = self.pair()
+        a, b = pair()
         try:
             def writer():
                 for i in range(50):
-                    send_message(a, Message(protocol.TASK_DONE, ident=i,
+                    send_message(a, Message(protocol.DONE, ident=i,
                                             detail=f"t{i}"))
             t = threading.Thread(target=writer)
             t.start()
