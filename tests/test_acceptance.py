@@ -412,7 +412,12 @@ def _exact_sums_sweep(n=10_000) -> int:
 
 def _format_fuzz(tmp_path) -> tuple[int, int]:
     """Round-trips plus exhaustive single-byte mutation of the detectable
-    header regions; returns (round-trips, rejected mutations)."""
+    header regions; returns (round-trips, rejected mutations).
+
+    Every file is written new and unlinked once read.  Truncating or
+    replacing a file whose blocks are already allocated frees them, and on
+    an ext4 mount with online discard each free waits on the device (about
+    60 ms), which over the 9,000 writes here costs minutes."""
     rng = np.random.default_rng(8004)
 
     roundtrips = 0
@@ -431,6 +436,7 @@ def _format_fuzz(tmp_path) -> tuple[int, int]:
         p = tmp_path / "rt.trc"
         write_survey(p, survey)
         back = read_survey(p)
+        p.unlink()
         assert len(back) == n_traces
         for a, b in zip(back, survey):
             assert a.header == b.header
@@ -443,6 +449,7 @@ def _format_fuzz(tmp_path) -> tuple[int, int]:
         p = tmp_path / "rt.img"
         write_image(p, image)
         back = read_image(p)
+        p.unlink()
         assert back.spec == grid
         assert back.values.tobytes() == image.values.tobytes()
         roundtrips += 1
@@ -455,12 +462,14 @@ def _format_fuzz(tmp_path) -> tuple[int, int]:
                  Survey([Trace(h, np.arange(5, dtype=np.float32))],
                         OffsetBinning.single()))
     trace_bytes = trace_path.read_bytes()
+    trace_path.unlink()
     trace_detectable = list(range(0, 8)) + list(range(40, 44))
 
     grid = GridSpec(0.0, 10.0, 2, 0.0, 0.01, 3, 2)
     image_path = tmp_path / "fuzz.img"
     write_image(image_path, ImageGrid(grid, np.ones((2, 2, 3))))
     image_bytes = image_path.read_bytes()
+    image_path.unlink()
     image_detectable = list(range(0, 4)) + list(range(36, 48))
 
     rejected = 0
@@ -474,6 +483,7 @@ def _format_fuzz(tmp_path) -> tuple[int, int]:
                 path.write_bytes(bytes(mutated))
                 with pytest.raises(StorageError):
                     reader(path)
+                path.unlink()
                 rejected += 1
 
     # arbitrary-position flips may hit undetectable payload bytes; those must
@@ -492,8 +502,11 @@ def _format_fuzz(tmp_path) -> tuple[int, int]:
                 parsed = reader(path)
             except StorageError:
                 continue
+            finally:
+                path.unlink()
             writer(path, parsed)
             assert path.read_bytes() == mutated
+            path.unlink()
     return roundtrips, rejected
 
 

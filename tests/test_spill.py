@@ -237,6 +237,7 @@ class TestCorruptInputs:
         path = tmp_path / "r.kvp"
         regioned(path)
         good = path.read_bytes()
+        path.unlink()
         width = 4 if what in ("magic", "region count") else 8
         for i in range(offset, offset + width):
             for value in range(256):
@@ -244,10 +245,13 @@ class TestCorruptInputs:
                     continue
                 bad = bytearray(good)
                 bad[i] = value
+                # a new file per change: freeing an allocated file's blocks
+                # waits on the device where ext4 is mounted with discard
                 path.write_bytes(bad)
                 for region in (None, 2):
                     with pytest.raises(SpillFormatError):
                         read_partition_file(path, region=region)
+                path.unlink()
 
 
 # three files of four regions; region 1 is empty in every file, and the

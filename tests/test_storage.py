@@ -326,6 +326,7 @@ class TestHeaderMutationRobustness:
         path = tmp_path / "fuzz.trc"
         write_survey(path, tiny_survey())
         pristine = path.read_bytes()
+        path.unlink()  # a new file per mutation: see test_acceptance._format_fuzz
         header_len = 4 + 4 + 36  # magic, count, first trace fixed fields
         for pos in range(header_len):
             for flip in (0x01, 0x80, 0xFF):
@@ -336,11 +337,13 @@ class TestHeaderMutationRobustness:
                     read_survey(path)
                 except StorageError:
                     pass
+                path.unlink()
 
     def test_image_header_fuzz(self, tmp_path):
         path = tmp_path / "fuzz.img"
         write_image(path, tiny_image())
         pristine = path.read_bytes()
+        path.unlink()  # a new file per mutation: see test_acceptance._format_fuzz
         header_len = 4 + 44  # magic + geometry fields
         for pos in range(header_len):
             for flip in (0x01, 0x80, 0xFF):
@@ -351,3 +354,4 @@ class TestHeaderMutationRobustness:
                     read_image(path)
                 except StorageError:
                     pass
+                path.unlink()
